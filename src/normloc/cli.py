@@ -32,13 +32,20 @@ def _parse_window(text):
         a, sep, b = part.partition("..")
         if not sep:
             raise NormlocError(f"bad window range {part!r}, want lo..hi")
-        lo.append(int(a))
-        hi.append(int(b))
+        lo.append(_parse_int(a, text))
+        hi.append(_parse_int(b, text))
     return tuple(lo), tuple(hi)
 
 
 def _parse_vector(text):
-    return tuple(int(x) for x in text.split(","))
+    return tuple(_parse_int(x, text) for x in text.split(","))
+
+
+def _parse_int(word, text):
+    try:
+        return int(word)
+    except ValueError:
+        raise NormlocError(f"bad integer {word!r} in {text!r}") from None
 
 
 def _load_json(path):
@@ -58,9 +65,7 @@ def _inputs(args, count):
     return paths
 
 
-def _emit(args, payload):
-    if args.seed is not None:
-        payload["seed"] = args.seed
+def _emit(payload):
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
@@ -75,7 +80,7 @@ def _report_exit(report):
 def _cmd_normal_check(args):
     p = _load_poly(_inputs(args, 1)[0])
     report = is_normal(p, args.s_max)
-    _emit(args, {"command": "normal-check", **report.to_dict()})
+    _emit({"command": "normal-check", **report.to_dict()})
     return _report_exit(report)
 
 
@@ -84,13 +89,13 @@ def _cmd_located_check(args):
     p, q = _load_poly(paths[0]), _load_poly(paths[1])
     window = _parse_window(args.window) if args.window else None
     report = normally_located(p, q, window)
-    _emit(args, {"command": "located-check", **report.to_dict()})
+    _emit({"command": "located-check", **report.to_dict()})
     return _report_exit(report)
 
 
 def _cmd_normal_fan(args):
     p = _load_poly(_inputs(args, 1)[0])
-    _emit(args, {"command": "normal-fan", "fan": normal_fan(p).to_dict()})
+    _emit({"command": "normal-fan", "fan": normal_fan(p).to_dict()})
     return 0
 
 
@@ -99,28 +104,28 @@ def _cmd_refine_check(args):
     f1 = normal_fan(_load_poly(paths[0]))
     f2 = normal_fan(_load_poly(paths[1]))
     ok = refines(f1, f2)
-    _emit(args, {"command": "refine-check", "refines": ok})
+    _emit({"command": "refine-check", "refines": ok})
     return 0 if ok else 1
 
 
 def _cmd_gitfan(args):
     g = graded_projection_from_dict(_load_json(_inputs(args, 1)[0]))
     result = git_fan(g)
-    _emit(args, {"command": "gitfan", **result.to_dict()})
+    _emit({"command": "gitfan", **result.to_dict()})
     return 0 if result.fan_verified else 1
 
 
 def _cmd_fiber(args):
     g = graded_projection_from_dict(_load_json(_inputs(args, 1)[0]))
     f = fiber(g, _parse_vector(args.u))
-    _emit(args, {"command": "fiber", "fiber": polyhedron_to_dict(f)})
+    _emit({"command": "fiber", "fiber": polyhedron_to_dict(f)})
     return 0
 
 
 def _cmd_realize(args):
     paths = _inputs(args, 2)
     pair = realize_pair(_load_poly(paths[0]), _load_poly(paths[1]))
-    _emit(args, {"command": "realize", **pair.to_dict()})
+    _emit({"command": "realize", **pair.to_dict()})
     return 0
 
 
@@ -129,7 +134,7 @@ def _cmd_p3_search(args):
     report = multiple_making_sums_exact(g, _parse_vector(args.u1),
                                         _parse_vector(args.u2),
                                         args.k_max, args.s_max)
-    _emit(args, {"command": "p3-search", **report.to_dict()})
+    _emit({"command": "p3-search", **report.to_dict()})
     return _report_exit(report)
 
 
@@ -138,15 +143,15 @@ def _cmd_mcrit_search(args):
     report = located_multiple_search(_load_poly(paths[0]),
                                      _load_poly(paths[1]),
                                      args.k_max, args.s_max)
-    _emit(args, {"command": "mcrit-search", **report.to_dict()})
+    _emit({"command": "mcrit-search", **report.to_dict()})
     return _report_exit(report)
 
 
 def _cmd_paper_counterexample(args):
     p, q = triangle_pair(args.k)
     report = normally_located(p, q)
-    _emit(args, {"command": "paper-counterexample", "k": args.k,
-                 **report.to_dict()})
+    _emit({"command": "paper-counterexample", "k": args.k,
+           **report.to_dict()})
     return _report_exit(report)
 
 
@@ -155,9 +160,14 @@ def _cmd_paper_oldex(args):
     w1 = tuple(args.s * x for x in u1)
     w2 = tuple(args.s * x for x in u2)
     report = fiber_point_sum_exact(g, w1, w2)
-    _emit(args, {"command": "paper-oldex", "s": args.s,
-                 **report.to_dict()})
+    _emit({"command": "paper-oldex", "s": args.s, **report.to_dict()})
     return _report_exit(report)
+
+
+_INT_HELP = {"s_max": "largest scale to check",
+             "k_max": "largest multiple to try",
+             "k": "multiple of the built-in triangle pair",
+             "s": "scale of the built-in grading's degrees"}
 
 
 def _build_parser():
@@ -167,71 +177,48 @@ def _build_parser():
                     "fans, and GIT fans of lattice polyhedra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, doc, **flags):
+    def add(name, func, doc, inputs=True, window=False, vectors=(),
+            **ints):
         cmd = sub.add_parser(name, help=doc, description=doc)
         cmd.set_defaults(func=func)
-        cmd.add_argument("--format", choices=["json"], default="json",
-                         help="output format (json only)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="echoed into the report (no command draws "
-                              "randomness)")
-        if flags.get("inputs"):
+        if inputs:
             cmd.add_argument("--input", action="append", metavar="FILE",
                              help="input JSON file (repeatable)")
-        if flags.get("s_max"):
-            cmd.add_argument("--s-max", type=int, default=flags["s_max"],
-                             help="largest scale to check")
-        if flags.get("k_max"):
-            cmd.add_argument("--k-max", type=int, default=flags["k_max"],
-                             help="largest multiple to try")
-        if flags.get("window"):
+        for key, default in ints.items():
+            cmd.add_argument("--" + key.replace("_", "-"), type=int,
+                             default=default, help=_INT_HELP[key])
+        if window:
             cmd.add_argument("--window", metavar="LO..HI,...", default=None,
                              help="box per axis, e.g. 0..10,0..10")
-        for name2, kind in flags.get("vectors", ()):
+        for name2, kind in vectors:
             cmd.add_argument(name2, type=str, required=True, help=kind)
-        return cmd
 
     add("normal-check", _cmd_normal_check,
-        "check normality of a lattice polytope up to --s-max",
-        inputs=True, s_max=5)
+        "check normality of a lattice polytope up to --s-max", s_max=5)
     add("located-check", _cmd_located_check,
-        "check that the pair (P, Q) is normally located",
-        inputs=True, window=True)
+        "check that the pair (P, Q) is normally located", window=True)
     add("normal-fan", _cmd_normal_fan,
-        "print the normal fan of a polyhedron", inputs=True)
+        "print the normal fan of a polyhedron")
     add("refine-check", _cmd_refine_check,
-        "check that the normal fan of the first input refines the second",
-        inputs=True)
+        "check that the normal fan of the first input refines the second")
     add("gitfan", _cmd_gitfan,
-        "compute the GIT fan of a grading", inputs=True)
+        "compute the GIT fan of a grading")
     add("fiber", _cmd_fiber,
         "compute the fiber polyhedron of a grading at degree --u",
-        inputs=True, vectors=(("--u", "degree, comma separated"),))
+        vectors=(("--u", "degree, comma separated"),))
     add("realize", _cmd_realize,
-        "embed two polyhedra as fibers of one grading", inputs=True)
+        "embed two polyhedra as fibers of one grading")
     add("p3-search", _cmd_p3_search,
         "search a multiple making fiber point sums exact",
-        inputs=True, k_max=6, s_max=4,
+        k_max=6, s_max=4,
         vectors=(("--u1", "first degree"), ("--u2", "second degree")))
     add("mcrit-search", _cmd_mcrit_search,
         "search a multiple making the pair normally located",
-        inputs=True, k_max=6, s_max=4)
-    cex = sub.add_parser(
-        "paper-counterexample",
-        help="run the built-in triangle pair at multiple --k",
-        description="run the built-in triangle pair at multiple --k")
-    cex.set_defaults(func=_cmd_paper_counterexample)
-    cex.add_argument("--format", choices=["json"], default="json")
-    cex.add_argument("--seed", type=int, default=None)
-    cex.add_argument("--k", type=int, default=1)
-    old = sub.add_parser(
-        "paper-oldex",
-        help="run the built-in boundary grading at scale --s",
-        description="run the built-in boundary grading at scale --s")
-    old.set_defaults(func=_cmd_paper_oldex)
-    old.add_argument("--format", choices=["json"], default="json")
-    old.add_argument("--seed", type=int, default=None)
-    old.add_argument("--s", type=int, default=1)
+        k_max=6, s_max=4)
+    add("paper-counterexample", _cmd_paper_counterexample,
+        "run the built-in triangle pair at multiple --k", inputs=False, k=1)
+    add("paper-oldex", _cmd_paper_oldex,
+        "run the built-in boundary grading at scale --s", inputs=False, s=1)
     return parser
 
 

@@ -3,18 +3,20 @@
 Everything in this package runs over Z and Q.  Vectors are tuples of ints
 (``IVec``) or Fractions (``QVec``); matrices are tuples of row tuples.  No
 floats anywhere: all comparisons are exact.
+
+Number types follow one rule: integers flow between layers.  Rays, lines,
+normals and DD generators are integer vectors, and every rational-to-integer
+step goes through :func:`primitive`.  ``Fraction`` appears only in the right
+hand sides of halfspace descriptions, in vertex coordinates and at I/O;
+inside this module only :func:`rank` and :func:`solve_rational` build one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ZeroVector
-
-# Exact rational scalar.  str() serializes as "p/q" (or "p" for integers),
-# which is the wire format used by the JSON layer.
-Rat = Fraction
 
 IVec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
@@ -47,16 +49,15 @@ def vec_gcd(v) -> int:
 def primitive(v) -> IVec:
     """Shortest integer vector with the same direction as ``v``.
 
-    Accepts int or Fraction entries.  Raises ZeroVector on the zero vector.
+    Accepts int or Fraction entries (ints have a numerator and a denominator
+    too), clearing denominators in integer arithmetic.  Raises ZeroVector on
+    the zero vector.
     """
-    v = tuple(Fraction(x) for x in v)
-    if all(x == 0 for x in v):
-        raise ZeroVector(f"no primitive vector for {v}")
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    w = tuple(int(x * den) for x in v)
+    den = lcm(*(x.denominator for x in v))
+    w = tuple(x.numerator * (den // x.denominator) for x in v)
     g = vec_gcd(w)
+    if not g:
+        raise ZeroVector(f"no primitive vector for {tuple(v)}")
     return tuple(x // g for x in w)
 
 
@@ -273,20 +274,23 @@ def saturated_basis(vectors) -> IMat:
     return kernel_lattice_basis(comp)
 
 
-def project_off(v, basis) -> QVec:
-    """Orthogonal projection of ``v`` onto the complement of span(basis).
+def project_off(v: IVec, basis: IMat) -> IVec:
+    """``det(G)`` times the orthogonal projection of ``v`` off span(basis).
 
-    ``basis`` rows must be linearly independent.  Returns a Fraction vector.
+    ``G`` is the Gram matrix of the ``basis`` rows, which must be linearly
+    independent integer vectors, and ``v`` is an integer vector.  Since
+    ``det(G) > 0``, the result points the same way as the projection and
+    :func:`primitive` of it is the same; scaling by ``det(G)`` keeps every
+    entry an integer (Cramer's rule on the Bareiss :func:`det`).
     """
-    v = tuple(Fraction(x) for x in v)
     if not basis:
-        return v
-    gram = [[Fraction(dot(p, q)) for q in basis] for p in basis]
+        return tuple(v)
+    gram = [[dot(p, q) for q in basis] for p in basis]
     rhs = [dot(p, v) for p in basis]
-    coeff = solve_rational(gram, rhs)
-    out = list(v)
-    for c, p in zip(coeff, basis):
+    scale = det(gram)
+    out = [scale * x for x in v]
+    for i, p in enumerate(basis):
+        c = det(gram[:i] + [rhs] + gram[i + 1:])
         if c:
-            for i, x in enumerate(p):
-                out[i] -= c * x
+            out = [a - c * x for a, x in zip(out, p)]
     return tuple(out)

@@ -94,7 +94,12 @@ def graded_projection(weights) -> GradedProjection:
 
 
 def graded_projection_from_dict(data) -> GradedProjection:
-    return graded_projection(data["weights"])
+    """Grading of ``{"weights": [[...], ...]}``; NormlocError otherwise."""
+    try:
+        weights = [[int(x) for x in w] for w in data["weights"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise NormlocError(f"malformed grading: {exc!r}") from None
+    return graded_projection(weights)
 
 
 def _degree(g: GradedProjection, u):

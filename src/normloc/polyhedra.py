@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor
 
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotPointed, Unbounded, ZeroVector)
-from .exact import (IMat, IVec, QVec, dot, hermite_normal_form, primitive,
-                    rank, vec_gcd)
+from .exact import dot, hermite_normal_form, primitive, rank, vec_gcd
 from .fans import Cone, cone_from_generators
 from .reps import HRep, VRep, Witness  # noqa: F401  (re-exported)
 
@@ -60,20 +59,18 @@ class Polyhedron:
         v0 = self.v.vertices[0]
         rows = [tuple(a - b for a, b in zip(v, v0))
                 for v in self.v.vertices[1:]]
-        rows += [tuple(map(Fraction, r)) for r in self.v.rays]
+        rows += self.v.rays
         return rank(rows) if rows else 0
 
 
 def hrep(inequalities, equalities=()) -> HRep:
     """Coerce rows (normal, rhs) into canonical scaling."""
     def row(n, b):
-        nf = tuple(Fraction(x) for x in n)
-        if all(x == 0 for x in nf):
+        if not any(n):
             raise ZeroVector("constraint with zero normal")
-        p = primitive(nf)
+        p = primitive(n)
         j = next(i for i, x in enumerate(p) if x != 0)
-        factor = nf[j] / p[j]
-        return p, Fraction(b) / factor
+        return p, Fraction(b) * p[j] / n[j]
 
     return HRep(tuple(row(n, b) for n, b in inequalities),
                 tuple(row(n, b) for n, b in equalities))
@@ -86,14 +83,8 @@ def vrep(vertices, rays=()) -> VRep:
 
 def _homogenize_h(d, h: HRep):
     """Integer constraint rows for the cone {(x, t) : t >= 0, x/t in P}."""
-    ineqs = []
-    eqs = []
-    for n, b in h.inequalities:
-        den = b.denominator
-        ineqs.append(primitive(tuple(den * x for x in n) + (-b.numerator,)))
-    for n, b in h.equalities:
-        den = b.denominator
-        eqs.append(primitive(tuple(den * x for x in n) + (-b.numerator,)))
+    ineqs = [primitive(n + (-b,)) for n, b in h.inequalities]
+    eqs = [primitive(n + (-b,)) for n, b in h.equalities]
     ineqs.append((0,) * d + (-1,))
     return eqs, ineqs
 
@@ -120,14 +111,8 @@ def _h_to_v(d, h: HRep):
 
 def _v_to_h(d, verts, rec):
     """Canonical facets and equalities via the polar of the homogenization."""
-    gens = set()
-    for v in verts:
-        den = 1
-        for x in v:
-            den = lcm(den, x.denominator)
-        gens.add(tuple(int(x * den) for x in v) + (den,))
-    for r in rec:
-        gens.add(tuple(r) + (0,))
+    gens = {primitive(v + (1,)) for v in verts}
+    gens.update(tuple(r) + (0,) for r in rec)
     plines, prays = dd.generators_from_constraints(d + 1, (), sorted(gens))
     ineqs = []
     for m in prays:
@@ -196,18 +181,6 @@ def equals(p: Polyhedron, q: Polyhedron) -> bool:
     return p == q
 
 
-def contains(p: Polyhedron, x) -> bool:
-    return p.contains(x)
-
-
-def dimension(p: Polyhedron) -> int:
-    return p.affine_dimension()
-
-
-def is_lattice(p: Polyhedron) -> bool:
-    return p.is_lattice()
-
-
 def tail_cone(p: Polyhedron) -> Cone:
     return p.tail
 
@@ -271,13 +244,27 @@ def polyhedron_to_dict(p: Polyhedron):
 
 
 def polyhedron_from_dict(data) -> Polyhedron:
-    """Accepts either the vertex form or the halfspace form."""
-    if "vertices" in data:
-        verts = [tuple(Fraction(x) for x in v) for v in data["vertices"]]
-        rays = [tuple(int(x) for x in r) for r in data.get("rays", [])]
-        return from_v(VRep(tuple(verts), tuple(rays)))
-    ineqs = [(tuple(int(x) for x in row["normal"]), Fraction(row["rhs"]))
-             for row in data.get("inequalities", [])]
-    eqs = [(tuple(int(x) for x in row["normal"]), Fraction(row["rhs"]))
-           for row in data.get("equalities", [])]
-    return from_h(HRep(tuple(ineqs), tuple(eqs)))
+    """Accepts either the vertex form or the halfspace form.
+
+    Raises NormlocError when ``data`` is neither: not an object, missing
+    keys, or entries that do not parse as numbers.
+    """
+    if not isinstance(data, dict):
+        raise NormlocError("a polyhedron must be a JSON object, got "
+                           f"{type(data).__name__}")
+    try:
+        if "vertices" in data:
+            verts = [tuple(Fraction(x) for x in v) for v in data["vertices"]]
+            rays = [tuple(int(x) for x in r) for r in data.get("rays", [])]
+            rep = VRep(tuple(verts), tuple(rays))
+        else:
+            ineqs = [(tuple(int(x) for x in row["normal"]),
+                      Fraction(row["rhs"]))
+                     for row in data.get("inequalities", [])]
+            eqs = [(tuple(int(x) for x in row["normal"]),
+                    Fraction(row["rhs"]))
+                   for row in data.get("equalities", [])]
+            rep = HRep(tuple(ineqs), tuple(eqs))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise NormlocError(f"malformed polyhedron: {exc!r}") from None
+    return from_v(rep) if isinstance(rep, VRep) else from_h(rep)

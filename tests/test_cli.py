@@ -119,14 +119,13 @@ def test_builtin_cases(files, capsys):
     assert code == 1 and rep["witness"]["point"] == [1, 0, 1, 1]
 
 
-def test_output_is_deterministic_and_seed_echoed(files, capsys):
+def test_output_is_deterministic(files, capsys):
     p, q = files("p.json", TRI_P), files("q.json", TRI_Q)
-    argv = ("located-check", "--input", p, "--input", q, "--seed", "7")
+    argv = ("located-check", "--input", p, "--input", q)
     main(list(argv))
     first = capsys.readouterr().out
     main(list(argv))
     assert capsys.readouterr().out == first
-    assert json.loads(first)["seed"] == 7
     # compact separators, sorted keys
     assert '"checked":' in first and ": " not in first.split("\n")[0]
 
@@ -143,3 +142,22 @@ def test_error_exits(files, capsys, tmp_path):
                  "--window", "oops"]) == 2
     assert main(["fiber", "--input", sq, "--u", "1,1"]) == 2  # not a grading
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, poly, extra", [
+    ("normal-check", [[0, 0], [1, 0]], ()),
+    ("normal-check", {"vertices": [["1/0", 0], [1, 0]]}, ()),
+    ("fiber", GRADING, ("--u", "a,b")),
+    ("located-check", SQUARE, ("--window", "0..x,0..1")),
+    ("gitfan", [[4, 1], [2, 1]], ()),
+], ids=["json-list", "zero-denominator", "bad-vector", "bad-window",
+        "grading-list"])
+def test_malformed_input_exits_2(files, capsys, command, poly, extra):
+    path = files("in.json", poly)
+    inputs = ("--input", path) * (2 if command == "located-check" else 1)
+    assert main([command, *inputs, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

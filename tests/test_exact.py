@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -131,9 +132,80 @@ def test_saturated_basis_contains_input_lattice():
 
 
 def test_project_off_orthogonality():
-    basis = ((1, 1, 0),)
-    v = project_off((3, 1, 2), basis)
-    assert dot(v, basis[0]) == 0
+    for basis in (((1, 1, 0),), ((1, 1, 0), (0, 2, -1))):
+        v = project_off((3, 1, 2), basis)
+        assert all(dot(v, p) == 0 for p in basis)
+
+
+def _primitive_ref(v):
+    """Reference: the Fraction round trip primitive() used to make."""
+    v = tuple(Fraction(x) for x in v)
+    if all(x == 0 for x in v):
+        raise ZeroVector(f"no primitive vector for {v}")
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    w = tuple(int(x * den) for x in v)
+    g = 0
+    for x in w:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in w)
+
+
+def _project_off_ref(v, basis):
+    """Reference: the orthogonal projection by a rational Gram solve."""
+    v = tuple(Fraction(x) for x in v)
+    if not basis:
+        return v
+    gram = [[Fraction(dot(p, q)) for q in basis] for p in basis]
+    rhs = [dot(p, v) for p in basis]
+    coeff = solve_rational(gram, rhs)
+    out = list(v)
+    for c, p in zip(coeff, basis):
+        if c:
+            for i, x in enumerate(p):
+                out[i] -= c * x
+    return tuple(out)
+
+
+def _entry(rng, frac):
+    x = rng.randint(-12, 12)
+    return Fraction(x, rng.randint(1, 9)) if frac else x
+
+
+def test_primitive_matches_fraction_reference():
+    rng = random.Random(23)
+    for trial in range(400):
+        v = tuple(_entry(rng, trial % 2 and rng.random() < 0.6)
+                  for _ in range(rng.randint(1, 5)))
+        if any(v):
+            assert primitive(v) == _primitive_ref(v)
+        else:
+            with pytest.raises(ZeroVector):
+                primitive(v)
+
+
+def test_project_off_matches_gram_reference():
+    rng = random.Random(29)
+    ranks = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n))
+                for _ in range(rng.randint(0, min(n, 3)))]
+        basis = saturated_basis(gens)
+        if len(basis) == n:
+            continue  # nothing is left to project onto
+        ranks.add(len(basis))
+        for _ in range(4):
+            v = tuple(rng.randint(-9, 9) for _ in range(n))
+            got = project_off(v, basis)
+            assert all(isinstance(x, int) for x in got)
+            ref = _project_off_ref(v, basis)
+            if any(ref):
+                assert primitive(got) == _primitive_ref(ref)
+            else:
+                assert not any(got)
+    assert ranks == {0, 1, 2, 3}
 
 
 def test_transpose_matmul():
