@@ -6,7 +6,13 @@ compiled extension is not built, the pure backend is timed alone):
 
 * scan_points over a scaled triangle (full enumeration),
 * scan_undecomposed over a normally located pair (every point of the sum
-  region gets an inner split check and none fails).
+  region splits and none fails; the compiled kernel searches a split for
+  every point, the pure one first tries the previous point's split shifted
+  and searches only when that fails).
+
+The two backends run different loops, so whenever the extension is built
+their results are compared on every system; the script exits 1 if they
+differ.
 
 Run:  python3 benchmarks/bench_scan.py [--repeat N]
 """
@@ -40,11 +46,22 @@ def _bench(label, fn, args, repeat):
 
 
 def _compare(name, args, repeat):
-    """Time ``name`` on the pure backend, and on the compiled one if built."""
-    pure = _bench("pure", getattr(_scan_py, name), args, repeat)
-    if _ext is not None:
-        comp = _bench("compiled", getattr(_ext, name), args, repeat)
-        print(f"  speedup    {pure / comp:9.1f}x")
+    """Time ``name`` on the pure backend, and on the compiled one if built.
+
+    Returns False when the two backends give different results.
+    """
+    pure_fn = getattr(_scan_py, name)
+    pure = _bench("pure", pure_fn, args, repeat)
+    if _ext is None:
+        return True
+    comp_fn = getattr(_ext, name)
+    comp = _bench("compiled", comp_fn, args, repeat)
+    print(f"  speedup    {pure / comp:9.1f}x")
+    if comp_fn(*args) != pure_fn(*args):
+        print(f"error: {name}: compiled and pure results differ",
+              file=sys.stderr)
+        return False
+    return True
 
 
 def _timed(fn, args):
@@ -67,7 +84,7 @@ def main(argv=None) -> int:
     args = _system(p)
     npts = len(_scan_py.scan_points(*args))
     print(f"scan_points, {npts} points:")
-    _compare("scan_points", args, opts.repeat)
+    agree = _compare("scan_points", args, opts.repeat)
 
     _, q = triangle_pair()
     total = minkowski_sum(q, q)
@@ -75,8 +92,8 @@ def main(argv=None) -> int:
     assert _scan_py.scan_undecomposed(*args) is None  # located: full sweep
     rpts = len(_scan_py.scan_points(*_system(total)))
     print(f"scan_undecomposed, {rpts} sum points, no witness:")
-    _compare("scan_undecomposed", args, opts.repeat)
-    return 0
+    agree &= _compare("scan_undecomposed", args, opts.repeat)
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":

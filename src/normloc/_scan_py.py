@@ -1,11 +1,13 @@
 """Pure Python lattice scan kernels.
 
-Mirror of ``normloc._scan`` (the compiled build of the same loops).  Every
-function takes integer inequality rows ``a @ x <= b`` as a coefficient matrix
-plus right-hand-side list, and an integer box ``[lo, hi]`` per axis.  Points
-are visited in lexicographic order; per coordinate the feasible interval is
-tightened against every row using the best case of the remaining coordinates,
-so subtrees that cannot contain solutions are never entered.
+Same contract and same outputs as ``normloc._scan``, the compiled backend;
+the loops may differ.  Every function takes integer inequality rows
+``a @ x <= b`` as a coefficient matrix plus right-hand-side list, and an
+integer box ``[lo, hi]`` per axis; a system's points are the integer points
+of the box that satisfy every row.  Points are visited in lexicographic
+order; per coordinate the feasible interval is tightened against every row
+using the best case of the remaining coordinates, so subtrees that cannot
+contain solutions are never entered.
 """
 
 
@@ -68,6 +70,17 @@ def scan_first(coeffs, rhs, lo, hi):
     return next(iter_points(coeffs, rhs, lo, hi), None)
 
 
+def _member(coeffs, rhs, lo, hi, x):
+    """Whether x is a point of the system: inside the box and every row."""
+    for v, a, b in zip(x, lo, hi):
+        if v < a or v > b:
+            return False
+    for row, b in zip(coeffs, rhs):
+        if sum(c * v for c, v in zip(row, x)) > b:
+            return False
+    return True
+
+
 def scan_undecomposed(rcoeffs, rrhs, rlo, rhi,
                       pcoeffs, prhs, plo, phi,
                       qcoeffs, qrhs, qlo, qhi):
@@ -76,16 +89,37 @@ def scan_undecomposed(rcoeffs, rrhs, rlo, rhi,
     z runs over the R system's lattice points in lex order; z' is searched
     in the P system intersected with the reflected, shifted Q system.
     Returns the first z with no z', or None when every point splits.
+
+    The split (z', z'') found for the previous z is tried first: when
+    z - z'' is a point of P, or z - z' a point of Q, z splits and the inner
+    search is skipped.  Consecutive points mostly differ by one step in the
+    last coordinate, so one of the two shifted splits usually still fits.
+    Any split proves z is not the point sought, and the inner search still
+    runs on every z that the shifted splits miss, so the result is the same
+    as with a fresh search for every z.
     """
     d = len(rlo)
     icoeffs = [tuple(row) for row in pcoeffs]
     icoeffs += [tuple(-a for a in row) for row in qcoeffs]
+    split = None
     for z in iter_points(rcoeffs, rrhs, rlo, rhi):
+        if split is not None:
+            zp, zq = split
+            shifted = tuple(a - b for a, b in zip(z, zq))
+            if _member(pcoeffs, prhs, plo, phi, shifted):
+                split = shifted, zq
+                continue
+            shifted = tuple(a - b for a, b in zip(z, zp))
+            if _member(qcoeffs, qrhs, qlo, qhi, shifted):
+                split = zp, shifted
+                continue
         ilo = tuple(max(plo[j], z[j] - qhi[j]) for j in range(d))
         ihi = tuple(min(phi[j], z[j] - qlo[j]) for j in range(d))
         irhs = list(prhs)
         for row, b in zip(qcoeffs, qrhs):
             irhs.append(b - sum(a * zz for a, zz in zip(row, z)))
-        if scan_first(icoeffs, irhs, ilo, ihi) is None:
+        zp = scan_first(icoeffs, irhs, ilo, ihi)
+        if zp is None:
             return z
+        split = zp, tuple(a - b for a, b in zip(z, zp))
     return None

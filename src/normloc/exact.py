@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ZeroVector
+from .errors import NormlocError, ZeroVector
 
 IVec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
@@ -37,6 +37,29 @@ def vec_sub(a, b):
 
 def vec_scale(c, a):
     return tuple(c * x for x in a)
+
+
+def as_int(x) -> int:
+    """``x`` as an int when it is integral; NormlocError otherwise.
+
+    Accepts ints, integral floats and Fractions (``4.0``) and integer
+    strings (``"4"``).  Anything with a fractional part, a bool, inf or nan
+    is rejected instead of truncated.
+    """
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    elif isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
+        try:
+            n = int(x)
+        except (OverflowError, ValueError):
+            pass
+        else:
+            if n == x:
+                return n
+    raise NormlocError(f"not an integer: {x!r}")
 
 
 def vec_gcd(v) -> int:

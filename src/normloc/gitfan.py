@@ -29,7 +29,7 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotFullDimensional, NotLattice, RealizationError,
                      RefinementRequired, SubsetCapExceeded, SupportMismatch,
                      TailConeMismatch, WeightOutsideCone)
-from .exact import (canonical_sign, dot, hermite_normal_form,
+from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
                     identity_matrix, kernel_lattice_basis, primitive,
                     transpose)
 from .fans import (Cone, Fan, cone_from_generators, cone_from_h,
@@ -76,7 +76,7 @@ def graded_projection(weights) -> GradedProjection:
     Requires n >= m and surjectivity onto Z^m (checked through the Hermite
     form of the weight rows: their row lattice must be all of Z^m).
     """
-    ws = tuple(tuple(int(x) for x in w) for w in weights)
+    ws = tuple(tuple(as_int(x) for x in w) for w in weights)
     if not ws:
         raise NormlocError("a grading needs at least one weight")
     m = len(ws[0])
@@ -96,14 +96,14 @@ def graded_projection(weights) -> GradedProjection:
 def graded_projection_from_dict(data) -> GradedProjection:
     """Grading of ``{"weights": [[...], ...]}``; NormlocError otherwise."""
     try:
-        weights = [[int(x) for x in w] for w in data["weights"]]
+        weights = [[as_int(x) for x in w] for w in data["weights"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise NormlocError(f"malformed grading: {exc!r}") from None
     return graded_projection(weights)
 
 
 def _degree(g: GradedProjection, u):
-    u = tuple(int(x) for x in u)
+    u = tuple(as_int(x) for x in u)
     if len(u) != g.m:
         raise DimensionMismatch(f"degree has length {len(u)}, grading "
                                 f"maps onto Z^{g.m}")

@@ -15,6 +15,7 @@ bound) and no witness appeared inside it.  A witness is only present on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import kernels
 from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
@@ -43,8 +44,12 @@ class LatticePointSet:
     def __iter__(self):
         return iter(self.points)
 
+    @cached_property
+    def _members(self):
+        return frozenset(self.points)
+
     def __contains__(self, x):
-        return tuple(x) in set(self.points)
+        return tuple(x) in self._members
 
 
 def _point_set(dim, pts) -> LatticePointSet:

@@ -21,7 +21,8 @@ from math import ceil, floor
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotPointed, Unbounded, ZeroVector)
-from .exact import dot, hermite_normal_form, primitive, rank, vec_gcd
+from .exact import (as_int, dot, hermite_normal_form, primitive, rank,
+                    vec_gcd)
 from .fans import Cone, cone_from_generators
 from .reps import HRep, VRep, Witness  # noqa: F401  (re-exported)
 
@@ -255,13 +256,13 @@ def polyhedron_from_dict(data) -> Polyhedron:
     try:
         if "vertices" in data:
             verts = [tuple(Fraction(x) for x in v) for v in data["vertices"]]
-            rays = [tuple(int(x) for x in r) for r in data.get("rays", [])]
+            rays = [tuple(as_int(x) for x in r) for r in data.get("rays", [])]
             rep = VRep(tuple(verts), tuple(rays))
         else:
-            ineqs = [(tuple(int(x) for x in row["normal"]),
+            ineqs = [(tuple(as_int(x) for x in row["normal"]),
                       Fraction(row["rhs"]))
                      for row in data.get("inequalities", [])]
-            eqs = [(tuple(int(x) for x in row["normal"]),
+            eqs = [(tuple(as_int(x) for x in row["normal"]),
                     Fraction(row["rhs"]))
                    for row in data.get("equalities", [])]
             rep = HRep(tuple(ineqs), tuple(eqs))

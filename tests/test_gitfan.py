@@ -35,6 +35,9 @@ def test_graded_projection_validation():
         graded_projection(())
     rt = graded_projection_from_dict(g.to_dict())
     assert rt == g
+    assert graded_projection(((4.0, 1), (2, "1"), (1, 2), (1, 3))) == g
+    with pytest.raises(NormlocError):
+        fiber(g, (4.5, 2))                      # non-integral degree
 
 
 def test_weight_cone_and_orbit_cones():

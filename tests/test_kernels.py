@@ -3,7 +3,10 @@ import random
 import subprocess
 import sys
 
+from conftest import random_polytope
 from normloc import _scan_py, kernels
+from normloc.polyhedra import (integer_constraint_rows, minkowski_sum, scale,
+                               vertex_box)
 
 
 def _random_system(rng, d, m):
@@ -51,14 +54,51 @@ def test_scan_points_empty_box():
     assert kernels.scan_first(coeffs, rhs, (0, 3), (2, 1)) is None
 
 
-def test_scan_undecomposed_agreement():
+def _polytope_system(p):
+    rows = integer_constraint_rows(p)
+    lo, hi = vertex_box(p)
+    return tuple(a for a, _ in rows), tuple(b for _, b in rows), lo, hi
+
+
+def _cut_boxes(sys_):
+    """The system with its box cut below its rows, one axis end at a time."""
+    coeffs, rhs, lo, hi = sys_
+    for j in range(len(lo)):
+        if lo[j] < hi[j]:
+            cut = hi[:j] + (hi[j] - 1,) + hi[j + 1:]
+            yield coeffs, rhs, lo, cut
+            cut = lo[:j] + (lo[j] + 1,) + lo[j + 1:]
+            yield coeffs, rhs, cut, hi
+
+
+def _undecomposed_cases():
     rng = random.Random(59)
-    checked = 0
     for _ in range(40):
         d = rng.randint(1, 3)
         rsys = _random_system(rng, d, rng.randint(1, 4))
         psys = _random_system(rng, d, rng.randint(1, 4))
         qsys = _random_system(rng, d, rng.randint(1, 4))
+        yield rsys, psys, qsys
+    # real polytopes P, a dilation Q and R = P + Q: long runs of z split
+    # by shifting the previous split, so the reuse path carries the scan
+    rng = random.Random(61)
+    for d, bound, k in ((2, 4, 2), (2, 3, 3), (3, 2, 2), (3, 3, 1)):
+        p = random_polytope(rng, d, bound)
+        q = scale(p, k)
+        rsys = _polytope_system(minkowski_sum(p, q))
+        psys, qsys = _polytope_system(p), _polytope_system(q)
+        yield rsys, psys, qsys
+        # the box is part of each system: a shifted split that meets the
+        # rows but leaves a box cut tighter than the rows does not count
+        for cut in _cut_boxes(psys):
+            yield rsys, cut, qsys
+        for cut in _cut_boxes(qsys):
+            yield rsys, psys, cut
+
+
+def test_scan_undecomposed_agreement():
+    checked = 0
+    for rsys, psys, qsys in _undecomposed_cases():
         args = rsys + psys + qsys
         got_pure = _scan_py.scan_undecomposed(*args)
         got = kernels.scan_undecomposed(*args)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import oracle_points, oracle_sums, random_polytope
+from conftest import box_of, oracle_points, oracle_sums, random_polytope
 from normloc.errors import (DimensionMismatch, NotLattice, NormlocError,
                             Unbounded)
 from normloc.latpoints import (LatticePointSet, decompose, enumerate_points,
@@ -25,7 +25,12 @@ def test_enumerate_matches_membership_oracle():
     for _ in range(25):
         d = rng.randint(1, 3)
         p = random_polytope(rng, d, 7, full_dim=False)
-        assert list(enumerate_points(p)) == oracle_points(p)
+        pts = enumerate_points(p)
+        assert list(pts) == oracle_points(p)
+        lo, hi = box_of(p)
+        probes = [lo, hi, tuple(a - 1 for a in lo), tuple(b + 1 for b in hi)]
+        for x in probes + list(pts):
+            assert (x in pts) == (x in pts.points)
 
 
 def test_enumerate_fractional_vertices():
