@@ -27,18 +27,6 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
-
-
 def as_int(x) -> int:
     """``x`` as an int when it is integral; NormlocError otherwise.
 

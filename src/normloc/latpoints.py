@@ -20,6 +20,7 @@ from functools import cached_property
 from . import kernels
 from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
                      NormlocError, Unbounded)
+from .exact import as_int
 from .fans import cone_from_generators, intersect_cones
 from .polyhedra import (HRep, Polyhedron, Witness, from_h,
                         integer_constraint_rows, minkowski_sum, scale,
@@ -77,8 +78,8 @@ def _clip_box(p: Polyhedron, lo, hi):
     """Intersect a window box with the vertex box when P is bounded."""
     if len(lo) != p.dim or len(hi) != p.dim:
         raise DimensionMismatch("window box has wrong length")
-    lo = tuple(int(x) for x in lo)
-    hi = tuple(int(x) for x in hi)
+    lo = tuple(as_int(x) for x in lo)
+    hi = tuple(as_int(x) for x in hi)
     if not p.v.rays:
         plo, phi = vertex_box(p)
         lo = tuple(max(a, b) for a, b in zip(lo, plo))
@@ -153,7 +154,7 @@ def decompose(z, p: Polyhedron, q: Polyhedron):
     """
     if p.dim != q.dim:
         raise DimensionMismatch("P and Q live in different dimensions")
-    z = tuple(int(x) for x in z)
+    z = tuple(as_int(x) for x in z)
     if len(z) != p.dim:
         raise DimensionMismatch("point has wrong length")
     if p.v.rays or q.v.rays:

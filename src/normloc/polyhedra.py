@@ -266,6 +266,7 @@ def polyhedron_from_dict(data) -> Polyhedron:
                     Fraction(row["rhs"]))
                    for row in data.get("equalities", [])]
             rep = HRep(tuple(ineqs), tuple(eqs))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise NormlocError(f"malformed polyhedron: {exc!r}") from None
     return from_v(rep) if isinstance(rep, VRep) else from_h(rep)

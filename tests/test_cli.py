@@ -152,8 +152,14 @@ def test_error_exits(files, capsys, tmp_path):
     ("gitfan", [[4, 1], [2, 1]], ()),
     ("fiber", {"weights": [[4.9, 1], [2, 1], [1, 2], [1, 3]]}, ("--u", "4,2")),
     ("normal-fan", {"vertices": [[0, 0]], "rays": [[1.7, 0], [0, 1]]}, ()),
+    # JSON 1e400 parses to inf, which no Fraction can hold
+    ("normal-fan", {"vertices": [[1e400, 0], [0, 1], [0, 0]]}, ()),
+    ("located-check", {"inequalities": [{"normal": [-1, 0], "rhs": 0},
+                                        {"normal": [0, -1], "rhs": 0},
+                                        {"normal": [1, 1], "rhs": 1e400}]},
+     ()),
 ], ids=["json-list", "zero-denominator", "bad-vector", "bad-window",
-        "grading-list", "float-weight", "float-ray"])
+        "grading-list", "float-weight", "float-ray", "inf-vertex", "inf-rhs"])
 def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     path = files("in.json", poly)
     inputs = ("--input", path) * (2 if command == "located-check" else 1)

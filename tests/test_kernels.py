@@ -1,10 +1,7 @@
-import os
 import random
-import subprocess
-import sys
 
 from conftest import random_polytope
-from normloc import _scan_py, kernels
+from normloc import kernels
 from normloc.polyhedra import (integer_constraint_rows, minkowski_sum, scale,
                                vertex_box)
 
@@ -41,11 +38,8 @@ def test_scan_points_matches_brute_force():
         m = rng.randint(1, 5)
         sys_ = _random_system(rng, d, m)
         expect = _brute_points(*sys_)
-        assert _scan_py.scan_points(*sys_) == expect
         assert kernels.scan_points(*sys_) == expect
-        first = expect[0] if expect else None
-        assert _scan_py.scan_first(*sys_) == first
-        assert kernels.scan_first(*sys_) == first
+        assert kernels.scan_first(*sys_) == (expect[0] if expect else None)
 
 
 def test_scan_points_empty_box():
@@ -99,10 +93,7 @@ def _undecomposed_cases():
 def test_scan_undecomposed_agreement():
     checked = 0
     for rsys, psys, qsys in _undecomposed_cases():
-        args = rsys + psys + qsys
-        got_pure = _scan_py.scan_undecomposed(*args)
-        got = kernels.scan_undecomposed(*args)
-        assert got == got_pure
+        got = kernels.scan_undecomposed(*rsys, *psys, *qsys)
         # independent check: the reported z admits no split, and every
         # earlier z in lex order does
         rpts = _brute_points(*rsys)
@@ -118,21 +109,13 @@ def test_scan_undecomposed_agreement():
     assert checked
 
 
-def test_huge_coefficients_route_to_pure():
+def test_huge_coefficients_are_exact():
+    # the scan works on Python ints, so large coefficients stay exact
     big = 2 ** 61
     coeffs, rhs = ((big, 1),), (big,)
-    lo, hi = (0, 0), (1, 1)
-    assert not kernels._fits((coeffs, rhs, lo, hi))
-    # the dispatcher must still give the exact answer
-    assert kernels.scan_points(coeffs, rhs, lo, hi) == [
+    assert kernels.scan_points(coeffs, rhs, (0, 0), (1, 1)) == [
         (0, 0), (0, 1), (1, 0)]
 
 
-def test_backend_reports_and_env_override():
-    assert kernels.backend() in ("compiled", "pure")
-    env = dict(os.environ, NORMLOC_NO_EXT="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from normloc.kernels import backend; print(backend())"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"
+def test_backend_is_pure():
+    assert kernels.backend() == "pure"

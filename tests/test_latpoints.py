@@ -18,6 +18,10 @@ def test_enumerate_unit_square():
     assert list(pts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert len(pts) == 4
     assert (1, 1) in pts and (2, 0) not in pts
+    # a window corner is a lattice point: integral floats pass, others raise
+    assert list(enumerate_windowed(sq, (1.0, 0), (1, 1))) == [(1, 0), (1, 1)]
+    with pytest.raises(NormlocError):
+        enumerate_windowed(sq, (0.9, 0), (1, 1))
 
 
 def test_enumerate_matches_membership_oracle():
@@ -64,6 +68,9 @@ def test_decompose_basic():
     z1, z2 = pair
     assert tri.contains(z1) and tri.contains(z2)
     assert decompose((2, 2), tri, tri) is None
+    assert decompose((1.0, 1), tri, tri) == pair
+    with pytest.raises(NormlocError):
+        decompose((1.7, 0.9), tri, tri)
 
 
 def test_decompose_lex_least_first_summand():
@@ -132,6 +139,8 @@ def test_normally_located_window_modes():
     sq = from_v(VRep(((0, 0), (1, 0), (0, 1), (1, 1)), ()))
     rep = normally_located(sq, sq, window=((0, 0), (5, 5)))
     assert rep.verdict == "located"
+    with pytest.raises(NormlocError):
+        normally_located(sq, sq, window=((0.5, 0), (1.5, 2)))
 
 
 def test_is_normal_small_polygons():
