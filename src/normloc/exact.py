@@ -1,4 +1,4 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 Everything in this package runs over Z and Q.  Vectors are tuples of ints
 (``IVec``) or Fractions (``QVec``); matrices are tuples of row tuples.  No
@@ -8,7 +8,8 @@ Number types follow one rule: integers flow between layers.  Rays, lines,
 normals and DD generators are integer vectors, and every rational-to-integer
 step goes through :func:`primitive`.  ``Fraction`` appears only in the right
 hand sides of halfspace descriptions, in vertex coordinates and at I/O;
-inside this module only :func:`rank` and :func:`solve_rational` build one.
+this module reads Fractions (:func:`as_int`, :func:`primitive`) but builds
+none.
 """
 
 from __future__ import annotations
@@ -213,60 +214,6 @@ def solve_integral(m: IMat, target: IVec) -> IVec | None:
         if z[j]:
             for i in range(n):
                 x[i] += z[j] * u[j][i]
-    return tuple(x)
-
-
-def rank(rows) -> int:
-    """Rank over Q of a list of int/Fraction row vectors."""
-    work = [list(map(Fraction, r)) for r in rows]
-    n = len(work[0]) if work else 0
-    rk = 0
-    for c in range(n):
-        piv = next((i for i in range(rk, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[rk], work[piv] = work[piv], work[rk]
-        pr = work[rk]
-        for i in range(len(work)):
-            if i != rk and work[i][c] != 0:
-                f = work[i][c] / pr[c]
-                work[i] = [a - f * b for a, b in zip(work[i], pr)]
-        rk += 1
-        if rk == len(work):
-            break
-    return rk
-
-
-def solve_rational(a, b) -> QVec | None:
-    """One rational solution of ``a @ x = b``, or None if inconsistent.
-
-    Free variables are set to 0.  ``a`` is a sequence of rows, ``b`` the
-    right hand side; entries may be ints or Fractions.
-    """
-    m = [list(map(Fraction, row)) + [Fraction(bb)] for row, bb in zip(a, b)]
-    if not m:
-        return None
-    n = len(m[0]) - 1
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pr = m[r]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / pr[c]
-                m[i] = [x - f * y for x, y in zip(m[i], pr)]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = m[i][n] / m[i][c]
     return tuple(x)
 
 

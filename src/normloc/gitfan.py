@@ -240,8 +240,8 @@ def git_fan(g: GradedProjection, cap: int = SUBSET_CAP) -> GitFan:
         nxt = set()
         for cell in cells:
             for side in (nrm, neg):
-                piece = intersect_cones(cell, cone_from_h(g.m,
-                                                          ineqs=(side,)))
+                piece = cone_from_h(g.m, ineqs=cell.ineq_normals + (side,),
+                                    eqs=cell.eq_normals)
                 if piece.span_dim == wc.span_dim:
                     nxt.add(piece)
         cells = nxt

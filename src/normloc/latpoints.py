@@ -75,11 +75,17 @@ def _rows(p: Polyhedron):
 
 
 def _clip_box(p: Polyhedron, lo, hi):
-    """Intersect a window box with the vertex box when P is bounded."""
+    """Intersect a window box with the vertex box when P is bounded.
+
+    A window with lo > hi on some axis is bad input, not an empty search:
+    it raises NormlocError before any clipping.
+    """
     if len(lo) != p.dim or len(hi) != p.dim:
         raise DimensionMismatch("window box has wrong length")
     lo = tuple(as_int(x) for x in lo)
     hi = tuple(as_int(x) for x in hi)
+    if any(a > b for a, b in zip(lo, hi)):
+        raise NormlocError(f"window has lo > hi: {list(lo)}..{list(hi)}")
     if not p.v.rays:
         plo, phi = vertex_box(p)
         lo = tuple(max(a, b) for a, b in zip(lo, plo))
@@ -123,26 +129,52 @@ def _decompose_unbounded_guard(p: Polyhedron, q: Polyhedron):
                         "tail(P) meets -tail(Q) outside the origin")
 
 
+def _split_boxes(p: Polyhedron, q: Polyhedron, lo, hi):
+    """Boxes (plo, phi, qlo, qhi) holding z' and z'' of every split
+    z = z' + z'' of a point z in the box [lo, hi].
+
+    Bounded summands give their vertex boxes.  Otherwise the boxes come
+    from the vertex box of the joint region
+    {(z', z'') in P x Q : lo <= z' + z'' <= hi}, which the pointedness
+    guard keeps bounded; an empty region gives empty boxes (lo > hi), so
+    no z in the box splits.
+    """
+    if not p.v.rays and not q.v.rays:
+        return vertex_box(p) + vertex_box(q)
+    _decompose_unbounded_guard(p, q)
+    d = p.dim
+    zero = (0,) * d
+    ineqs = [(n + zero, b) for n, b in p.h.inequalities]
+    ineqs += [(zero + n, b) for n, b in q.h.inequalities]
+    eqs = [(n + zero, b) for n, b in p.h.equalities]
+    eqs += [(zero + n, b) for n, b in q.h.equalities]
+    for j in range(d):
+        e = tuple(int(i == j) for i in range(d)) * 2
+        if lo[j] == hi[j]:
+            # one equality instead of two opposing inequalities: the DD
+            # removes a dimension up front (decompose passes lo = hi = z)
+            eqs.append((e, lo[j]))
+        else:
+            ineqs += [(e, hi[j]), (tuple(-x for x in e), -lo[j])]
+    try:
+        region = from_h(HRep(tuple(ineqs), tuple(eqs)))
+    except EmptyPolyhedron:
+        empty = (1,) * d, (0,) * d
+        return empty + empty
+    jlo, jhi = vertex_box(region)
+    return jlo[:d], jhi[:d], jlo[d:], jhi[d:]
+
+
 def _split_system(z, p: Polyhedron, q: Polyhedron):
-    """Integer rows and box for {z' in P : z - z' in Q}, or None if empty."""
+    """Integer rows and box for {z' in P : z - z' in Q}."""
     pc, pb = _rows(p)
     qc, qb = _rows(q)
     coeffs = pc + tuple(tuple(-a for a in row) for row in qc)
     rhs = pb + tuple(b - sum(a * x for a, x in zip(row, z))
                      for row, b in zip(qc, qb))
-    if p.v.rays or q.v.rays:
-        # bounded by the pointedness guard; get a box from the actual region
-        ineqs = [(row, b) for row, b in zip(coeffs, rhs)]
-        try:
-            region = from_h(HRep(tuple(ineqs)))
-        except EmptyPolyhedron:
-            return None
-        lo, hi = vertex_box(region)
-    else:
-        plo, phi = vertex_box(p)
-        qlo, qhi = vertex_box(q)
-        lo = tuple(max(a, zz - b) for a, zz, b in zip(plo, z, qhi))
-        hi = tuple(min(a, zz - b) for a, zz, b in zip(phi, z, qlo))
+    plo, phi, qlo, qhi = _split_boxes(p, q, z, z)
+    lo = tuple(max(a, zz - b) for a, zz, b in zip(plo, z, qhi))
+    hi = tuple(min(a, zz - b) for a, zz, b in zip(phi, z, qlo))
     return coeffs, rhs, lo, hi
 
 
@@ -157,12 +189,7 @@ def decompose(z, p: Polyhedron, q: Polyhedron):
     z = tuple(as_int(x) for x in z)
     if len(z) != p.dim:
         raise DimensionMismatch("point has wrong length")
-    if p.v.rays or q.v.rays:
-        _decompose_unbounded_guard(p, q)
-    system = _split_system(z, p, q)
-    if system is None:
-        return None
-    first = kernels.scan_first(*system)
+    first = kernels.scan_first(*_split_system(z, p, q))
     if first is None:
         return None
     return first, tuple(a - b for a, b in zip(z, first))
@@ -174,7 +201,9 @@ def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
 
     R is the ambient set whose points must split; callers pass P + Q for the
     normal-location check, or a possibly larger set (then a witness may lie
-    outside the sum, and ``classify`` decides its kind).
+    outside the sum, and ``classify`` decides its kind).  Bounded or not,
+    the check is one kernel scan over R's points in the window, with the
+    split boxes of P and Q taken once for the whole window.
     """
     bounded = not r.v.rays
     if window is None:
@@ -188,31 +217,17 @@ def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
         # a window that still covers the whole vertex box loses nothing
         full = bounded and (rlo, rhi) == vertex_box(r)
     checked = {"window": None if full else [list(rlo), list(rhi)]}
-
-    def report(witness_point):
-        if witness_point is not None:
-            z = tuple(witness_point)
-            kind = classify(z) if classify else NO_DECOMPOSITION
-            return LocationReport(VERDICT_NOT_LOCATED, Witness(z, kind),
-                                  checked)
+    rc, rb = _rows(r)
+    pc, pb = _rows(p)
+    qc, qb = _rows(q)
+    plo, phi, qlo, qhi = _split_boxes(p, q, rlo, rhi)
+    z = kernels.scan_undecomposed(rc, rb, rlo, rhi, pc, pb, plo, phi,
+                                  qc, qb, qlo, qhi)
+    if z is None:
         verdict = VERDICT_LOCATED if full else VERDICT_VERIFIED_UP_TO
         return LocationReport(verdict, None, checked)
-
-    if bounded and not p.v.rays and not q.v.rays:
-        rc, rb = _rows(r)
-        pc, pb = _rows(p)
-        qc, qb = _rows(q)
-        plo, phi = vertex_box(p)
-        qlo, qhi = vertex_box(q)
-        return report(kernels.scan_undecomposed(rc, rb, rlo, rhi,
-                                                pc, pb, plo, phi,
-                                                qc, qb, qlo, qhi))
-    _decompose_unbounded_guard(p, q)
-    for z in enumerate_windowed(r, rlo, rhi):
-        system = _split_system(z, p, q)
-        if system is None or kernels.scan_first(*system) is None:
-            return report(z)
-    return report(None)
+    kind = classify(z) if classify else NO_DECOMPOSITION
+    return LocationReport(VERDICT_NOT_LOCATED, Witness(z, kind), checked)
 
 
 def normally_located(p: Polyhedron, q: Polyhedron,

@@ -21,8 +21,7 @@ from math import ceil, floor
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotPointed, Unbounded, ZeroVector)
-from .exact import (as_int, dot, hermite_normal_form, primitive, rank,
-                    vec_gcd)
+from .exact import as_int, dot, hermite_normal_form, primitive, vec_gcd
 from .fans import Cone, cone_from_generators
 from .reps import HRep, VRep, Witness  # noqa: F401  (re-exported)
 
@@ -57,11 +56,15 @@ class Polyhedron:
         return all(x.denominator == 1 for v in self.v.vertices for x in v)
 
     def affine_dimension(self) -> int:
+        """Rank of the vertex differences and rays (nonzero HNF rows)."""
         v0 = self.v.vertices[0]
-        rows = [tuple(a - b for a, b in zip(v, v0))
+        rows = [primitive(tuple(a - b for a, b in zip(v, v0)))
                 for v in self.v.vertices[1:]]
         rows += self.v.rays
-        return rank(rows) if rows else 0
+        if not rows:
+            return 0
+        hnf, _ = hermite_normal_form(tuple(rows))
+        return sum(1 for row in hnf if any(row))
 
 
 def hrep(inequalities, equalities=()) -> HRep:

@@ -1,19 +1,73 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles deliberately avoid the code paths they check: lattice point counts
-come from exhaustive box membership with rational dot products, vertex sets
-from solving d-subsets of the constraint rows, decompositions from pairwise
-sums of the oracle point lists.
+come from exhaustive box membership with rational dot products, ranks and
+vertex sets from Fraction elimination (on d-subsets of the constraint rows
+for vertices), decompositions from pairwise sums of the oracle point lists,
+and splits over unbounded summands from a box search over one summand.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil, floor
 
 from normloc.errors import NormlocError
-from normloc.exact import dot, rank, solve_rational
 from normloc.polyhedra import Polyhedron, VRep, from_v
+
+
+def rank(rows) -> int:
+    """Rank over Q of int/Fraction row vectors, by Fraction elimination."""
+    work = [list(map(Fraction, r)) for r in rows]
+    n = len(work[0]) if work else 0
+    rk = 0
+    for c in range(n):
+        piv = next((i for i in range(rk, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[rk], work[piv] = work[piv], work[rk]
+        pr = work[rk]
+        for i in range(len(work)):
+            if i != rk and work[i][c] != 0:
+                f = work[i][c] / pr[c]
+                work[i] = [a - f * b for a, b in zip(work[i], pr)]
+        rk += 1
+        if rk == len(work):
+            break
+    return rk
+
+
+def solve_rational(a, b):
+    """One rational solution of ``a @ x = b`` (free variables 0), or None.
+
+    Fraction Gauss-Jordan elimination; ``a`` is a sequence of rows, ``b``
+    the right hand side, entries ints or Fractions.
+    """
+    m = [list(map(Fraction, row)) + [Fraction(bb)] for row, bb in zip(a, b)]
+    if not m:
+        return None
+    n = len(m[0]) - 1
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pr = m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c] / pr[c]
+                m[i] = [x - f * y for x, y in zip(m[i], pr)]
+        pivots.append(c)
+        r += 1
+    for i in range(r, len(m)):
+        if m[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = m[i][n] / m[i][c]
+    return tuple(x)
 
 
 def box_of(p: Polyhedron):
@@ -63,6 +117,29 @@ def oracle_vertices(p: Polyhedron):
 def oracle_sums(points_a, points_b):
     return sorted({tuple(x + y for x, y in zip(u, v))
                    for u in points_a for v in points_b})
+
+
+def oracle_split(p: Polyhedron, q: Polyhedron, z):
+    """Lex-least lattice split z = z' + z'' over (P, Q), or None.
+
+    z' ranges over the box [min P, z - min Q] of vertex minima, which holds
+    every split when the tails of P and Q lie in the nonnegative orthant.
+    """
+    assert all(x >= 0 for r in p.v.rays + q.v.rays for x in r)
+    pmin = [ceil(min(v[i] for v in p.v.vertices)) for i in range(p.dim)]
+    qmin = [ceil(min(v[i] for v in q.v.vertices)) for i in range(q.dim)]
+    for zp in product(*(range(a, c - b + 1)
+                        for a, c, b in zip(pmin, z, qmin))):
+        zq = tuple(c - a for c, a in zip(z, zp))
+        if p.contains(zp) and q.contains(zq):
+            return zp, zq
+    return None
+
+
+def oracle_window_points(r: Polyhedron, lo, hi):
+    """Lattice points of R in the box [lo, hi], lex order, by membership."""
+    return [z for z in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            if r.contains(z)]
 
 
 def random_polytope(rng: random.Random, d: int, bound: int,

@@ -149,6 +149,7 @@ def test_error_exits(files, capsys, tmp_path):
     ("normal-check", {"vertices": [["1/0", 0], [1, 0]]}, ()),
     ("fiber", GRADING, ("--u", "a,b")),
     ("located-check", SQUARE, ("--window", "0..x,0..1")),
+    ("located-check", SQUARE, ("--window", "2..0,2..0")),
     ("gitfan", [[4, 1], [2, 1]], ()),
     ("fiber", {"weights": [[4.9, 1], [2, 1], [1, 2], [1, 3]]}, ("--u", "4,2")),
     ("normal-fan", {"vertices": [[0, 0]], "rays": [[1.7, 0], [0, 1]]}, ()),
@@ -159,7 +160,7 @@ def test_error_exits(files, capsys, tmp_path):
                                         {"normal": [1, 1], "rhs": 1e400}]},
      ()),
 ], ids=["json-list", "zero-denominator", "bad-vector", "bad-window",
-        "grading-list", "float-weight", "float-ray", "inf-vertex", "inf-rhs"])
+        "inverted-window", "grading-list", "float-weight", "float-ray", "inf-vertex", "inf-rhs"])
 def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     path = files("in.json", poly)
     inputs = ("--input", path) * (2 if command == "located-check" else 1)

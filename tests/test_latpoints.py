@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from conftest import box_of, oracle_points, oracle_sums, random_polytope
+from conftest import (box_of, oracle_points, oracle_split, oracle_sums,
+                      oracle_window_points, random_polytope)
 from normloc.errors import (DimensionMismatch, NotLattice, NormlocError,
                             Unbounded)
+from normloc.gitfan import fiber, fiber_point_sum_exact, graded_projection
 from normloc.latpoints import (LatticePointSet, decompose, enumerate_points,
                                enumerate_windowed, is_normal, lattice_sum,
                                normally_located)
@@ -141,6 +143,131 @@ def test_normally_located_window_modes():
     assert rep.verdict == "located"
     with pytest.raises(NormlocError):
         normally_located(sq, sq, window=((0.5, 0), (1.5, 2)))
+    # an inverted window is bad input, not an empty search
+    for poly in (sq, p):
+        with pytest.raises(NormlocError):
+            normally_located(poly, poly, window=((2, 2), (0, 0)))
+        with pytest.raises(NormlocError):
+            enumerate_windowed(poly, (0, 3), (4, 2))
+
+
+TAIL_RAYS = {2: ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)),
+             3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 2),
+                 (0, 1, 1), (2, 1, 1))}
+
+
+def _unbounded_pair(rng, d):
+    """Lattice P and Q with one common tail of 1 to d-1 nonnegative rays."""
+    rays = tuple(sorted(rng.sample(TAIL_RAYS[d], rng.randint(1, d - 1))))
+
+    def summand():
+        pts = {tuple(rng.randint(0, 4) for _ in range(d))
+               for _ in range(rng.randint(1, 3))}
+        return from_v(VRep(tuple(sorted(pts)), rays))
+
+    return summand(), summand()
+
+
+def _oracle_first_unsplit(r, p, q, lo, hi):
+    """First lattice point of R in [lo, hi] with no oracle split, or None."""
+    return next((z for z in oracle_window_points(r, lo, hi)
+                 if oracle_split(p, q, z) is None), None)
+
+
+def test_unbounded_location_matches_split_oracle():
+    rng = random.Random(56)
+    verdicts = {}
+    for trial in range(64):
+        d = 2 if trial % 8 < 3 else 3
+        p, q = _unbounded_pair(rng, d)
+        lo = tuple(rng.randint(-2, 2) for _ in range(d))
+        hi = tuple(min(12, a + rng.randint(4, 14 - 3 * d)) for a in lo)
+        rep = normally_located(p, q, window=(lo, hi))
+        r = minkowski_sum(p, q)
+        missing = _oracle_first_unsplit(r, p, q, lo, hi)
+        assert rep.checked == {"window": [list(lo), list(hi)]}
+        if missing is None:
+            assert rep.verdict == "verified_up_to" and rep.witness is None
+        else:
+            assert rep.verdict == "not_located"
+            assert rep.witness.point == missing
+            assert rep.witness.kind == "no_decomposition"
+        key = (d, rep.verdict)
+        verdicts[key] = verdicts.get(key, 0) + 1
+        probes = oracle_window_points(r, lo, hi)[:3] + [lo, hi]
+        for z in probes + ([missing] if missing else []):
+            assert decompose(z, p, q) == oracle_split(p, q, z), (p, q, z)
+    # 2-d pairs with a common tail split everywhere; 3-d ones need not
+    assert verdicts == {(2, "verified_up_to"): 24, (3, "verified_up_to"): 33,
+                        (3, "not_located"): 7}
+
+
+def test_degenerate_pairs_match_split_oracle():
+    point = from_v(VRep(((2, 3),), ()))
+    tri = from_v(VRep(((0, 0), (2, 0), (0, 2)), ()))
+    seg_a = from_v(VRep(((0, 0), (1, 2)), ()))
+    seg_b = from_v(VRep(((0, 0), (2, 1)), ()))
+    flat_a = from_v(VRep(((0, 0, 1), (1, 2, 1)), ()))
+    flat_b = from_v(VRep(((0, 0, 0), (2, 1, 0), (1, 1, 0)), ()))
+    cases = [
+        (point, point, "located", None),
+        (point, tri, "located", None),
+        (tri, point, "located", None),
+        (seg_a, seg_a, "located", None),
+        (seg_a, seg_b, "not_located", (1, 1)),
+        (flat_a, flat_b, "not_located", (2, 2, 1)),
+        (flat_a, from_v(VRep(((0, 0, 0), (2, 1, 0)), ())), "not_located",
+         (1, 1, 1)),
+    ]
+    for p, q, verdict, witness in cases:
+        rep = normally_located(p, q)
+        assert rep.verdict == verdict
+        assert (rep.witness.point if rep.witness else None) == witness
+        r = minkowski_sum(p, q)
+        assert _oracle_first_unsplit(r, p, q, *box_of(r)) == witness
+        assert rep.checked == {"window": None}
+
+
+def test_windows_missing_the_set():
+    sq = from_v(VRep(((0, 0), (1, 0), (0, 1), (1, 1)), ()))
+    rep = normally_located(sq, sq, window=((5, 5), (6, 6)))
+    assert rep.verdict == "verified_up_to" and rep.witness is None
+    far = from_v(VRep(((3, 3),), ((1, 0), (0, 1))))
+    # no point of far + far = (6, 6) + quadrant in the window, and no split
+    # of any window point: the split region is empty
+    rep = normally_located(far, far, window=((0, 0), (4, 4)))
+    assert rep.verdict == "verified_up_to" and rep.witness is None
+    assert oracle_window_points(minkowski_sum(far, far), (0, 0),
+                                (4, 4)) == []
+    for z in ((0, 0), (4, 4), (5, 6)):
+        assert decompose(z, far, far) is None
+        assert oracle_split(far, far, z) is None
+    # a window that meets the set in one corner point
+    rep = normally_located(far, far, window=((0, 0), (6, 6)))
+    assert rep.verdict == "verified_up_to"
+    assert decompose((6, 6), far, far) == ((3, 3), (3, 3))
+
+
+def test_fiber_with_rays_matches_split_oracle():
+    # P(u) = {x >= 0 : x1 - x2 = u1, x3 = u2}: every fiber is a half-line
+    # along (1, 1, 0), so the check needs a window
+    g = graded_projection(((1, 0), (-1, 0), (0, 1)))
+    lo, hi = (0, 0, 0), (4, 4, 3)
+    cases = [((1, 0), (-1, 0), "not_located", (0, 0, 0), "not_in_sum"),
+             ((1, 1), (0, 1), "verified_up_to", None, None),
+             ((2, 1), (-1, 1), "not_located", (1, 0, 2), "not_in_sum")]
+    for u1, u2, verdict, witness, kind in cases:
+        rep = fiber_point_sum_exact(g, u1, u2, window=(lo, hi))
+        assert rep.verdict == verdict
+        assert (rep.witness.point if rep.witness else None) == witness
+        assert (rep.witness.kind if rep.witness else None) == kind
+        assert rep.checked["window"] == [list(lo), list(hi)]
+        f1, f2 = fiber(g, u1), fiber(g, u2)
+        f12 = fiber(g, tuple(a + b for a, b in zip(u1, u2)))
+        assert f1.rays == f2.rays == ((1, 1, 0),)
+        assert _oracle_first_unsplit(f12, f1, f2, lo, hi) == witness
+        if witness:
+            assert not minkowski_sum(f1, f2).contains(witness)
 
 
 def test_is_normal_small_polygons():

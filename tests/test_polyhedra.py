@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_vertices, random_polytope
+from conftest import oracle_vertices, random_polytope, rank
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                             NotPointed, Unbounded)
 from normloc.polyhedra import (HRep, VRep, dd_convert, equals, from_h,
@@ -133,6 +133,24 @@ def test_equalities_on_lower_dimensional_polytopes():
     n, b = p.h.equalities[0]
     assert all(a * n[0] + c * n[1] == b for a, c in p.v.vertices)
     assert p.affine_dimension() == 1
+
+
+def test_affine_dimension_matches_rank_oracle():
+    rng = random.Random(59)
+    dims = set()
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        pts = {tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(d)) for _ in range(rng.randint(1, 4))}
+        rays = [r for r in (tuple(rng.randint(0, 2) for _ in range(d))
+                            for _ in range(rng.randint(0, 2))) if any(r)]
+        p = from_v(VRep(tuple(sorted(pts)), tuple(rays)))
+        v0 = p.v.vertices[0]
+        rows = [tuple(a - b for a, b in zip(v, v0)) for v in p.v.vertices]
+        want = rank(rows + list(p.v.rays))
+        assert p.affine_dimension() == want
+        dims.add((d, want))
+    assert {(4, k) for k in range(5)} <= dims
 
 
 def test_unbounded_tail_in_hrep_vrep_agreement():
