@@ -3,9 +3,9 @@ fiber polyhedra of lattice projections, and GIT fans."""
 
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotFullDimensional, NotLattice, NotPointed,
-                     RealizationError, RefinementRequired,
-                     SubsetCapExceeded, SupportMismatch, TailConeMismatch,
-                     Unbounded, WeightOutsideCone, ZeroVector)
+                     RealizationError, SubsetCapExceeded, SupportMismatch,
+                     TailConeMismatch, Unbounded, WeightOutsideCone,
+                     ZeroVector)
 from .fans import (Cone, Fan, common_refinement, cone_from_generators,
                    cone_from_h, dual_cone, fan_from_cones, intersect_cones,
                    is_face, is_fan, normal_fan, refines, support)
@@ -14,15 +14,14 @@ from .gitfan import (CrossCheckReport, GitFan, GradedProjection,
                      fiber_sum_exact, git_cone, git_fan, graded_projection,
                      is_generating_candidate, located_multiple_search,
                      multiple_making_sums_exact, orbit_cones, realize_pair,
-                     refinement_iff_interior, weight_cone, zero_support)
+                     refinement_iff_interior, weight_cone)
 from .kernels import backend
 from .latpoints import (LatticePointSet, LocationReport, decompose,
                         enumerate_points, enumerate_windowed, is_normal,
-                        lattice_sum, normally_located)
-from .polyhedra import (HRep, Polyhedron, VRep, Witness, dd_convert,
-                        equals, from_h, from_v, minkowski_sum,
-                        polyhedron_from_dict, polyhedron_to_dict, scale,
-                        tail_cone, translate)
+                        normally_located)
+from .polyhedra import (HRep, Polyhedron, VRep, Witness, from_h, from_v,
+                        minkowski_sum, polyhedron_from_dict,
+                        polyhedron_to_dict, scale, translate)
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,8 @@
 """Built-in example inputs used by the command line front end and tests.
 
-Two families.  The triangle pair has refining normal fans, yet no dilation
-of it is normally located; the witness for (kP, kQ) sits at (1, 385k - 2).
+Two families.  In the triangle pair neither normal fan refines the other,
+and no dilation of it is normally located; the witness for (kP, kQ) sits at
+(1, 385k - 2).
 The four-weight grading has boundary degrees u1, u2 whose fiber sums only
 become exact on lattice points after passing to a multiple.
 """

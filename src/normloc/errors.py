@@ -49,9 +49,5 @@ class NotFullDimensional(NormlocError):
     """A full-dimensional polyhedron was required."""
 
 
-class RefinementRequired(NormlocError):
-    """The first normal fan must refine the second for this search."""
-
-
 class RealizationError(NormlocError):
     """A realized pair failed its construction-time verification."""

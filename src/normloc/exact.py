@@ -91,22 +91,16 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
-def matmul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+def hermite_normal_form(m: IMat) -> IMat:
+    """Row Hermite normal form of ``m``.
 
-
-def hermite_normal_form(m: IMat) -> tuple[IMat, IMat]:
-    """Row Hermite normal form.
-
-    Returns ``(h, u)`` with ``h = u @ m``, ``u`` unimodular, pivots of ``h``
-    positive with strictly increasing column indices, entries above each
-    pivot reduced into ``[0, pivot)``, and zero rows at the bottom.
+    Pivots are positive with strictly increasing column indices, entries
+    above each pivot are reduced into ``[0, pivot)``, and zero rows sit at
+    the bottom.  The result depends only on the row lattice of ``m``.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     h = [list(r) for r in m]
-    u = [list(r) for r in identity_matrix(rows)]
     r = 0
     for c in range(cols):
         if r == rows:
@@ -123,24 +117,20 @@ def hermite_normal_form(m: IMat) -> tuple[IMat, IMat]:
                 q = h[i][c] // h[i0][c]
                 if q:
                     h[i] = [a - q * b for a, b in zip(h[i], h[i0])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[i0])]
         nz = [i for i in range(r, rows) if h[i][c] != 0]
         if not nz:
             continue
         i0 = nz[0]
         h[r], h[i0] = h[i0], h[r]
-        u[r], u[i0] = u[i0], u[r]
         if h[r][c] < 0:
             h[r] = [-a for a in h[r]]
-            u[r] = [-a for a in u[r]]
         p = h[r][c]
         for i in range(r):
             q = h[i][c] // p
             if q:
                 h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
         r += 1
-    return tuple(map(tuple, h)), tuple(map(tuple, u))
+    return tuple(map(tuple, h))
 
 
 def det(m: IMat) -> int:
@@ -172,49 +162,18 @@ def kernel_lattice_basis(m: IMat) -> IMat:
     The rows of the result generate ker(m) as a subgroup of Z^n and the
     subgroup is saturated (Z^n / ker has no torsion), so the basis can be
     extended to a basis of Z^n.
+
+    One HNF of the rows ``[m^T | I_n]``: their row lattice is
+    ``{(x @ m^T, x)}``, and the HNF rows whose left block is zero are a
+    basis of its part with ``m @ x = 0``, already in Hermite form.
     """
     if not m:
         return ()
-    n = len(m[0])
-    h, u = hermite_normal_form(transpose(m))
-    ker = [u[i] for i in range(n) if all(x == 0 for x in h[i])]
-    if not ker:
-        return ()
-    hk, _ = hermite_normal_form(tuple(ker))
-    return tuple(r for r in hk if any(x != 0 for x in r))
-
-
-def solve_integral(m: IMat, target: IVec) -> IVec | None:
-    """One integral solution of ``m @ x = target``, or None.
-
-    Uses the HNF of the transpose: with h = u @ m^T, solve h^T z = target by
-    forward substitution along the pivots, then x = u^T z.
-    """
-    rows = len(m)
-    if rows == 0:
-        return None
-    n = len(m[0])
-    h, u = hermite_normal_form(transpose(m))
-    residual = list(target)
-    z = [0] * n
-    for j in range(n):
-        piv = next((c for c in range(rows) if h[j][c] != 0), None)
-        if piv is None:
-            break
-        if residual[piv] % h[j][piv] != 0:
-            return None
-        z[j] = residual[piv] // h[j][piv]
-        if z[j]:
-            for c in range(rows):
-                residual[c] -= z[j] * h[j][c]
-    if any(residual):
-        return None
-    x = [0] * n
-    for j in range(n):
-        if z[j]:
-            for i in range(n):
-                x[i] += z[j] * u[j][i]
-    return tuple(x)
+    r = len(m)
+    aug = tuple(col + e for col, e in zip(transpose(m),
+                                          identity_matrix(len(m[0]))))
+    return tuple(row[r:] for row in hermite_normal_form(aug)
+                 if not any(row[:r]))
 
 
 def saturated_basis(vectors) -> IMat:

@@ -13,12 +13,10 @@ at v, and is generated by the outer normals of the facets through v.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import dd
 from .errors import SupportMismatch, ZeroVector
 from .exact import (IMat, IVec, dot, primitive, project_off, saturated_basis)
-from .reps import HRep
 
 
 @dataclass(frozen=True)
@@ -28,13 +26,6 @@ class Cone:
     lines: IMat
     ineq_normals: IMat
     eq_normals: IMat
-
-    @property
-    def h(self) -> HRep:
-        """Halfspace form with all right hand sides zero."""
-        zero = Fraction(0)
-        return HRep(tuple((n, zero) for n in self.ineq_normals),
-                    tuple((n, zero) for n in self.eq_normals))
 
     @property
     def span_dim(self) -> int:
@@ -152,14 +143,6 @@ def fan_from_cones(dim: int, cones) -> Fan:
             if not any(j != i and cone_contains(d, c)
                        for j, d in enumerate(unique))]
     return Fan(dim, tuple(keep))
-
-
-def fan_from_dict(data) -> Fan:
-    dim = data["dim"]
-    cones = [cone_from_generators(dim, rays=c.get("rays", ()),
-                                  lines=c.get("lines", ()))
-             for c in data["maximal_cones"]]
-    return fan_from_cones(dim, cones)
 
 
 def normal_fan(q) -> Fan:

@@ -27,15 +27,13 @@ from itertools import combinations
 
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotFullDimensional, NotLattice, RealizationError,
-                     RefinementRequired, SubsetCapExceeded, SupportMismatch,
-                     TailConeMismatch, WeightOutsideCone)
+                     SubsetCapExceeded, TailConeMismatch, WeightOutsideCone)
 from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
                     identity_matrix, kernel_lattice_basis, primitive,
                     transpose)
 from .fans import (Cone, Fan, cone_from_generators, cone_from_h,
-                   common_refinement, fan_from_cones, intersect_cones,
-                   is_fan, normal_fan, refines, relative_interior_contains,
-                   support)
+                   common_refinement, fan_from_cones, is_fan, normal_fan,
+                   refines, relative_interior_contains, support)
 from .latpoints import (LocationReport, VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                         VERDICT_VERIFIED_UP_TO, _located_over,
                         normally_located)
@@ -85,9 +83,8 @@ def graded_projection(weights) -> GradedProjection:
     n = len(ws)
     if n < m:
         raise NormlocError(f"need at least m = {m} weights, got {n}")
-    h, _ = hermite_normal_form(ws)
     ident = identity_matrix(m)
-    nonzero = [row for row in h if any(row)]
+    nonzero = [row for row in hermite_normal_form(ws) if any(row)]
     if list(nonzero) != list(ident):
         raise NormlocError("weights do not span Z^m; grading not surjective")
     return GradedProjection(n, m, ws)
@@ -132,14 +129,15 @@ def _require_in_cone(g: GradedProjection, u):
     return u
 
 
-def orbit_cones(g: GradedProjection, cap: int = SUBSET_CAP):
+def orbit_cones(g: GradedProjection):
     """All cones spanned by subsets of the weights, deduplicated and sorted.
 
-    Subset enumeration is exponential in n, so gradings with n > cap are
-    rejected rather than silently ground through.
+    Subset enumeration is exponential in n, so gradings with more than
+    SUBSET_CAP weights are rejected rather than silently ground through.
     """
-    if g.n > cap:
-        raise SubsetCapExceeded(f"{g.n} weights exceed the subset cap {cap}")
+    if g.n > SUBSET_CAP:
+        raise SubsetCapExceeded(f"{g.n} weights exceed the subset cap "
+                                f"{SUBSET_CAP}")
     distinct = sorted({primitive(w) for w in g.weights if any(w)})
     cones = {cone_from_generators(g.m)}
     for size in range(1, len(distinct) + 1):
@@ -184,11 +182,11 @@ def _git_cone_cached(g: GradedProjection, u) -> Cone:
     f = _fiber_cached(g, u)
     supports = sorted({tuple(i for i, x in enumerate(v) if x != 0)
                        for v in f.v.vertices})
-    result = None
-    for sup in supports:
-        c = cone_from_generators(g.m, rays=[g.weights[i] for i in sup])
-        result = c if result is None else intersect_cones(result, c)
-    return result
+    cones = [cone_from_generators(g.m, rays=[g.weights[i] for i in sup])
+             for sup in supports]
+    return cone_from_h(g.m,
+                       ineqs=[n for c in cones for n in c.ineq_normals],
+                       eqs=[n for c in cones for n in c.eq_normals])
 
 
 @dataclass(frozen=True)
@@ -222,7 +220,7 @@ def _wall_normals(g: GradedProjection):
     return sorted(normals)
 
 
-def git_fan(g: GradedProjection, cap: int = SUBSET_CAP) -> GitFan:
+def git_fan(g: GradedProjection) -> GitFan:
     """The fan of all GIT cones, covering the weight cone.
 
     The weight cone is cut into chambers along every hyperplane spanned by
@@ -232,7 +230,7 @@ def git_fan(g: GradedProjection, cap: int = SUBSET_CAP) -> GitFan:
     union has the right conic hull) and the outcome recorded in
     fan_verified rather than trusted.
     """
-    orb = orbit_cones(g, cap)
+    orb = orbit_cones(g)
     wc = weight_cone(g)
     cells = {wc}
     for nrm in _wall_normals(g):
@@ -330,11 +328,6 @@ def multiple_making_sums_exact(g: GradedProjection, u1, u2,
         return fiber_point_sum_exact(g, w1, w2)
 
     return _multiple_sweep(k_max, s_max, step)
-
-
-def zero_support(c):
-    """Indices of the zero coordinates of a vector."""
-    return tuple(i for i, x in enumerate(c) if x == 0)
 
 
 def is_generating_candidate(g: GradedProjection, u1, u2) -> str:
@@ -478,19 +471,16 @@ def located_multiple_search(q1: Polyhedron, q2: Polyhedron,
     """Search a multiple k <= k_max with (s*k*Q1, s*k*Q2) normally located
     for every s <= s_max.
 
-    Requires N(Q1) to refine N(Q2); without refinement no multiple can make
-    the pair normally located, so the precondition failure is an error, not
-    a verdict.
+    When N(Q1) refines N(Q2) some multiple k works for every s; the theorem
+    says nothing when it does not, so the sweep runs either way and records
+    the refinement in checked["refines"].  Normal fans with different
+    supports raise SupportMismatch.
     """
-    try:
-        ok = refines(normal_fan(q1), normal_fan(q2))
-    except SupportMismatch as exc:
-        raise RefinementRequired(str(exc)) from exc
-    if not ok:
-        raise RefinementRequired("normal fan of Q1 does not refine the "
-                                 "normal fan of Q2")
+    ok = refines(normal_fan(q1), normal_fan(q2))
 
     def step(k, s):
         return normally_located(scale(q1, s * k), scale(q2, s * k))
 
-    return _multiple_sweep(k_max, s_max, step)
+    rep = _multiple_sweep(k_max, s_max, step)
+    return LocationReport(rep.verdict, rep.witness,
+                          {**rep.checked, "refines": ok})

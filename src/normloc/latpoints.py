@@ -53,10 +53,6 @@ class LatticePointSet:
         return tuple(x) in self._members
 
 
-def _point_set(dim, pts) -> LatticePointSet:
-    return LatticePointSet(dim, tuple(sorted(set(pts))))
-
-
 @dataclass(frozen=True)
 class LocationReport:
     verdict: str
@@ -74,11 +70,11 @@ def _rows(p: Polyhedron):
     return tuple(a for a, _ in rows), tuple(b for _, b in rows)
 
 
-def _clip_box(p: Polyhedron, lo, hi):
-    """Intersect a window box with the vertex box when P is bounded.
+def _window(p: Polyhedron, lo, hi):
+    """A caller's window box for P as two int tuples.
 
     A window with lo > hi on some axis is bad input, not an empty search:
-    it raises NormlocError before any clipping.
+    it raises NormlocError.
     """
     if len(lo) != p.dim or len(hi) != p.dim:
         raise DimensionMismatch("window box has wrong length")
@@ -86,6 +82,11 @@ def _clip_box(p: Polyhedron, lo, hi):
     hi = tuple(as_int(x) for x in hi)
     if any(a > b for a, b in zip(lo, hi)):
         raise NormlocError(f"window has lo > hi: {list(lo)}..{list(hi)}")
+    return lo, hi
+
+
+def _clip_box(p: Polyhedron, lo, hi):
+    """Intersect an int window box with the vertex box when P is bounded."""
     if not p.v.rays:
         plo, phi = vertex_box(p)
         lo = tuple(max(a, b) for a, b in zip(lo, plo))
@@ -103,18 +104,10 @@ def enumerate_points(p: Polyhedron) -> LatticePointSet:
 
 def enumerate_windowed(p: Polyhedron, lo, hi) -> LatticePointSet:
     """Lattice points of P inside the box lo <= x <= hi (any P)."""
-    lo, hi = _clip_box(p, lo, hi)
+    lo, hi = _clip_box(p, *_window(p, lo, hi))
     coeffs, rhs = _rows(p)
     return LatticePointSet(p.dim, tuple(kernels.scan_points(coeffs, rhs,
                                                             lo, hi)))
-
-
-def lattice_sum(a: LatticePointSet, b: LatticePointSet) -> LatticePointSet:
-    """Pointwise sumset {x + y : x in a, y in b}."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("sumset of point sets of different dims")
-    return _point_set(a.dim, (tuple(x + y for x, y in zip(u, v))
-                              for u in a.points for v in b.points))
 
 
 def _decompose_unbounded_guard(p: Polyhedron, q: Polyhedron):
@@ -212,11 +205,15 @@ def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
                             "pass a window box")
         rlo, rhi = vertex_box(r)
         full = True
+        checked = {"window": None}
     else:
-        rlo, rhi = _clip_box(r, *window)
-        # a window that still covers the whole vertex box loses nothing
+        lo, hi = _window(r, *window)
+        rlo, rhi = _clip_box(r, lo, hi)
+        # a window that still covers the whole vertex box loses nothing;
+        # otherwise report the caller's window, since the clipped box has
+        # lo > hi when the window misses the set
         full = bounded and (rlo, rhi) == vertex_box(r)
-    checked = {"window": None if full else [list(rlo), list(rhi)]}
+        checked = {"window": None if full else [list(lo), list(hi)]}
     rc, rb = _rows(r)
     pc, pb = _rows(p)
     qc, qb = _rows(q)

@@ -63,8 +63,7 @@ class Polyhedron:
         rows += self.v.rays
         if not rows:
             return 0
-        hnf, _ = hermite_normal_form(tuple(rows))
-        return sum(1 for row in hnf if any(row))
+        return sum(1 for row in hermite_normal_form(tuple(rows)) if any(row))
 
 
 def hrep(inequalities, equalities=()) -> HRep:
@@ -131,8 +130,7 @@ def _v_to_h(d, verts, rec):
         eq_rows.append(sp + (-c,))
     eqs = []
     if eq_rows:
-        hn, _ = hermite_normal_form(tuple(eq_rows))
-        for row in hn:
+        for row in hermite_normal_form(tuple(eq_rows)):
             if any(row):
                 eqs.append((row[:-1], Fraction(row[-1])))
     return sorted(ineqs), eqs
@@ -170,23 +168,6 @@ def from_v(v: VRep) -> Polyhedron:
     ineqs, eqs = _v_to_h(d, v.vertices, v.rays)
     canon = from_h(HRep(tuple(ineqs), tuple(eqs)))
     return canon
-
-
-def dd_convert(rep):
-    """VRep of an HRep, or HRep of a VRep (canonical in both directions)."""
-    if isinstance(rep, HRep):
-        return from_h(rep).v
-    if isinstance(rep, VRep):
-        return from_v(rep).h
-    raise TypeError(f"expected HRep or VRep, got {type(rep).__name__}")
-
-
-def equals(p: Polyhedron, q: Polyhedron) -> bool:
-    return p == q
-
-
-def tail_cone(p: Polyhedron) -> Cone:
-    return p.tail
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:

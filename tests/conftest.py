@@ -5,6 +5,10 @@ come from exhaustive box membership with rational dot products, ranks and
 vertex sets from Fraction elimination (on d-subsets of the constraint rows
 for vertices), decompositions from pairwise sums of the oracle point lists,
 and splits over unbounded summands from a box search over one summand.
+The Hermite normal form that also builds its unimodular transform
+(``hnf_with_transform``), and the two-HNF kernel and saturation routes and
+integral solver built on it, are references for the transform-free
+versions in ``normloc.exact``.
 """
 
 import random
@@ -13,6 +17,9 @@ from itertools import combinations, product
 from math import ceil, floor
 
 from normloc.errors import NormlocError
+from normloc.exact import (IMat, IVec, dot, identity_matrix, primitive,
+                           transpose)
+from normloc.latpoints import LatticePointSet
 from normloc.polyhedra import Polyhedron, VRep, from_v
 
 
@@ -70,6 +77,117 @@ def solve_rational(a, b):
     return tuple(x)
 
 
+def matmul(a, b):
+    bt = transpose(b)
+    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
+
+
+def hnf_with_transform(m: IMat) -> tuple[IMat, IMat]:
+    """Row Hermite normal form with its unimodular transform.
+
+    Returns ``(h, u)`` with ``h = u @ m``, ``u`` unimodular, pivots of ``h``
+    positive with strictly increasing column indices, entries above each
+    pivot reduced into ``[0, pivot)``, and zero rows at the bottom.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    h = [list(r) for r in m]
+    u = [list(r) for r in identity_matrix(rows)]
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        # knock column c down to a single nonzero entry at or below row r
+        while True:
+            nz = [i for i in range(r, rows) if h[i][c] != 0]
+            if len(nz) <= 1:
+                break
+            i0 = min(nz, key=lambda i: abs(h[i][c]))
+            for i in nz:
+                if i == i0:
+                    continue
+                q = h[i][c] // h[i0][c]
+                if q:
+                    h[i] = [a - q * b for a, b in zip(h[i], h[i0])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[i0])]
+        nz = [i for i in range(r, rows) if h[i][c] != 0]
+        if not nz:
+            continue
+        i0 = nz[0]
+        h[r], h[i0] = h[i0], h[r]
+        u[r], u[i0] = u[i0], u[r]
+        if h[r][c] < 0:
+            h[r] = [-a for a in h[r]]
+            u[r] = [-a for a in u[r]]
+        p = h[r][c]
+        for i in range(r):
+            q = h[i][c] // p
+            if q:
+                h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+        r += 1
+    return tuple(map(tuple, h)), tuple(map(tuple, u))
+
+
+def kernel_lattice_basis_ref(m: IMat) -> IMat:
+    """Saturated kernel basis by two HNFs: the rows of ``u`` that ``h``
+    sends to zero, then the HNF of those rows."""
+    if not m:
+        return ()
+    n = len(m[0])
+    h, u = hnf_with_transform(transpose(m))
+    ker = [u[i] for i in range(n) if all(x == 0 for x in h[i])]
+    if not ker:
+        return ()
+    hk, _ = hnf_with_transform(tuple(ker))
+    return tuple(r for r in hk if any(x != 0 for x in r))
+
+
+def solve_integral(m: IMat, target: IVec) -> IVec | None:
+    """One integral solution of ``m @ x = target``, or None.
+
+    Uses the HNF of the transpose: with h = u @ m^T, solve h^T z = target by
+    forward substitution along the pivots, then x = u^T z.
+    """
+    rows = len(m)
+    if rows == 0:
+        return None
+    n = len(m[0])
+    h, u = hnf_with_transform(transpose(m))
+    residual = list(target)
+    z = [0] * n
+    for j in range(n):
+        piv = next((c for c in range(rows) if h[j][c] != 0), None)
+        if piv is None:
+            break
+        if residual[piv] % h[j][piv] != 0:
+            return None
+        z[j] = residual[piv] // h[j][piv]
+        if z[j]:
+            for c in range(rows):
+                residual[c] -= z[j] * h[j][c]
+    if any(residual):
+        return None
+    x = [0] * n
+    for j in range(n):
+        if z[j]:
+            for i in range(n):
+                x[i] += z[j] * u[j][i]
+    return tuple(x)
+
+
+def saturated_basis_ref(vectors) -> IMat:
+    """HNF basis of span(vectors) cap Z^n through the two-HNF kernels."""
+    vs = [primitive(v) for v in vectors if any(x != 0 for x in v)]
+    if not vs:
+        return ()
+    comp = kernel_lattice_basis_ref(tuple(vs))
+    if not comp:
+        n = len(vs[0])
+        return identity_matrix(n)
+    return kernel_lattice_basis_ref(comp)
+
+
 def box_of(p: Polyhedron):
     lo = tuple(ceil(min(v[i] for v in p.v.vertices)) for i in range(p.dim))
     hi = tuple(floor(max(v[i] for v in p.v.vertices)) for i in range(p.dim))
@@ -117,6 +235,11 @@ def oracle_vertices(p: Polyhedron):
 def oracle_sums(points_a, points_b):
     return sorted({tuple(x + y for x, y in zip(u, v))
                    for u in points_a for v in points_b})
+
+
+def lattice_sum(a: LatticePointSet, b: LatticePointSet) -> LatticePointSet:
+    """Pointwise sumset {x + y : x in a, y in b} of two point sets."""
+    return LatticePointSet(a.dim, tuple(oracle_sums(a.points, b.points)))
 
 
 def oracle_split(p: Polyhedron, q: Polyhedron, z):

@@ -105,6 +105,15 @@ def test_p3_and_mcrit_search(files, capsys):
                     reeve, "--k-max", "2", "--s-max", "2")
     assert code == 0
     assert rep["verdict"] == "verified_up_to" and rep["checked"]["k"] == 2
+    # N(triangle) does not refine N(square): a report, not an input error
+    tri = files("tri.json", {"vertices": [[0, 0], [1, 0], [0, 1]]})
+    sq = files("sq.json", SQUARE)
+    code, rep = run(capsys, "mcrit-search", "--input", tri, "--input", sq,
+                    "--k-max", "1", "--s-max", "2")
+    assert code == 0
+    assert rep["verdict"] == "verified_up_to"
+    assert rep["checked"] == {"k": 1, "k_max": 1, "s_max": 2,
+                              "refines": False}
 
 
 def test_builtin_cases(files, capsys):

@@ -4,12 +4,13 @@ from math import gcd
 
 import pytest
 
-from conftest import rank, solve_rational
+from conftest import (hnf_with_transform, kernel_lattice_basis_ref, matmul,
+                      rank, saturated_basis_ref, solve_integral,
+                      solve_rational)
 from normloc.errors import ZeroVector
 from normloc.exact import (canonical_sign, det, dot, hermite_normal_form,
-                           identity_matrix, kernel_lattice_basis, matmul,
-                           primitive, project_off, saturated_basis,
-                           solve_integral, transpose)
+                           identity_matrix, kernel_lattice_basis, primitive,
+                           project_off, saturated_basis, transpose)
 
 
 def test_primitive_divides_out_content():
@@ -31,9 +32,10 @@ def test_hnf_properties_random():
         ncols = rng.randint(1, 4)
         m = tuple(tuple(rng.randint(-9, 9) for _ in range(ncols))
                   for _ in range(rng.randint(1, 4)))
-        h, u = hermite_normal_form(m)
+        h, u = hnf_with_transform(m)
         assert matmul(u, m) == h
         assert abs(det(u)) == 1
+        assert hermite_normal_form(m) == h
         # pivots positive, entries above each pivot reduced
         pivots = []
         for row in h:
@@ -55,7 +57,38 @@ def test_hnf_is_canonical_for_row_space():
     # two generating sets of the same lattice
     a = ((2, 4), (0, 6))
     b = ((2, 10), (2, 4))
-    assert hermite_normal_form(a)[0] == hermite_normal_form(b)[0]
+    assert hermite_normal_form(a) == hermite_normal_form(b)
+
+
+def _test_matrix(rng, trial):
+    """Small integer matrix; every third one has zero rows, every third is
+    rank-deficient, and about half are wider than tall."""
+    nrows = rng.randint(1, 5)
+    ncols = rng.randint(1, 6)
+    m = [[rng.randint(-7, 7) for _ in range(ncols)] for _ in range(nrows)]
+    if trial % 3 == 0:
+        for i in rng.sample(range(nrows), rng.randint(1, nrows)):
+            m[i] = [0] * ncols
+    elif trial % 3 == 1 and nrows > 1:
+        # a row repeated as a combination of two others drops the rank
+        a, b = rng.randrange(nrows), rng.randrange(nrows)
+        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+        m[rng.randrange(nrows)] = [s * x + t * y for x, y in zip(m[a], m[b])]
+    return tuple(map(tuple, m))
+
+
+def test_transform_free_core_matches_reference():
+    rng = random.Random(41)
+    shapes = {"zero_row": 0, "deficient": 0, "wide": 0}
+    for trial in range(2400):
+        m = _test_matrix(rng, trial)
+        shapes["zero_row"] += any(not any(r) for r in m)
+        shapes["deficient"] += rank(m) < min(len(m), len(m[0]))
+        shapes["wide"] += len(m[0]) > len(m)
+        assert hermite_normal_form(m) == hnf_with_transform(m)[0]
+        assert kernel_lattice_basis(m) == kernel_lattice_basis_ref(m)
+        assert saturated_basis(m) == saturated_basis_ref(m)
+    assert min(shapes.values()) >= 500, shapes
 
 
 def test_kernel_lattice_basis_spans_and_saturates():

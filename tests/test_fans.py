@@ -6,7 +6,7 @@ from conftest import random_polytope
 from normloc.errors import SupportMismatch
 from normloc.fans import (Cone, Fan, common_refinement, cone_contains,
                           cone_from_generators, cone_from_h, dual_cone,
-                          fan_from_cones, fan_from_dict, intersect_cones,
+                          fan_from_cones, intersect_cones,
                           is_face, is_fan, normal_fan, refines,
                           relative_interior_contains, support)
 from normloc.polyhedra import VRep, from_v, minkowski_sum
@@ -115,7 +115,10 @@ def test_refinement_order():
 def test_fan_dict_roundtrip():
     p = from_v(VRep(((0, 0), (2, 0), (0, 2)), ()))
     f = normal_fan(p)
-    assert fan_from_dict(f.to_dict()) == f
+    data = f.to_dict()
+    cones = [cone_from_generators(2, rays=c["rays"], lines=c["lines"])
+             for c in data["maximal_cones"]]
+    assert fan_from_cones(data["dim"], cones) == f
 
 
 def test_fan_from_cones_prunes_contained():

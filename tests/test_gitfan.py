@@ -6,8 +6,8 @@ import pytest
 from conftest import random_polytope
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, NormlocError, NotFullDimensional,
-                            NotLattice, RealizationError, RefinementRequired,
-                            SubsetCapExceeded, TailConeMismatch,
+                            NotLattice, RealizationError, SubsetCapExceeded,
+                            SupportMismatch, TailConeMismatch,
                             WeightOutsideCone)
 from normloc.fans import cone_from_generators, normal_fan, refines
 from normloc.gitfan import (GradedProjection, fiber, fiber_point_sum_exact,
@@ -16,7 +16,7 @@ from normloc.gitfan import (GradedProjection, fiber, fiber_point_sum_exact,
                             is_generating_candidate, located_multiple_search,
                             multiple_making_sums_exact, orbit_cones,
                             realize_pair, refinement_iff_interior,
-                            weight_cone, zero_support)
+                            weight_cone)
 from normloc.latpoints import enumerate_points
 from normloc.polyhedra import (VRep, from_v, minkowski_sum, scale, translate)
 
@@ -147,11 +147,6 @@ def test_multiple_making_sums_sweep():
         multiple_making_sums_exact(g, u1, u2, k_max=0, s_max=1)
 
 
-def test_zero_support():
-    assert zero_support((3, 0, 2, 0)) == (1, 3)
-    assert zero_support((1, 1)) == ()
-
-
 def test_is_generating_candidate_trichotomy():
     g, u1, u2 = boundary_grading()
     assert is_generating_candidate(g, (3, 3), (3, 3)) == \
@@ -237,9 +232,15 @@ def test_located_multiple_search():
     rep = located_multiple_search(tri, tri, k_max=2, s_max=3)
     assert rep.verdict == "verified_up_to"
     assert rep.checked["k"] == 1
+    assert rep.checked["refines"]
+    # N(tri) does not refine N(sq); the sweep still runs and reports it
     sq = from_v(VRep(((0, 0), (1, 0), (0, 1), (1, 1)), ()))
-    with pytest.raises(RefinementRequired):
-        located_multiple_search(tri, sq, k_max=1, s_max=2)
+    rep = located_multiple_search(tri, sq, k_max=1, s_max=2)
+    assert rep.verdict == "verified_up_to"
+    assert rep.checked == {"k": 1, "k_max": 1, "s_max": 2, "refines": False}
+    quad = from_v(VRep(((0, 0),), ((1, 0), (0, 1))))
+    with pytest.raises(SupportMismatch):
+        located_multiple_search(tri, quad, k_max=1, s_max=1)
 
 
 def test_located_multiple_search_k_sweep():
@@ -248,12 +249,16 @@ def test_located_multiple_search_k_sweep():
     reeve = from_v(VRep(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)), ()))
     rep = located_multiple_search(reeve, reeve, k_max=2, s_max=2)
     assert rep.verdict == "verified_up_to"
-    assert rep.checked == {"k": 2, "k_max": 2, "s_max": 2}
+    assert rep.checked == {"k": 2, "k_max": 2, "s_max": 2, "refines": True}
     rep = located_multiple_search(reeve, reeve, k_max=1, s_max=1)
     assert rep.verdict == "exhausted"
     assert rep.checked["failures"] == [[1, 1, [1, 1, 1]]]
-    # the headline triangles are not a refining pair, so the sweep refuses
+    # the headline triangles refine in neither direction; the sweep finds
+    # the paper's witness at k = 1
     p, q = triangle_pair()
     assert not refines(normal_fan(p), normal_fan(q))
-    with pytest.raises(RefinementRequired):
-        located_multiple_search(p, q, k_max=1, s_max=1)
+    assert not refines(normal_fan(q), normal_fan(p))
+    rep = located_multiple_search(p, q, k_max=1, s_max=1)
+    assert rep.verdict == "exhausted"
+    assert rep.checked == {"k_max": 1, "s_max": 1,
+                           "failures": [[1, 1, [1, 383]]], "refines": False}

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from conftest import (box_of, oracle_points, oracle_split, oracle_sums,
-                      oracle_window_points, random_polytope)
-from normloc.errors import (DimensionMismatch, NotLattice, NormlocError,
-                            Unbounded)
+from conftest import (box_of, lattice_sum, oracle_points, oracle_split,
+                      oracle_sums, oracle_window_points, random_polytope)
+from normloc.errors import NotLattice, NormlocError, Unbounded
 from normloc.gitfan import fiber, fiber_point_sum_exact, graded_projection
-from normloc.latpoints import (LatticePointSet, decompose, enumerate_points,
-                               enumerate_windowed, is_normal, lattice_sum,
+from normloc.latpoints import (decompose, enumerate_points,
+                               enumerate_windowed, is_normal,
                                normally_located)
 from normloc.polyhedra import (HRep, VRep, from_h, from_v, minkowski_sum,
                                scale)
@@ -58,9 +57,13 @@ def test_lattice_sum_matches_pairwise():
         p = random_polytope(rng, 2, 4)
         q = random_polytope(rng, 2, 4)
         a, b = enumerate_points(p), enumerate_points(q)
-        assert list(lattice_sum(a, b)) == oracle_sums(list(a), list(b))
-    with pytest.raises(DimensionMismatch):
-        lattice_sum(LatticePointSet(1, ((0,),)), LatticePointSet(2, ()))
+        sums = lattice_sum(a, b)
+        assert list(sums) == oracle_sums(list(a), list(b))
+        # point sums lie in P + Q and fill it exactly when located
+        r = enumerate_points(minkowski_sum(p, q))
+        assert set(sums) <= set(r)
+        assert (len(sums) == len(r)) == \
+            (normally_located(p, q).verdict == "located")
 
 
 def test_decompose_basic():
@@ -232,6 +235,7 @@ def test_windows_missing_the_set():
     sq = from_v(VRep(((0, 0), (1, 0), (0, 1), (1, 1)), ()))
     rep = normally_located(sq, sq, window=((5, 5), (6, 6)))
     assert rep.verdict == "verified_up_to" and rep.witness is None
+    assert rep.checked == {"window": [[5, 5], [6, 6]]}
     far = from_v(VRep(((3, 3),), ((1, 0), (0, 1))))
     # no point of far + far = (6, 6) + quadrant in the window, and no split
     # of any window point: the split region is empty

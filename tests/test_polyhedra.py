@@ -6,10 +6,9 @@ import pytest
 from conftest import oracle_vertices, random_polytope, rank
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                             NotPointed, Unbounded)
-from normloc.polyhedra import (HRep, VRep, dd_convert, equals, from_h,
-                               from_v, minkowski_sum, polyhedron_from_dict,
-                               polyhedron_to_dict, scale, tail_cone,
-                               translate, vertex_box)
+from normloc.polyhedra import (HRep, VRep, from_h, from_v, minkowski_sum,
+                               polyhedron_from_dict, polyhedron_to_dict,
+                               scale, translate, vertex_box)
 
 
 def test_triangle_canonical_forms():
@@ -27,7 +26,7 @@ def test_triangle_canonical_forms():
 def test_redundant_generators_are_dropped():
     p = from_v(VRep(((0, 0), (2, 0), (0, 2), (1, 1), (2, 2)), ()))
     q = from_v(VRep(((0, 0), (2, 0), (0, 2), (2, 2)), ()))
-    assert equals(p, q)
+    assert p == q
     assert p.v.vertices == ((0, 0), (0, 2), (2, 0), (2, 2))
 
 
@@ -61,7 +60,7 @@ def test_unbounded_with_vertices():
     assert p.v.vertices == ((0, 0),)
     assert p.v.rays == ((0, 1), (1, 0))
     assert not p.is_bounded()
-    assert tail_cone(p).rays == ((0, 1), (1, 0))
+    assert p.tail.rays == ((0, 1), (1, 0))
     with pytest.raises(Unbounded):
         vertex_box(p)
 
@@ -98,11 +97,9 @@ def test_scale_translate():
 
 def test_dd_convert_both_directions():
     v = VRep(((0, 0), (1, 0), (0, 1)), ())
-    h = dd_convert(v)
+    h = from_v(v).h
     assert isinstance(h, HRep)
-    assert dd_convert(h).vertices == ((0, 0), (0, 1), (1, 0))
-    with pytest.raises(TypeError):
-        dd_convert([1, 2, 3])
+    assert from_h(h).v.vertices == ((0, 0), (0, 1), (1, 0))
 
 
 def test_dict_roundtrip():
