@@ -19,9 +19,10 @@ from .kernels import backend
 from .latpoints import (LatticePointSet, LocationReport, decompose,
                         enumerate_points, enumerate_windowed, is_normal,
                         normally_located)
-from .polyhedra import (HRep, Polyhedron, VRep, Witness, from_h, from_v,
-                        minkowski_sum, polyhedron_from_dict,
-                        polyhedron_to_dict, scale, translate)
+from .polyhedra import (Polyhedron, from_h, from_v, minkowski_sum,
+                        polyhedron_from_dict, polyhedron_to_dict, scale,
+                        translate)
+from .reps import HRep, VRep, Witness
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import dd
 from .errors import SupportMismatch, ZeroVector
-from .exact import (IMat, IVec, dot, primitive, project_off, saturated_basis)
+from .exact import IMat, dot, primitive, project_off, saturated_basis
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotFullDimensional, NotLattice, RealizationError,
                      SubsetCapExceeded, TailConeMismatch, WeightOutsideCone)
@@ -182,11 +183,13 @@ def _git_cone_cached(g: GradedProjection, u) -> Cone:
     f = _fiber_cached(g, u)
     supports = sorted({tuple(i for i, x in enumerate(v) if x != 0)
                        for v in f.v.vertices})
-    cones = [cone_from_generators(g.m, rays=[g.weights[i] for i in sup])
-             for sup in supports]
-    return cone_from_h(g.m,
-                       ineqs=[n for c in cones for n in c.ineq_normals],
-                       eqs=[n for c in cones for n in c.eq_normals])
+    # each vertex-support cone enters only through its constraint rows;
+    # the one cone_from_h canonicalizes their intersection
+    rows = [dd.constraints_from_generators(g.m, (),
+                                           [g.weights[i] for i in sup])
+            for sup in supports]
+    return cone_from_h(g.m, ineqs=[n for _, ineqs in rows for n in ineqs],
+                       eqs=[n for eqs, _ in rows for n in eqs])
 
 
 @dataclass(frozen=True)
@@ -402,9 +405,9 @@ def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
         if q.affine_dimension() != d:
             raise NotFullDimensional("realization needs full-dimensional "
                                      "polyhedra")
-    if q1.tail != q2.tail:
+    if q1.v.rays != q2.v.rays:
         raise TailConeMismatch("realization needs a common tail cone")
-    if any(x < 0 for r in q1.tail.rays for x in r):
+    if any(x < 0 for r in q1.v.rays for x in r):
         raise TailConeMismatch("tail cone must lie in the nonnegative "
                                "orthant")
     lo = [min(min(v[i] for v in q.v.vertices) for q in (q1, q2))

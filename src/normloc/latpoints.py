@@ -21,11 +21,10 @@ from . import kernels
 from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
                      NormlocError, Unbounded)
 from .exact import as_int
-from .fans import cone_from_generators, intersect_cones
-from .polyhedra import (HRep, Polyhedron, Witness, from_h,
-                        integer_constraint_rows, minkowski_sum, scale,
-                        vertex_box)
-from .reps import NO_DECOMPOSITION, NORMALITY_FAILURE
+from .fans import cone_from_generators
+from .polyhedra import (HRep, Polyhedron, from_h, integer_constraint_rows,
+                        minkowski_sum, scale, vertex_box)
+from .reps import NO_DECOMPOSITION, NORMALITY_FAILURE, Witness
 
 VERDICT_LOCATED = "located"
 VERDICT_NOT_LOCATED = "not_located"
@@ -112,12 +111,10 @@ def enumerate_windowed(p: Polyhedron, lo, hi) -> LatticePointSet:
 
 def _decompose_unbounded_guard(p: Polyhedron, q: Polyhedron):
     # z' ranges over P cap (z - Q); its recession cone tail(P) cap -tail(Q)
-    # does not depend on z, so one pointedness check covers every z
-    neg = cone_from_generators(q.dim, rays=[tuple(-x for x in r)
-                                            for r in q.tail.rays],
-                               lines=q.tail.lines)
-    meet = intersect_cones(p.tail, neg)
-    if meet.rays or meet.lines:
+    # does not depend on z, so one pointedness check covers every z.  With
+    # both tails pointed, that meet is nonzero exactly when
+    # tail(P) + tail(Q) contains a line.
+    if cone_from_generators(p.dim, rays=p.v.rays + q.v.rays).lines:
         raise Unbounded("decomposition search region is unbounded: "
                         "tail(P) meets -tail(Q) outside the origin")
 

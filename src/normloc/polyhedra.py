@@ -3,10 +3,11 @@
 Every :class:`Polyhedron` carries a canonical vertex description (vertices
 sorted lexicographically, recession rays primitive and sorted) and a
 canonical halfspace description (irredundant facets ``normal @ x <= rhs``
-with primitive integer normals, equalities as an HNF-reduced system), plus
-its cached tail cone.  Construction goes through the double description
-engine in both directions, so two polyhedra are equal as sets iff their
-records compare equal.
+with primitive integer normals, equalities as an HNF-reduced system).  The
+tail cone is cone(``v.rays``): those rays are already its extreme rays.
+Construction goes through the double description engine in both
+directions, so two polyhedra are equal as sets iff their records compare
+equal.
 
 Only pointed polyhedra are supported: a constraint system whose solution set
 contains a line has no vertex description and raises NotPointed.
@@ -22,8 +23,7 @@ from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotPointed, Unbounded, ZeroVector)
 from .exact import as_int, dot, hermite_normal_form, primitive, vec_gcd
-from .fans import Cone, cone_from_generators
-from .reps import HRep, VRep, Witness  # noqa: F401  (re-exported)
+from .reps import HRep, VRep
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,6 @@ class Polyhedron:
     dim: int
     h: HRep
     v: VRep
-    tail: Cone
-
-    @property
-    def vertices(self):
-        return self.v.vertices
-
-    @property
-    def rays(self):
-        return self.v.rays
 
     def contains(self, x) -> bool:
         if len(x) != self.dim:
@@ -114,14 +105,17 @@ def _h_to_v(d, h: HRep):
 
 def _v_to_h(d, verts, rec):
     """Canonical facets and equalities via the polar of the homogenization."""
-    gens = {primitive(v + (1,)) for v in verts}
+    hverts = [primitive(v + (1,)) for v in verts]
+    gens = set(hverts)
     gens.update(tuple(r) + (0,) for r in rec)
     plines, prays = dd.generators_from_constraints(d + 1, (), sorted(gens))
     ineqs = []
     for m in prays:
+        if not any(dot(m, g) == 0 for g in hverts):
+            # the t >= 0 facet of the homogenization, fixed only modulo the
+            # polar lines; every facet of a pointed P contains a vertex
+            continue
         sp, c = m[:-1], m[-1]
-        if not any(sp):
-            continue  # the t >= 0 facet of the homogenization
         g = vec_gcd(sp)
         ineqs.append((tuple(x // g for x in sp), Fraction(-c, g)))
     eq_rows = []
@@ -152,8 +146,7 @@ def from_h(h: HRep) -> Polyhedron:
     verts, rec = _h_to_v(d, h)
     ineqs, eqs = _v_to_h(d, verts, rec)
     return Polyhedron(d, HRep(tuple(ineqs), tuple(eqs)),
-                      VRep(tuple(verts), tuple(rec)),
-                      cone_from_generators(d, rays=rec))
+                      VRep(tuple(verts), tuple(rec)))
 
 
 def from_v(v: VRep) -> Polyhedron:

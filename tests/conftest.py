@@ -8,7 +8,10 @@ and splits over unbounded summands from a box search over one summand.
 The Hermite normal form that also builds its unimodular transform
 (``hnf_with_transform``), and the two-HNF kernel and saturation routes and
 integral solver built on it, are references for the transform-free
-versions in ``normloc.exact``.
+versions in ``normloc.exact``.  The split-region guard and the GIT cone
+also keep their cone-based forms here: tail(P) cap -tail(Q) as a
+canonical cone, and each vertex-support cone built whole before the
+intersection.
 """
 
 import random
@@ -16,9 +19,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
 
-from normloc.errors import NormlocError
+from normloc.errors import NormlocError, Unbounded
 from normloc.exact import (IMat, IVec, dot, identity_matrix, primitive,
                            transpose)
+from normloc.fans import (Cone, cone_from_generators, cone_from_h,
+                          intersect_cones)
+from normloc.gitfan import GradedProjection, _fiber_cached
 from normloc.latpoints import LatticePointSet
 from normloc.polyhedra import Polyhedron, VRep, from_v
 
@@ -278,3 +284,28 @@ def random_polytope(rng: random.Random, d: int, bound: int,
             continue
         if not full_dim or p.affine_dimension() == d:
             return p
+
+
+def decompose_unbounded_guard_ref(p: Polyhedron, q: Polyhedron):
+    """Raise Unbounded when the cone tail(P) cap -tail(Q) is not {0}."""
+    p_tail = cone_from_generators(p.dim, rays=p.v.rays)
+    q_tail = cone_from_generators(q.dim, rays=q.v.rays)
+    neg = cone_from_generators(q.dim, rays=[tuple(-x for x in r)
+                                            for r in q_tail.rays],
+                               lines=q_tail.lines)
+    meet = intersect_cones(p_tail, neg)
+    if meet.rays or meet.lines:
+        raise Unbounded("decomposition search region is unbounded: "
+                        "tail(P) meets -tail(Q) outside the origin")
+
+
+def git_cone_ref(g: GradedProjection, u) -> Cone:
+    """GIT cone of u from whole vertex-support cones of the fiber."""
+    f = _fiber_cached(g, u)
+    supports = sorted({tuple(i for i, x in enumerate(v) if x != 0)
+                       for v in f.v.vertices})
+    cones = [cone_from_generators(g.m, rays=[g.weights[i] for i in sup])
+             for sup in supports]
+    return cone_from_h(g.m,
+                       ineqs=[n for c in cones for n in c.ineq_normals],
+                       eqs=[n for c in cones for n in c.eq_normals])

@@ -13,8 +13,8 @@ from contextlib import contextmanager
 from conftest import oracle_points, oracle_sums, oracle_vertices, \
     random_polytope
 from normloc.cases import boundary_grading, triangle_pair
-from normloc.fans import (common_refinement, dual_cone, intersect_cones,
-                          normal_fan, support)
+from normloc.fans import (common_refinement, cone_from_generators,
+                          dual_cone, intersect_cones, normal_fan, support)
 from normloc.gitfan import (fiber, fiber_sum_exact, git_cone,
                             graded_projection, is_generating_candidate,
                             located_multiple_search,
@@ -123,7 +123,8 @@ def test_criterion_6_fan_identities():
             assert common_refinement(f1, f2) == \
                 normal_fan(minkowski_sum(q1, q2))
             for q, f in ((q1, f1), (q2, f2)):
-                assert support(f) == dual_cone(q.tail)
+                tail = cone_from_generators(q.dim, rays=q.v.rays)
+                assert support(f) == dual_cone(tail)
 
 
 def test_criterion_7_sum_condition_vs_git_cones():
@@ -187,6 +188,6 @@ def test_criterion_10_representation_round_trip():
         for _ in range(50):
             d = rng.randint(1, 4)
             p = random_polytope(rng, d, 3, full_dim=False)
-            assert oracle_vertices(p) == list(p.vertices)
+            assert oracle_vertices(p) == list(p.v.vertices)
             assert from_h(p.h) == p
             assert from_v(p.v) == p

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_polytope
+from conftest import git_cone_ref, random_polytope
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, NormlocError, NotFullDimensional,
                             NotLattice, RealizationError, SubsetCapExceeded,
@@ -59,7 +59,8 @@ def test_fiber_polytopes():
     g, _, _ = boundary_grading()
     f = fiber(g, (4, 2))
     assert f.dim == 4
-    assert (Fraction(0), Fraction(2), Fraction(0), Fraction(0)) in f.vertices
+    assert (Fraction(0), Fraction(2), Fraction(0), Fraction(0)) \
+        in f.v.vertices
     assert list(enumerate_points(f)) == [(0, 2, 0, 0)]
     assert list(enumerate_points(fiber(g, (2, 4)))) == [(0, 0, 2, 0)]
     assert list(enumerate_points(fiber(g, (6, 6)))) == [
@@ -156,6 +157,25 @@ def test_is_generating_candidate_trichotomy():
     assert is_generating_candidate(g, u1, u2) == "indeterminate_boundary"
 
 
+def test_git_cone_matches_cone_oracle():
+    rng = random.Random(71)
+    checked = 0
+    while checked < 240:
+        m = rng.choice((2, 2, 3))
+        ws = [tuple(rng.randint(0, 3) for _ in range(m))
+              for _ in range(rng.randint(m, m + 3))]
+        try:
+            g = graded_projection(ws)
+        except NormlocError:
+            continue
+        for _ in range(12):
+            cs = [rng.randint(0, 2) for _ in ws]
+            u = tuple(sum(c * w[j] for c, w in zip(cs, ws))
+                      for j in range(m))
+            assert repr(git_cone(g, u)) == repr(git_cone_ref(g, u))
+            checked += 1
+
+
 def test_realize_pair_segments():
     seg1 = from_v(VRep(((0,), (1,)), ()))
     seg2 = from_v(VRep(((0,), (2,)), ()))
@@ -177,8 +197,19 @@ def test_realize_pair_round_trips_through_fibers():
         # the construction self-verifies; spot-check the functional values
         t1 = translate(q1, rp.translation)
         for f, val in zip(rp.functionals, rp.u1):
-            assert max(sum(a * b for a, b in zip(f, v)) for v in t1.vertices) \
-                == val
+            assert max(sum(a * b for a, b in zip(f, v))
+                       for v in t1.v.vertices) == val
+
+
+def test_realize_pair_reads_the_tail_off_the_rays():
+    # redundant generators of the same quadrant are dropped by from_v
+    q1 = from_v(VRep(((0, 1), (1, 0)), ((1, 0), (0, 1), (1, 1))))
+    q2 = from_v(VRep(((0, 0),), ((0, 1), (1, 0))))
+    rp = realize_pair(q1, q2)
+    assert rp.q1.v.rays == rp.q2.v.rays == ((0, 1), (1, 0))
+    q3 = from_v(VRep(((0, 0),), ((1, 0), (1, 1))))
+    with pytest.raises(TailConeMismatch):
+        realize_pair(q1, q3)
 
 
 def test_realize_pair_preconditions():

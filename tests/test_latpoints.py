@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import (box_of, lattice_sum, oracle_points, oracle_split,
-                      oracle_sums, oracle_window_points, random_polytope)
+from conftest import (box_of, decompose_unbounded_guard_ref, lattice_sum,
+                      oracle_points, oracle_split, oracle_sums,
+                      oracle_window_points, random_polytope)
 from normloc.errors import NotLattice, NormlocError, Unbounded
 from normloc.gitfan import fiber, fiber_point_sum_exact, graded_projection
 from normloc.latpoints import (decompose, enumerate_points,
@@ -100,6 +102,45 @@ def test_decompose_unbounded_tails():
     r = from_v(VRep(((0, 0),), ((-1, 0),)))
     with pytest.raises(Unbounded):
         decompose((0, 1), p, r)
+
+
+def test_unbounded_guard_matches_cone_oracle():
+    # the quadrant meets -tail(Q) = cone((1, 2), (2, 1)) in a 2-d cone
+    p = from_v(VRep(((0, 0),), ((1, 0), (0, 1))))
+    q = from_v(VRep(((0, 0),), ((-1, -2), (-2, -1))))
+    pairs = [(p, q), (q, p)]
+    rng = random.Random(43)
+    while len(pairs) < 120:
+        d = rng.choice((2, 3))
+
+        def poly(nrays):
+            verts = [tuple(Fraction(rng.randint(-2, 3), rng.choice((1, 2)))
+                           for _ in range(d))
+                     for _ in range(rng.randint(1, 3))]
+            rays = [tuple(rng.randint(-2, 2) for _ in range(d))
+                    for _ in range(nrays)]
+            return from_v(VRep(tuple(verts), tuple(r for r in rays if any(r))))
+        try:
+            pair = (poly(rng.randint(1, 3)), poly(rng.randint(0, 3)))
+        except NormlocError:
+            continue    # a line, or rays spanning the whole space
+        pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+    raised = 0
+    for p, q in pairs:
+        try:
+            decompose_unbounded_guard_ref(p, q)
+            expect = False
+        except Unbounded:
+            expect = True
+        z = tuple(rng.randint(-3, 4) for _ in range(p.dim))
+        try:
+            decompose(z, p, q)
+            got = False
+        except Unbounded:
+            got = True
+        assert got == expect, (p.v, q.v)
+        raised += got
+    assert raised >= 20 and len(pairs) - raised >= 20
 
 
 def test_normally_located_positive_and_negative():
@@ -268,7 +309,7 @@ def test_fiber_with_rays_matches_split_oracle():
         assert rep.checked["window"] == [list(lo), list(hi)]
         f1, f2 = fiber(g, u1), fiber(g, u2)
         f12 = fiber(g, tuple(a + b for a, b in zip(u1, u2)))
-        assert f1.rays == f2.rays == ((1, 1, 0),)
+        assert f1.v.rays == f2.v.rays == ((1, 1, 0),)
         assert _oracle_first_unsplit(f12, f1, f2, lo, hi) == witness
         if witness:
             assert not minkowski_sum(f1, f2).contains(witness)

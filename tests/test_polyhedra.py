@@ -6,6 +6,7 @@ import pytest
 from conftest import oracle_vertices, random_polytope, rank
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                             NotPointed, Unbounded)
+from normloc.exact import dot
 from normloc.polyhedra import (HRep, VRep, from_h, from_v, minkowski_sum,
                                polyhedron_from_dict, polyhedron_to_dict,
                                scale, translate, vertex_box)
@@ -60,7 +61,6 @@ def test_unbounded_with_vertices():
     assert p.v.vertices == ((0, 0),)
     assert p.v.rays == ((0, 1), (1, 0))
     assert not p.is_bounded()
-    assert p.tail.rays == ((0, 1), (1, 0))
     with pytest.raises(Unbounded):
         vertex_box(p)
 
@@ -153,4 +153,56 @@ def test_affine_dimension_matches_rank_oracle():
 def test_unbounded_tail_in_hrep_vrep_agreement():
     p = from_v(VRep(((1, 1),), ((1, 0), (1, 1))))
     assert from_h(p.h) == p
-    assert p.tail.rays == ((1, 0), (1, 1))
+    assert p.v.rays == ((1, 0), (1, 1))
+
+
+def test_no_facet_row_without_a_vertex():
+    # the t >= 0 facet of the homogenization is fixed only modulo the
+    # equalities, so it used to leak into lower-dimensional H-descriptions
+    assert from_v(VRep(((2, 3),), ())).h.inequalities == ()
+    assert from_v(VRep(((1, 1),), ((1, 0),))).h.inequalities == \
+        (((-1, 1), 0),)
+
+
+def _random_rep(rng):
+    """A vertex or halfspace description in 1-3 dimensions, often flat,
+    with Fraction coordinates and sometimes rays."""
+    d = rng.randint(1, 3)
+    den = rng.choice((1, 2, 3))
+    if rng.random() < 0.5:
+        k = rng.randint(0, d)
+        base = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+        off = tuple(Fraction(rng.randint(-3, 3), den) for _ in range(d))
+        verts = [tuple(o + sum(rng.randint(-2, 2) * b[j] for b in base)
+                       for j, o in enumerate(off))
+                 for _ in range(rng.randint(1, 5))]
+        rays = [b for b in base if any(b) and rng.random() < 0.4]
+        return VRep(tuple(verts), tuple(rays))
+    ineqs = [(tuple(int(i == j) for i in range(d)), rng.randint(0, 4))
+             for j in range(d)]
+    ineqs += [(tuple(-int(i == j) for i in range(d)), rng.randint(0, 4))
+              for j in range(d) if rng.random() < 0.8]
+    ineqs += [(tuple(rng.randint(-2, 2) for _ in range(d)),
+               Fraction(rng.randint(-1, 6), den))
+              for _ in range(rng.randint(0, 2))]
+    eqs = [(tuple(rng.randint(-2, 2) for _ in range(d)),
+            Fraction(rng.randint(-2, 2), den))
+           for _ in range(rng.randint(0, d - 1))]
+    return HRep(tuple((n, b) for n, b in ineqs if any(n)),
+                tuple((n, b) for n, b in eqs if any(n)))
+
+
+def test_every_inequality_is_tight_on_a_vertex():
+    rng = random.Random(97)
+    flat = 0
+    for _ in range(400):
+        rep = _random_rep(rng)
+        try:
+            p = from_v(rep) if isinstance(rep, VRep) else from_h(rep)
+        except NormlocError:
+            continue
+        for n, b in p.h.inequalities:
+            assert any(dot(n, v) == b for v in p.v.vertices), (p, n, b)
+        assert from_h(p.h) == p
+        flat += bool(p.h.equalities)
+    assert flat >= 100
