@@ -150,17 +150,32 @@ def from_h(h: HRep) -> Polyhedron:
 
 
 def from_v(v: VRep) -> Polyhedron:
-    """Polyhedron of a vertex description (at least one vertex required)."""
+    """Polyhedron of a vertex description (at least one vertex required).
+
+    Raises NotPointed when the rays' cone contains a line.  A
+    full-dimensional set's facets from the first V-to-H pass are already
+    canonical (primitive, irredundant, sorted) and are kept.  A
+    lower-dimensional set's facet normals are fixed only modulo its
+    equalities, so it goes through ``from_h``, which derives them again
+    from the canonical vertices.
+    """
     if not v.vertices:
         raise NormlocError("a polyhedron needs at least one vertex")
     d = len(v.vertices[0])
     if any(len(p) != d for p in v.vertices) or any(len(r) != d
                                                    for r in v.rays):
         raise DimensionMismatch("generators of mixed lengths")
+    if not d:
+        raise NormlocError("a vertex needs at least one coordinate")
     v = vrep(v.vertices, v.rays)
     ineqs, eqs = _v_to_h(d, v.vertices, v.rays)
-    canon = from_h(HRep(tuple(ineqs), tuple(eqs)))
-    return canon
+    if eqs:
+        return from_h(HRep(tuple(ineqs), tuple(eqs)))
+    if not ineqs:
+        raise NotPointed("the rays span the whole space; no vertex exists")
+    h = HRep(tuple(ineqs), ())
+    verts, rec = _h_to_v(d, h)
+    return Polyhedron(d, h, VRep(tuple(verts), tuple(rec)))
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:

@@ -12,6 +12,9 @@ versions in ``normloc.exact``.  The split-region guard and the GIT cone
 also keep their cone-based forms here: tail(P) cap -tail(Q) as a
 canonical cone, and each vertex-support cone built whole before the
 intersection.
+The per-point lattice scan (``scan_undecomposed_ref``) is the reference
+for the line-at-a-time ``kernels.scan_undecomposed``, and the three-pass
+``from_v_ref`` for the ``from_v`` that reuses its first facets.
 """
 
 import random
@@ -19,6 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
 
+from normloc import kernels
 from normloc.errors import NormlocError, Unbounded
 from normloc.exact import (IMat, IVec, dot, identity_matrix, primitive,
                            transpose)
@@ -26,7 +30,8 @@ from normloc.fans import (Cone, cone_from_generators, cone_from_h,
                           intersect_cones)
 from normloc.gitfan import GradedProjection, _fiber_cached
 from normloc.latpoints import LatticePointSet
-from normloc.polyhedra import Polyhedron, VRep, from_v
+from normloc.polyhedra import (HRep, Polyhedron, VRep, _v_to_h, from_h,
+                               from_v, vrep)
 
 
 def rank(rows) -> int:
@@ -309,3 +314,46 @@ def git_cone_ref(g: GradedProjection, u) -> Cone:
     return cone_from_h(g.m,
                        ineqs=[n for c in cones for n in c.ineq_normals],
                        eqs=[n for c in cones for n in c.eq_normals])
+
+
+def from_v_ref(v: VRep) -> Polyhedron:
+    """from_v by three DD passes: V to H, then from_h's H to V and V to H."""
+    v = vrep(v.vertices, v.rays)
+    ineqs, eqs = _v_to_h(len(v.vertices[0]), v.vertices, v.rays)
+    return from_h(HRep(tuple(ineqs), tuple(eqs)))
+
+
+def scan_undecomposed_ref(rcoeffs, rrhs, rlo, rhi,
+                          pcoeffs, prhs, plo, phi,
+                          qcoeffs, qrhs, qlo, qhi):
+    """First point z of the R system admitting no split, point by point.
+
+    Every lattice point of R in lex order gets the previous split, shifted
+    to it, and the inner search when the shift misses.  The R scan and
+    each inner search are one ``kernels.iter_points`` call apiece.
+    """
+    d = len(rlo)
+    icoeffs = [tuple(row) for row in pcoeffs]
+    icoeffs += [tuple(-a for a in row) for row in qcoeffs]
+    split = None
+    for z in kernels.iter_points(rcoeffs, rrhs, rlo, rhi):
+        if split is not None:
+            zp, zq = split
+            shifted = tuple(a - b for a, b in zip(z, zq))
+            if kernels._member(pcoeffs, prhs, plo, phi, shifted):
+                split = shifted, zq
+                continue
+            shifted = tuple(a - b for a, b in zip(z, zp))
+            if kernels._member(qcoeffs, qrhs, qlo, qhi, shifted):
+                split = zp, shifted
+                continue
+        ilo = tuple(max(plo[j], z[j] - qhi[j]) for j in range(d))
+        ihi = tuple(min(phi[j], z[j] - qlo[j]) for j in range(d))
+        irhs = list(prhs)
+        for row, b in zip(qcoeffs, qrhs):
+            irhs.append(b - sum(a * zz for a, zz in zip(row, z)))
+        zp = next(kernels.iter_points(icoeffs, irhs, ilo, ihi), None)
+        if zp is None:
+            return z
+        split = zp, tuple(a - b for a, b in zip(z, zp))
+    return None

@@ -168,8 +168,13 @@ def test_error_exits(files, capsys, tmp_path):
                                         {"normal": [0, -1], "rhs": 0},
                                         {"normal": [1, 1], "rhs": 1e400}]},
      ()),
+    # rays spanning the plane: no vertex, so no polyhedron
+    ("normal-fan", {"vertices": [[0, 0]],
+                    "rays": [[1, 1], [-1, 0], [0, -1]]}, ()),
+    ("normal-fan", {"vertices": [[]]}, ()),
 ], ids=["json-list", "zero-denominator", "bad-vector", "bad-window",
-        "inverted-window", "grading-list", "float-weight", "float-ray", "inf-vertex", "inf-rhs"])
+        "inverted-window", "grading-list", "float-weight", "float-ray", "inf-vertex", "inf-rhs",
+        "spanning-rays", "empty-vertex"])
 def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     path = files("in.json", poly)
     inputs = ("--input", path) * (2 if command == "located-check" else 1)

@@ -1,9 +1,11 @@
 import random
 
-from conftest import random_polytope
+from conftest import random_polytope, scan_undecomposed_ref
 from normloc import kernels
-from normloc.polyhedra import (integer_constraint_rows, minkowski_sum, scale,
-                               vertex_box)
+from normloc.cases import boundary_grading, triangle_pair
+from normloc.gitfan import fiber
+from normloc.polyhedra import (VRep, from_v, integer_constraint_rows,
+                               minkowski_sum, scale, translate, vertex_box)
 
 
 def _random_system(rng, d, m):
@@ -46,6 +48,33 @@ def test_scan_points_empty_box():
     coeffs, rhs = ((1, 1),), (10,)
     assert kernels.scan_points(coeffs, rhs, (0, 3), (2, 1)) == []
     assert kernels.scan_first(coeffs, rhs, (0, 3), (2, 1)) is None
+
+
+def test_scan_points_skips_empty_lines():
+    # lattice-thin slabs: x = 2y leaves the lines of odd x empty, and
+    # x <= 3y <= x + 1 the lines of x = 1 (mod 3), between nonempty ones
+    systems = [
+        (((1, -2), (-1, 2)), (0, 0), (0, -5), (9, 9)),
+        (((1, -3), (-1, 3)), (0, 1), (-3, -3), (9, 9)),
+        (((1, 0, -2), (-1, 0, 2), (0, 1, 1), (0, -1, -1)), (0, 0, 4, -2),
+         (0, -2, -3), (6, 6, 6)),
+    ]
+    for sys_ in systems:
+        expect = _brute_points(*sys_)
+        assert kernels.scan_points(*sys_) == expect
+        assert kernels.scan_first(*sys_) == expect[0]
+        lo, hi = sys_[2], sys_[3]
+        prefixes = {pt[:-1] for pt in expect}
+        first, last = min(prefixes), max(prefixes)
+        # some line strictly between the first and last nonempty lines,
+        # inside the box, holds no point
+        inner = [pt[:-1] for pt in _brute_points((), (), lo, hi)
+                 if first < pt[:-1] < last]
+        assert set(inner) - prefixes
+    # one axis: the whole scan is one line
+    sys_ = (((1,), (-1,), (2,)), (7, 3, 20), (-5,), (10,))
+    assert kernels.scan_points(*sys_) == _brute_points(*sys_)
+    assert len(kernels.scan_points(*sys_)) == 11
 
 
 def _polytope_system(p):
@@ -107,6 +136,81 @@ def test_scan_undecomposed_agreement():
         if expect is not None:
             checked += 1
     assert checked
+
+
+def _pair_systems(p, q):
+    """(R, P, Q) systems of R = P + Q."""
+    return (_polytope_system(minkowski_sum(p, q)), _polytope_system(p),
+            _polytope_system(q))
+
+
+def _reference_cases():
+    rng = random.Random(67)
+    # long 2-d lines: the translated triangle pair fails at the second line
+    p, q = triangle_pair(1)
+    for tp, tq in (((0, 0), (0, 0)), ((3, -7), (-2, 5)), ((-1, 2), (4, 0))):
+        yield _pair_systems(translate(p, tp), translate(q, tq))
+    yield _pair_systems(q, p)
+    # thin triangles: few lines, each many points long
+    for _ in range(12):
+        tri = [from_v(VRep(((0, 0), (rng.randint(1, 3), rng.randint(5, 40)),
+                            (0, rng.randint(5, 40))), ()))
+               for _ in range(2)]
+        yield _pair_systems(*tri)
+    # 3-d polytope pairs (P, kP) and (P, Q), located and not
+    for _ in range(6):
+        p = random_polytope(rng, 3, rng.randint(1, 3))
+        yield _pair_systems(p, scale(p, rng.randint(1, 3)))
+        yield _pair_systems(p, random_polytope(rng, 3, 2))
+    # R with equality rows: fibers of a grading, one point per line
+    g, _, _ = boundary_grading()
+    degrees = [(2, 1), (1, 2), (4, 2), (9, 11), (20, 20), (30, 25), (25, 35)]
+    for u1 in degrees:
+        for u2 in degrees[2:5]:
+            u12 = tuple(a + b for a, b in zip(u1, u2))
+            yield tuple(_polytope_system(fiber(g, u))
+                        for u in (u12, u1, u2))
+    # P and Q boxes cut one step inside the rows at either end of the
+    # last axis
+    for _ in range(6):
+        p = random_polytope(rng, 2, 6)
+        q = rng.choice((random_polytope(rng, 2, 6), scale(p, 2)))
+        rsys, psys, qsys = _pair_systems(p, q)
+        for cut in _cut_boxes(psys):
+            if cut[2][:-1] == psys[2][:-1] and cut[3][:-1] == psys[3][:-1]:
+                yield rsys, cut, qsys
+        for cut in _cut_boxes(qsys):
+            if cut[2][:-1] == qsys[2][:-1] and cut[3][:-1] == qsys[3][:-1]:
+                yield rsys, psys, cut
+
+
+def test_scan_undecomposed_matches_reference(monkeypatch):
+    calls = [0]
+    plain = kernels.iter_points
+
+    def counted(*args):
+        calls[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(kernels, "iter_points", counted)
+    witnesses = 0
+    totals = [0, 0]
+    for rsys, psys, qsys in _reference_cases():
+        calls[0] = 0
+        expect = scan_undecomposed_ref(*rsys, *psys, *qsys)
+        # the reference's first call scans R; every later one is a search
+        ref_searches = calls[0] - 1
+        calls[0] = 0
+        got = kernels.scan_undecomposed(*rsys, *psys, *qsys)
+        assert got == expect
+        assert calls[0] <= ref_searches
+        witnesses += got is not None
+        totals[0] += ref_searches
+        totals[1] += calls[0]
+    assert witnesses
+    # run jumps alone search where the reference does; the neighbouring
+    # lines' splits must save some searches
+    assert totals[1] < totals[0], totals
 
 
 def test_huge_coefficients_are_exact():

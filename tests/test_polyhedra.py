@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_vertices, random_polytope, rank
+from conftest import from_v_ref, oracle_vertices, random_polytope, rank
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                             NotPointed, Unbounded)
 from normloc.exact import dot
@@ -54,6 +54,14 @@ def test_empty_system_raises():
 def test_line_raises_not_pointed():
     with pytest.raises(NotPointed):
         from_h(HRep((((0, -1), 0),)))
+
+
+@pytest.mark.parametrize("rays", [((1, 0), (-1, 0), (0, 1), (0, -1)),
+                                  ((1, 1), (-1, 0), (0, -1))])
+def test_rays_spanning_the_space_raise_not_pointed(rays):
+    # the first V-to-H pass finds no constraint row at all
+    with pytest.raises(NotPointed):
+        from_v(VRep(((0, 0),), rays))
 
 
 def test_unbounded_with_vertices():
@@ -206,3 +214,52 @@ def test_every_inequality_is_tight_on_a_vertex():
         assert from_h(p.h) == p
         flat += bool(p.h.equalities)
     assert flat >= 100
+
+
+def _random_vrep(rng):
+    """Vertex description in 1-4 dimensions with Fraction coordinates,
+    redundant points, often rays, and a flat set about a third of the
+    time (points and rays drawn in a random lattice subspace)."""
+    d = rng.randint(1, 4)
+    den = rng.choice((1, 1, 2, 3, 5))
+    k = rng.randint(0, d - 1) if rng.random() < 0.35 else d
+    base = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+    if k == d:
+        base = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    off = tuple(Fraction(rng.randint(-4, 4), den) for _ in range(d))
+    verts = [tuple(o + sum(Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                           * b[j] for b in base)
+                   for j, o in enumerate(off))
+             for _ in range(rng.randint(1, d + 3))]
+    # redundant points: midpoints of pairs and copies
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(verts), rng.choice(verts)
+        verts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    rays = []
+    if rng.random() < 0.4 and base:
+        # rays with nonnegative coefficients on the base: a pointed tail
+        for _ in range(rng.randint(1, 3)):
+            coef = [rng.randint(0, 2) for _ in base]
+            r = tuple(sum(c * b[j] for c, b in zip(coef, base))
+                      for j in range(d))
+            if any(r):
+                rays.append(r)
+    return VRep(tuple(verts), tuple(rays))
+
+
+def test_from_v_matches_three_pass_reference():
+    rng = random.Random(101)
+    kinds = {"full": 0, "flat": 0, "rays": 0}
+    for _ in range(450):
+        rep = _random_vrep(rng)
+        try:
+            expect = from_v_ref(rep)
+        except NormlocError as exc:
+            with pytest.raises(type(exc)):
+                from_v(rep)
+            continue
+        got = from_v(rep)
+        assert got == expect and repr(got) == repr(expect)
+        kinds["flat" if got.h.equalities else "full"] += 1
+        kinds["rays"] += bool(got.v.rays)
+    assert min(kinds.values()) >= 60, kinds
