@@ -168,15 +168,19 @@ def support(f: Fan) -> Cone:
 
 
 def is_face(f: Cone, c: Cone) -> bool:
-    """Whether f is a face of c (f must already be contained in c)."""
+    """Whether f is a face of c (f must already be contained in c).
+
+    The face of c on the normals tight on f is lin(c.lines) + cone(c's
+    tight rays) and holds f; f is it iff f has c's lines and tight rays.
+    """
     if not cone_contains(c, f):
         return False
     tight = [n for n in c.ineq_normals
-             if all(dot(n, r) == 0 for r in f.rays)
-             and all(dot(n, ln) == 0 for ln in f.lines)]
-    carved = cone_from_h(c.dim, ineqs=c.ineq_normals,
-                         eqs=c.eq_normals + tuple(tight))
-    return carved == f
+             if all(dot(n, g) == 0 for g in f.rays + f.lines)]
+    return (all(dot(n, ln) == 0 for ln in c.lines
+                for n in f.eq_normals + f.ineq_normals)
+            and all(f.contains_point(r) for r in c.rays
+                    if all(dot(n, r) == 0 for n in tight)))
 
 
 def is_fan(f: Fan) -> bool:

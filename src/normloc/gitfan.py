@@ -32,9 +32,9 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
 from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
                     identity_matrix, kernel_lattice_basis, primitive,
                     transpose)
-from .fans import (Cone, Fan, cone_from_generators, cone_from_h,
-                   common_refinement, fan_from_cones, is_fan, normal_fan,
-                   refines, relative_interior_contains, support)
+from .fans import (Cone, common_refinement, cone_contains,
+                   cone_from_generators, cone_from_h, fan_from_cones, is_fan,
+                   normal_fan, refines, relative_interior_contains, support)
 from .latpoints import (LocationReport, VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                         VERDICT_VERIFIED_UP_TO, _located_over,
                         normally_located)
@@ -175,14 +175,8 @@ def git_cone(g: GradedProjection, u) -> Cone:
     therefore intersections of simplicial cones, in particular pointed.
     """
     u = _require_in_cone(g, u)
-    return _git_cone_cached(g, u)
-
-
-@lru_cache(maxsize=4096)
-def _git_cone_cached(g: GradedProjection, u) -> Cone:
-    f = _fiber_cached(g, u)
     supports = sorted({tuple(i for i, x in enumerate(v) if x != 0)
-                       for v in f.v.vertices})
+                       for v in _fiber_cached(g, u).v.vertices})
     # each vertex-support cone enters only through its constraint rows;
     # the one cone_from_h canonicalizes their intersection
     rows = [dd.constraints_from_generators(g.m, (),
@@ -194,14 +188,15 @@ def _git_cone_cached(g: GradedProjection, u) -> Cone:
 
 @dataclass(frozen=True)
 class GitFan:
+    grading: GradedProjection
     weight_cone: Cone
-    orbit_cones: tuple
     git_cones: tuple
     fan_verified: bool
 
     @property
-    def fan(self) -> Fan:
-        return Fan(self.weight_cone.dim, self.git_cones)
+    def orbit_cones(self):
+        """All orbit cones of the grading, enumerated when read."""
+        return orbit_cones(self.grading)
 
     def to_dict(self):
         return {"weight_cone": self.weight_cone.to_dict(),
@@ -226,34 +221,37 @@ def _wall_normals(g: GradedProjection):
 def git_fan(g: GradedProjection) -> GitFan:
     """The fan of all GIT cones, covering the weight cone.
 
-    The weight cone is cut into chambers along every hyperplane spanned by
-    m-1 weights; orbit cones are bounded by such hyperplanes, so each
-    chamber lies in a single GIT cone, namely the one of any of its interior
-    points.  The result is cross-checked (pairwise intersections are faces,
-    union has the right conic hull) and the outcome recorded in
-    fan_verified rather than trusted.
+    The weight cone is cut into cells along every hyperplane spanned by
+    m-1 weights that crosses them; orbit cones are bounded by such
+    hyperplanes, so each cell lies in a single GIT cone, namely the one of
+    any of its interior points, and a cell inside a chamber already found
+    is skipped.  The result is cross-checked (pairwise intersections are
+    faces, union has the right conic hull) and the outcome recorded in
+    fan_verified rather than trusted.  Orbit cones are computed when read.
     """
-    orb = orbit_cones(g)
     wc = weight_cone(g)
     cells = {wc}
     for nrm in _wall_normals(g):
-        neg = tuple(-x for x in nrm)
         nxt = set()
         for cell in cells:
-            for side in (nrm, neg):
-                piece = cone_from_h(g.m, ineqs=cell.ineq_normals + (side,),
-                                    eqs=cell.eq_normals)
-                if piece.span_dim == wc.span_dim:
-                    nxt.add(piece)
+            signs = {dot(nrm, r) > 0 for r in cell.rays if dot(nrm, r)}
+            if len(signs) < 2 and not any(dot(nrm, ln) for ln in cell.lines):
+                nxt.add(cell)
+                continue
+            for side in (nrm, tuple(-x for x in nrm)):
+                nxt.add(cone_from_h(g.m, ineqs=cell.ineq_normals + (side,),
+                                    eqs=cell.eq_normals))
         cells = nxt
-    chambers = set()
+    chambers = []
     for cell in sorted(cells, key=Cone.sort_key):
+        if any(cone_contains(ch, cell) for ch in chambers):
+            continue
         sample = tuple(sum(col) for col in zip(*cell.rays)) if cell.rays \
             else (0,) * g.m
-        chambers.add(git_cone(g, sample))
+        chambers.append(git_cone(g, sample))
     fan = fan_from_cones(g.m, chambers)
     verified = support(fan) == wc and is_fan(fan)
-    return GitFan(wc, orb, fan.maximal_cones, verified)
+    return GitFan(g, wc, fan.maximal_cones, verified)
 
 
 def fiber_sum_exact(g: GradedProjection, u1, u2) -> bool:

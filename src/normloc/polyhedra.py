@@ -152,12 +152,12 @@ def from_h(h: HRep) -> Polyhedron:
 def from_v(v: VRep) -> Polyhedron:
     """Polyhedron of a vertex description (at least one vertex required).
 
-    Raises NotPointed when the rays' cone contains a line.  A
-    full-dimensional set's facets from the first V-to-H pass are already
-    canonical (primitive, irredundant, sorted) and are kept.  A
-    lower-dimensional set's facet normals are fixed only modulo its
-    equalities, so it goes through ``from_h``, which derives them again
-    from the canonical vertices.
+    Raises NotPointed when the rays' cone contains a line.  One V-to-H
+    pass is canonical, flat sets included: the polar DD starts from
+    identity lines and pivots on the first line meeting each new row, so
+    its rays vanish on the columns where the generators gain no rank, and
+    a facet normal's representative modulo the equalities depends only on
+    the span of the homogenized generators, that is on aff(P).
     """
     if not v.vertices:
         raise NormlocError("a polyhedron needs at least one vertex")
@@ -169,11 +169,9 @@ def from_v(v: VRep) -> Polyhedron:
         raise NormlocError("a vertex needs at least one coordinate")
     v = vrep(v.vertices, v.rays)
     ineqs, eqs = _v_to_h(d, v.vertices, v.rays)
-    if eqs:
-        return from_h(HRep(tuple(ineqs), tuple(eqs)))
-    if not ineqs:
+    if not ineqs and not eqs:
         raise NotPointed("the rays span the whole space; no vertex exists")
-    h = HRep(tuple(ineqs), ())
+    h = HRep(tuple(ineqs), tuple(eqs))
     verts, rec = _h_to_v(d, h)
     return Polyhedron(d, h, VRep(tuple(verts), tuple(rec)))
 

@@ -15,6 +15,11 @@ intersection.
 The per-point lattice scan (``scan_undecomposed_ref``) is the reference
 for the line-at-a-time ``kernels.scan_undecomposed``, and the three-pass
 ``from_v_ref`` for the ``from_v`` that reuses its first facets.
+``is_face_ref`` decides faces by carving c with a canonical ``cone_from_h``
+and comparing, and ``git_fan_ref`` splits every cell along every wall,
+builds one GIT cone per cell (by ``git_cone_ref``) and enumerates the orbit
+cones eagerly; they are the references for ``fans.is_face`` and
+``gitfan.git_fan``.
 """
 
 import random
@@ -26,9 +31,11 @@ from normloc import kernels
 from normloc.errors import NormlocError, Unbounded
 from normloc.exact import (IMat, IVec, dot, identity_matrix, primitive,
                            transpose)
-from normloc.fans import (Cone, cone_from_generators, cone_from_h,
-                          intersect_cones)
-from normloc.gitfan import GradedProjection, _fiber_cached
+from normloc.fans import (Cone, cone_contains, cone_from_generators,
+                          cone_from_h, fan_from_cones, intersect_cones,
+                          support)
+from normloc.gitfan import (GradedProjection, _fiber_cached, _wall_normals,
+                            orbit_cones, weight_cone)
 from normloc.latpoints import LatticePointSet
 from normloc.polyhedra import (HRep, Polyhedron, VRep, _v_to_h, from_h,
                                from_v, vrep)
@@ -314,6 +321,57 @@ def git_cone_ref(g: GradedProjection, u) -> Cone:
     return cone_from_h(g.m,
                        ineqs=[n for c in cones for n in c.ineq_normals],
                        eqs=[n for c in cones for n in c.eq_normals])
+
+
+def is_face_ref(f: Cone, c: Cone) -> bool:
+    """Whether f is a face of c: c carved by the normals tight on f is f."""
+    if not cone_contains(c, f):
+        return False
+    tight = [n for n in c.ineq_normals
+             if all(dot(n, r) == 0 for r in f.rays)
+             and all(dot(n, ln) == 0 for ln in f.lines)]
+    carved = cone_from_h(c.dim, ineqs=c.ineq_normals,
+                         eqs=c.eq_normals + tuple(tight))
+    return carved == f
+
+
+def git_fan_ref(g: GradedProjection):
+    """``to_dict()`` of the GIT fan: every cell split along every wall,
+    lower-dimensional pieces dropped, one GIT cone per cell, pairwise
+    intersections checked by ``is_face_ref``."""
+    wc = weight_cone(g)
+    cells = {wc}
+    for nrm in _wall_normals(g):
+        neg = tuple(-x for x in nrm)
+        nxt = set()
+        for cell in cells:
+            for side in (nrm, neg):
+                piece = cone_from_h(g.m, ineqs=cell.ineq_normals + (side,),
+                                    eqs=cell.eq_normals)
+                if piece.span_dim == wc.span_dim:
+                    nxt.add(piece)
+        cells = nxt
+    chambers = set()
+    for cell in sorted(cells, key=Cone.sort_key):
+        sample = tuple(sum(col) for col in zip(*cell.rays)) if cell.rays \
+            else (0,) * g.m
+        chambers.add(git_cone_ref(g, sample))
+    fan = fan_from_cones(g.m, chambers)
+    verified = support(fan) == wc and is_fan_ref(fan.maximal_cones)
+    return {"weight_cone": wc.to_dict(),
+            "orbit_cones": [c.to_dict() for c in orbit_cones(g)],
+            "git_cones": [c.to_dict() for c in fan.maximal_cones],
+            "fan_verified": verified}
+
+
+def is_fan_ref(cones) -> bool:
+    """Pairwise intersections are faces of both cones, by ``is_face_ref``."""
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            cap = intersect_cones(cones[i], cones[j])
+            if not (is_face_ref(cap, cones[i]) and is_face_ref(cap, cones[j])):
+                return False
+    return True
 
 
 def from_v_ref(v: VRep) -> Polyhedron:

@@ -184,3 +184,14 @@ def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_gitfan_over_the_subset_cap_exits_2(files, capsys):
+    # the fan itself is computed; the report's orbit cones are not
+    wide = files("wide.json",
+                 {"weights": [[1, i] for i in range(21)] + [[21, 1]]})
+    assert main(["gitfan", "--input", wide]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

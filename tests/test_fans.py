@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_polytope
+from conftest import is_face_ref, random_polytope
 from normloc.errors import SupportMismatch
 from normloc.fans import (Cone, Fan, common_refinement, cone_contains,
                           cone_from_generators, cone_from_h, dual_cone,
@@ -56,6 +56,57 @@ def test_intersection_and_faces():
     diag = cone_from_generators(2, rays=((1, 1),))
     assert cone_contains(quad, diag)
     assert not is_face(diag, quad)
+
+
+def test_quadrant_is_no_face_of_half_plane():
+    # the half-plane's line lies in the quadrant only one way round, so a
+    # test that checks +l alone would call the quadrant a face
+    half = cone_from_generators(2, rays=((0, 1),), lines=((1, 0),))
+    quad = cone_from_generators(2, rays=((1, 0), (0, 1)))
+    assert cone_contains(half, quad)
+    assert is_face(quad, half) is False
+    assert is_face_ref(quad, half) is False
+    assert is_face(half, half)
+    assert is_face(cone_from_generators(2, lines=((1, 0),)), half)
+
+
+def _face_pair(rng):
+    """A cone c, often with lines, and a cone f that is a carved face of c,
+    a subcone from c's generators, c cut by a random cone, or any cone."""
+    dim = rng.randint(1, 4)
+
+    def vecs(k):
+        return [tuple(rng.randint(-2, 2) for _ in range(dim))
+                for _ in range(k)]
+
+    c = cone_from_generators(dim, rays=vecs(rng.randint(0, 4)),
+                             lines=vecs(rng.choice((0, 1, 1, 2))))
+    kind = rng.randrange(4)
+    if kind == 0:
+        pick = tuple(n for n in c.ineq_normals if rng.random() < 0.5)
+        return cone_from_h(dim, ineqs=c.ineq_normals,
+                           eqs=c.eq_normals + pick), c
+    if kind == 1:
+        gens = list(c.rays) + [tuple(s * x for x in ln)
+                               for ln in c.lines for s in (1, -1)]
+        return cone_from_generators(
+            dim, rays=[g for g in gens if rng.random() < 0.6],
+            lines=[ln for ln in c.lines if rng.random() < 0.4]), c
+    other = cone_from_generators(dim, rays=vecs(rng.randint(0, 3)),
+                                 lines=vecs(rng.choice((0, 0, 1))))
+    return (intersect_cones(c, other) if kind == 2 else other), c
+
+
+def test_is_face_matches_carving_reference():
+    rng = random.Random(2024)
+    seen = {"lines": 0, "face": 0, "not_face": 0}
+    for _ in range(2400):
+        f, c = _face_pair(rng)
+        got = is_face(f, c)
+        assert got == is_face_ref(f, c), (f, c)
+        seen["lines"] += bool(c.lines)
+        seen["face" if got else "not_face"] += 1
+    assert min(seen.values()) >= 600, seen
 
 
 def test_relative_interior():

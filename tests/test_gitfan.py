@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import git_cone_ref, random_polytope
+from conftest import git_cone_ref, git_fan_ref, random_polytope
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, NormlocError, NotFullDimensional,
                             NotLattice, RealizationError, SubsetCapExceeded,
@@ -40,6 +41,10 @@ def test_graded_projection_validation():
         fiber(g, (4.5, 2))                      # non-integral degree
 
 
+# 22 weights: over the subset cap, yet its GIT fan needs no orbit cones
+WIDE = graded_projection(tuple((1, i) for i in range(21)) + ((21, 1),))
+
+
 def test_weight_cone_and_orbit_cones():
     g, _, _ = boundary_grading()
     wc = weight_cone(g)
@@ -50,9 +55,17 @@ def test_weight_cone_and_orbit_cones():
     assert wc in orb
     for c in orb:
         assert all(wc.contains_point(r) for r in c.rays)
-    wide = graded_projection(tuple((1, i) for i in range(21)) + ((21, 1),))
     with pytest.raises(SubsetCapExceeded):
-        orbit_cones(wide)
+        orbit_cones(WIDE)
+
+
+def test_git_fan_of_wide_grading_defers_orbit_cones():
+    gf = git_fan(WIDE)
+    assert gf.fan_verified
+    assert gf.weight_cone.rays == ((1, 0), (1, 20))
+    assert len(gf.git_cones) == 21     # one between neighbouring weight rays
+    with pytest.raises(SubsetCapExceeded):
+        gf.orbit_cones
 
 
 def test_fiber_polytopes():
@@ -104,6 +117,34 @@ def test_git_fan_chambers():
     d = gf.to_dict()
     assert d["fan_verified"] is True
     assert len(d["git_cones"]) == 3
+
+
+def _random_grading(rng):
+    """m = 1-3, up to m + 3 weights, often negative entries (and so often
+    weight cones with lines)."""
+    while True:
+        m = rng.choice((1, 2, 2, 3))
+        lo = rng.choice((0, -1, -2))
+        ws = tuple(tuple(rng.randint(lo, 3) for _ in range(m))
+                   for _ in range(rng.randint(m, m + 3)))
+        try:
+            return graded_projection(ws)
+        except NormlocError:
+            continue
+
+
+def test_git_fan_matches_every_cell_reference():
+    rng = random.Random(7)
+    seen = {"m1": 0, "negative": 0, "lines": 0}
+    for _ in range(160):
+        g = _random_grading(rng)
+        got = git_fan(g)
+        assert json.dumps(got.to_dict()) == json.dumps(git_fan_ref(g)), g
+        assert got.fan_verified
+        seen["m1"] += g.m == 1
+        seen["negative"] += any(x < 0 for w in g.weights for x in w)
+        seen["lines"] += bool(got.weight_cone.lines)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_git_fan_m1():
