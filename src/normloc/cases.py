@@ -16,9 +16,7 @@ def triangle_pair(k: int = 1):
     """The plane triangles (kP, kQ) with P, Q spanned as below."""
     p = from_v(VRep(((165, 0), (175, 0), (0, 385)), ()))
     q = from_v(VRep(((0, 0), (35, 0), (0, 77)), ()))
-    if k != 1:
-        p, q = scale(p, k), scale(q, k)
-    return p, q
+    return scale(p, k), scale(q, k)
 
 
 def boundary_grading():

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dd
-from .errors import SupportMismatch, ZeroVector
+from .errors import DimensionMismatch, SupportMismatch
 from .exact import IMat, dot, primitive, project_off, saturated_basis
 
 
@@ -67,7 +67,7 @@ def _clean(dim, vectors):
     for v in vectors:
         v = tuple(v)
         if len(v) != dim:
-            raise ZeroVector(f"expected vectors of length {dim}")
+            raise DimensionMismatch(f"expected vectors of length {dim}")
         if any(v):
             out.append(primitive(v))
     return out

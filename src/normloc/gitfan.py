@@ -36,11 +36,10 @@ from .fans import (Cone, common_refinement, cone_contains,
                    cone_from_generators, cone_from_h, fan_from_cones, is_fan,
                    normal_fan, refines, relative_interior_contains, support)
 from .latpoints import (LocationReport, VERDICT_LOCATED, VERDICT_NOT_LOCATED,
-                        VERDICT_VERIFIED_UP_TO, _located_over,
-                        normally_located)
+                        VERDICT_VERIFIED_UP_TO, _located_over)
 from .polyhedra import (HRep, Polyhedron, VRep, from_h, from_v,
                         minkowski_sum, scale, translate)
-from .reps import NO_DECOMPOSITION, NOT_IN_SUM
+from .reps import NOT_IN_SUM, Witness
 
 VERDICT_EXHAUSTED = "exhausted"
 
@@ -268,23 +267,21 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
 
     Stronger than normal location of the pair: a witness can lie outside
     P(u1) + P(u2) entirely (kind "not_in_sum") or inside it but without a
-    lattice split (kind "no_decomposition").
+    lattice split (kind "no_decomposition").  The scan reports every
+    witness as no_decomposition; one outside the sum is relabelled here.
     """
     u1 = _require_in_cone(g, u1)
     u2 = _require_in_cone(g, u2)
     u12 = tuple(a + b for a, b in zip(u1, u2))
     f1 = fiber(g, u1)
     f2 = fiber(g, u2)
-    f12 = fiber(g, u12)
-
-    def classify(z):
-        return (NO_DECOMPOSITION if minkowski_sum(f1, f2).contains(z)
-                else NOT_IN_SUM)
-
-    report = _located_over(f12, f1, f2, window, classify)
+    report = _located_over(fiber(g, u12), f1, f2, window)
+    witness = report.witness
+    if witness and not minkowski_sum(f1, f2).contains(witness.point):
+        witness = Witness(witness.point, NOT_IN_SUM)
     checked = dict(report.checked)
     checked["u1"], checked["u2"] = list(u1), list(u2)
-    return LocationReport(report.verdict, report.witness, checked)
+    return LocationReport(report.verdict, witness, checked)
 
 
 def _multiple_sweep(k_max: int, s_max: int, step):
@@ -478,9 +475,11 @@ def located_multiple_search(q1: Polyhedron, q2: Polyhedron,
     supports raise SupportMismatch.
     """
     ok = refines(normal_fan(q1), normal_fan(q2))
+    total = minkowski_sum(q1, q2)
 
     def step(k, s):
-        return normally_located(scale(q1, s * k), scale(q2, s * k))
+        return _located_over(scale(total, s * k), scale(q1, s * k),
+                             scale(q2, s * k))
 
     rep = _multiple_sweep(k_max, s_max, step)
     return LocationReport(rep.verdict, rep.witness,

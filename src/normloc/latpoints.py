@@ -186,14 +186,14 @@ def decompose(z, p: Polyhedron, q: Polyhedron):
 
 
 def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
-                  window=None, classify=None) -> LocationReport:
+                  window=None) -> LocationReport:
     """Location engine: split every lattice point of R over (P, Q).
 
-    R is the ambient set whose points must split; callers pass P + Q for the
-    normal-location check, or a possibly larger set (then a witness may lie
-    outside the sum, and ``classify`` decides its kind).  Bounded or not,
-    the check is one kernel scan over R's points in the window, with the
-    split boxes of P and Q taken once for the whole window.
+    R is the ambient set whose points must split: P + Q for the
+    normal-location check, or a possibly larger set.  A witness is reported
+    as no_decomposition.  Bounded or not, the check is one kernel scan over
+    R's points in the window, with the split boxes of P and Q taken once
+    for the whole window.
     """
     bounded = not r.v.rays
     if window is None:
@@ -220,8 +220,8 @@ def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
     if z is None:
         verdict = VERDICT_LOCATED if full else VERDICT_VERIFIED_UP_TO
         return LocationReport(verdict, None, checked)
-    kind = classify(z) if classify else NO_DECOMPOSITION
-    return LocationReport(VERDICT_NOT_LOCATED, Witness(z, kind), checked)
+    return LocationReport(VERDICT_NOT_LOCATED, Witness(z, NO_DECOMPOSITION),
+                          checked)
 
 
 def normally_located(p: Polyhedron, q: Polyhedron,
@@ -245,7 +245,8 @@ def is_normal(p: Polyhedron, s_max: int) -> LocationReport:
     failing s the two notions coincide: scales below s hold, so a splitting
     of a point of sP into s lattice points of P would in particular give a
     split over (s-1)P and P by grouping, and conversely.  The witness is
-    therefore a genuine normality failure at its scale.
+    therefore a genuine normality failure at its scale.  As P is convex,
+    R = (s-1)P + P is sP, one scale of P; step s reuses step s-1's R.
     """
     if not isinstance(s_max, int) or s_max < 1:
         raise NormlocError(f"s_max must be a positive integer: {s_max}")
@@ -253,8 +254,10 @@ def is_normal(p: Polyhedron, s_max: int) -> LocationReport:
         raise Unbounded("normality is checked for bounded polytopes")
     if not p.is_lattice():
         raise NotLattice("normality needs integral vertices")
+    r = p
     for s in range(2, s_max + 1):
-        step = normally_located(scale(p, s - 1), p)
+        prev, r = r, scale(p, s)
+        step = _located_over(r, prev, p)
         if step.verdict == VERDICT_NOT_LOCATED:
             w = Witness(step.witness.point, NORMALITY_FAILURE, scale=s)
             return LocationReport(VERDICT_NOT_LOCATED, w, {"scale": s})

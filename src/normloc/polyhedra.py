@@ -57,28 +57,21 @@ class Polyhedron:
         return sum(1 for row in hermite_normal_form(tuple(rows)) if any(row))
 
 
-def hrep(inequalities, equalities=()) -> HRep:
-    """Coerce rows (normal, rhs) into canonical scaling."""
-    def row(n, b):
-        if not any(n):
-            raise ZeroVector("constraint with zero normal")
-        p = primitive(n)
-        j = next(i for i, x in enumerate(p) if x != 0)
-        return p, Fraction(b) * p[j] / n[j]
-
-    return HRep(tuple(row(n, b) for n, b in inequalities),
-                tuple(row(n, b) for n, b in equalities))
-
-
 def vrep(vertices, rays=()) -> VRep:
     verts = tuple(tuple(Fraction(x) for x in v) for v in vertices)
     return VRep(verts, tuple(primitive(r) for r in rays))
 
 
 def _homogenize_h(d, h: HRep):
-    """Integer constraint rows for the cone {(x, t) : t >= 0, x/t in P}."""
-    ineqs = [primitive(n + (-b,)) for n, b in h.inequalities]
-    eqs = [primitive(n + (-b,)) for n, b in h.equalities]
+    """Rows for the cone {(x, t) : t >= 0, x/t in P}: one primitive(n, -b)
+    per row (n, b), which no positive rescaling of the row changes."""
+    def row(n, b):
+        if not any(n):
+            raise ZeroVector("constraint with zero normal")
+        return primitive(tuple(n) + (-Fraction(b),))
+
+    ineqs = [row(n, b) for n, b in h.inequalities]
+    eqs = [row(n, b) for n, b in h.equalities]
     ineqs.append((0,) * d + (-1,))
     return eqs, ineqs
 
@@ -142,7 +135,6 @@ def from_h(h: HRep) -> Polyhedron:
     d = len(rows[0][0])
     if any(len(n) != d for n, _ in rows):
         raise DimensionMismatch("constraint normals of mixed lengths")
-    h = hrep(h.inequalities, h.equalities)
     verts, rec = _h_to_v(d, h)
     ineqs, eqs = _v_to_h(d, verts, rec)
     return Polyhedron(d, HRep(tuple(ineqs), tuple(eqs)),
@@ -187,9 +179,11 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 
 
 def scale(p: Polyhedron, k: int) -> Polyhedron:
-    """The dilation k * P for a positive integer k."""
+    """The dilation k * P for a positive integer k (P itself for k = 1)."""
     if not isinstance(k, int) or k < 1:
         raise NormlocError(f"scale factor must be a positive integer: {k}")
+    if k == 1:
+        return p
     verts = tuple(tuple(k * x for x in v) for v in p.v.vertices)
     return from_v(VRep(verts, p.v.rays))
 

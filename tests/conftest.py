@@ -20,6 +20,11 @@ and comparing, and ``git_fan_ref`` splits every cell along every wall,
 builds one GIT cone per cell (by ``git_cone_ref``) and enumerates the orbit
 cones eagerly; they are the references for ``fans.is_face`` and
 ``gitfan.git_fan``.
+``is_normal_ref`` and ``located_multiple_search_ref`` build each dilated
+sum as a Minkowski sum of freshly scaled copies through
+``normally_located``, and ``from_h_ref`` rescales every row to a primitive
+normal (``hrep``) before the H-to-V pass; they are the references for the
+versions that scale a sum once and normalize each row once.
 """
 
 import random
@@ -28,17 +33,21 @@ from itertools import combinations, product
 from math import ceil, floor
 
 from normloc import kernels
-from normloc.errors import NormlocError, Unbounded
+from normloc.errors import (DimensionMismatch, NormlocError, NotLattice,
+                            Unbounded, ZeroVector)
 from normloc.exact import (IMat, IVec, dot, identity_matrix, primitive,
                            transpose)
 from normloc.fans import (Cone, cone_contains, cone_from_generators,
                           cone_from_h, fan_from_cones, intersect_cones,
-                          support)
-from normloc.gitfan import (GradedProjection, _fiber_cached, _wall_normals,
-                            orbit_cones, weight_cone)
-from normloc.latpoints import LatticePointSet
-from normloc.polyhedra import (HRep, Polyhedron, VRep, _v_to_h, from_h,
-                               from_v, vrep)
+                          normal_fan, refines, support)
+from normloc.gitfan import (GradedProjection, _fiber_cached, _multiple_sweep,
+                            _wall_normals, orbit_cones, weight_cone)
+from normloc.latpoints import (LatticePointSet, LocationReport,
+                               VERDICT_NOT_LOCATED, VERDICT_VERIFIED_UP_TO,
+                               normally_located)
+from normloc.polyhedra import (HRep, Polyhedron, VRep, _h_to_v, _v_to_h,
+                               from_h, from_v, scale, vrep)
+from normloc.reps import NORMALITY_FAILURE, Witness
 
 
 def rank(rows) -> int:
@@ -415,3 +424,61 @@ def scan_undecomposed_ref(rcoeffs, rrhs, rlo, rhi,
             return z
         split = zp, tuple(a - b for a, b in zip(z, zp))
     return None
+
+
+def hrep(inequalities, equalities=()) -> HRep:
+    """Coerce rows (normal, rhs) into canonical scaling."""
+    def row(n, b):
+        if not any(n):
+            raise ZeroVector("constraint with zero normal")
+        p = primitive(n)
+        j = next(i for i, x in enumerate(p) if x != 0)
+        return p, Fraction(b) * p[j] / n[j]
+
+    return HRep(tuple(row(n, b) for n, b in inequalities),
+                tuple(row(n, b) for n, b in equalities))
+
+
+def from_h_ref(h: HRep) -> Polyhedron:
+    """from_h with every row rescaled by ``hrep`` before the H-to-V pass."""
+    rows = tuple(h.inequalities) + tuple(h.equalities)
+    if not rows:
+        raise NormlocError("empty constraint system")
+    d = len(rows[0][0])
+    if any(len(n) != d for n, _ in rows):
+        raise DimensionMismatch("constraint normals of mixed lengths")
+    h = hrep(h.inequalities, h.equalities)
+    verts, rec = _h_to_v(d, h)
+    ineqs, eqs = _v_to_h(d, verts, rec)
+    return Polyhedron(d, HRep(tuple(ineqs), tuple(eqs)),
+                      VRep(tuple(verts), tuple(rec)))
+
+
+def is_normal_ref(p: Polyhedron, s_max: int) -> LocationReport:
+    """is_normal with scale s checked as normally_located((s-1)P, P)."""
+    if not isinstance(s_max, int) or s_max < 1:
+        raise NormlocError(f"s_max must be a positive integer: {s_max}")
+    if p.v.rays:
+        raise Unbounded("normality is checked for bounded polytopes")
+    if not p.is_lattice():
+        raise NotLattice("normality needs integral vertices")
+    for s in range(2, s_max + 1):
+        step = normally_located(scale(p, s - 1), p)
+        if step.verdict == VERDICT_NOT_LOCATED:
+            w = Witness(step.witness.point, NORMALITY_FAILURE, scale=s)
+            return LocationReport(VERDICT_NOT_LOCATED, w, {"scale": s})
+    return LocationReport(VERDICT_VERIFIED_UP_TO, None, {"s_max": s_max})
+
+
+def located_multiple_search_ref(q1: Polyhedron, q2: Polyhedron,
+                                k_max: int, s_max: int) -> LocationReport:
+    """located_multiple_search with each step a fresh normally_located of
+    the two scaled copies (their Minkowski sum rebuilt every step)."""
+    ok = refines(normal_fan(q1), normal_fan(q2))
+
+    def step(k, s):
+        return normally_located(scale(q1, s * k), scale(q2, s * k))
+
+    rep = _multiple_sweep(k_max, s_max, step)
+    return LocationReport(rep.verdict, rep.witness,
+                          {**rep.checked, "refines": ok})

@@ -172,9 +172,15 @@ def test_error_exits(files, capsys, tmp_path):
     ("normal-fan", {"vertices": [[0, 0]],
                     "rays": [[1, 1], [-1, 0], [0, -1]]}, ()),
     ("normal-fan", {"vertices": [[]]}, ()),
+    ("located-check", {"inequalities": [{"normal": [-1, 0], "rhs": 0},
+                                        {"normal": [0, -1], "rhs": 0},
+                                        {"normal": [1, 1], "rhs": 1},
+                                        {"normal": [0, 0], "rhs": 1}]},
+     ()),
 ], ids=["json-list", "zero-denominator", "bad-vector", "bad-window",
-        "inverted-window", "grading-list", "float-weight", "float-ray", "inf-vertex", "inf-rhs",
-        "spanning-rays", "empty-vertex"])
+        "inverted-window", "grading-list", "float-weight", "float-ray",
+        "inf-vertex", "inf-rhs", "spanning-rays", "empty-vertex",
+        "zero-normal"])
 def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     path = files("in.json", poly)
     inputs = ("--input", path) * (2 if command == "located-check" else 1)

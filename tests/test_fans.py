@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import is_face_ref, random_polytope
-from normloc.errors import SupportMismatch
+from normloc.errors import DimensionMismatch, SupportMismatch
 from normloc.fans import (Cone, Fan, common_refinement, cone_contains,
                           cone_from_generators, cone_from_h, dual_cone,
                           fan_from_cones, intersect_cones,
@@ -185,3 +185,14 @@ def test_normal_fan_of_unbounded_polyhedron():
     # single vertex: one maximal cone, the dual of the tail
     assert len(f.maximal_cones) == 1
     assert f.maximal_cones[0].rays == ((-1, 0), (0, -1))
+
+
+def test_generators_of_wrong_length_raise_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        cone_from_generators(2, rays=[(1, 0, 0)])
+    with pytest.raises(DimensionMismatch):
+        cone_from_generators(2, lines=[(1,)])
+    with pytest.raises(DimensionMismatch):
+        cone_from_h(2, ineqs=[(1, 0, 0)])
+    with pytest.raises(DimensionMismatch):
+        cone_from_h(2, eqs=[(1,)])

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import git_cone_ref, git_fan_ref, random_polytope
+from conftest import (git_cone_ref, git_fan_ref, located_multiple_search_ref,
+                      random_polytope)
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, NormlocError, NotFullDimensional,
                             NotLattice, RealizationError, SubsetCapExceeded,
@@ -334,3 +335,48 @@ def test_located_multiple_search_k_sweep():
     assert rep.verdict == "exhausted"
     assert rep.checked == {"k_max": 1, "s_max": 1,
                            "failures": [[1, 1, [1, 383]]], "refines": False}
+
+
+def _search_outcome(search, q1, q2, k_max, s_max):
+    try:
+        return search(q1, q2, k_max, s_max).to_dict()
+    except NormlocError as exc:
+        return type(exc)
+
+
+def test_located_multiple_search_matches_reference():
+    # refining pairs Q1 = Q2 + R, unrelated pairs, crossing lattice segments
+    # (never located at any multiple: exhausted), Reeve pairs, and a pair
+    # with rays, on which both raise Unbounded
+    rng = random.Random(67)
+    pairs = []
+    for _ in range(12):
+        q2 = random_polytope(rng, 2, 3)
+        pairs.append((minkowski_sum(q2, random_polytope(rng, 2, 2)), q2))
+        pairs.append((random_polytope(rng, 2, 3), random_polytope(rng, 2, 3)))
+    for _ in range(6):
+        q2 = random_polytope(rng, 3, 1)
+        pairs.append((minkowski_sum(q2, random_polytope(rng, 3, 1)), q2))
+        pairs.append((random_polytope(rng, 3, 1), random_polytope(rng, 3, 1)))
+    for _ in range(6):
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        x, y = rng.randint(0, 2), rng.randint(-2, 2)
+        pairs.append((from_v(VRep(((x, y), (x + 1, y + 2 * a - 1)), ())),
+                      from_v(VRep(((0, 0), (1, 1 - 2 * b)), ()))))
+    reeve = from_v(VRep(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)), ()))
+    pairs += [(reeve, reeve), (reeve, scale(reeve, 2))]
+    ray = from_v(VRep(((0, 0),), ((1, 0), (0, 1))))
+    pairs.append((ray, ray))
+    verdicts = {"verified_up_to": 0, "exhausted": 0}
+    refining = set()
+    for q1, q2 in pairs:
+        k_max = rng.randint(1, 2)
+        s_max = rng.randint(1, 3 if q1.dim == 2 else 2)
+        got = _search_outcome(located_multiple_search, q1, q2, k_max, s_max)
+        assert got == _search_outcome(located_multiple_search_ref, q1, q2,
+                                      k_max, s_max), (q1, q2)
+        if isinstance(got, dict):
+            verdicts[got["verdict"]] += 1
+            refining.add(got["checked"]["refines"])
+    assert len(pairs) >= 40
+    assert min(verdicts.values()) >= 5 and refining == {False, True}, verdicts

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (box_of, decompose_unbounded_guard_ref, lattice_sum,
-                      oracle_points, oracle_split, oracle_sums,
+from conftest import (box_of, decompose_unbounded_guard_ref, is_normal_ref,
+                      lattice_sum, oracle_points, oracle_split, oracle_sums,
                       oracle_window_points, random_polytope)
 from normloc.errors import NotLattice, NormlocError, Unbounded
 from normloc.gitfan import fiber, fiber_point_sum_exact, graded_projection
@@ -365,3 +365,40 @@ def test_is_normal_matches_oracle_on_random_polygons():
                        if z not in set(level)]
             assert not missing
         assert rep.verdict == "verified_up_to"
+
+
+def _normality_cases(rng):
+    """Lattice polytopes: polygons, 3-d polytopes, flat ones in 3-space
+    (segments, triangles and lifted polygons), doubled copies and Reeve
+    tetrahedra, moved by lattice translations."""
+    cases = [random_polytope(rng, 2, 5) for _ in range(26)]
+    cases += [random_polytope(rng, 3, 2) for _ in range(18)]
+    for _ in range(10):
+        cases.append(random_polytope(rng, 3, 3, npoints=rng.randint(2, 3),
+                                     full_dim=False))
+        poly = random_polytope(rng, 2, 3)
+        a, b, c = (rng.randint(-2, 2) for _ in range(3))
+        cases.append(from_v(VRep(tuple((x, y, a * x + b * y + c)
+                                       for x, y in poly.v.vertices), ())))
+    cases += [scale(random_polytope(rng, 2, 3), 2) for _ in range(8)]
+    cases += [scale(random_polytope(rng, 3, 1), 2) for _ in range(4)]
+    for r in range(1, 7):
+        t = tuple(rng.randint(-2, 2) for _ in range(3))
+        cases.append(from_v(VRep(tuple(tuple(x + y for x, y in zip(v, t))
+                                       for v in ((0, 0, 0), (1, 0, 0),
+                                                 (0, 1, 0), (1, 1, r))),
+                                 ())))
+    return cases
+
+
+def test_is_normal_matches_scaled_sum_reference():
+    rng = random.Random(59)
+    verdicts = {"not_located": 0, "verified_up_to": 0}
+    cases = _normality_cases(rng)
+    assert len(cases) >= 80
+    for p in cases:
+        s_max = rng.randint(2, 4 if p.dim == 2 else 3)
+        rep = is_normal(p, s_max)
+        assert rep.to_dict() == is_normal_ref(p, s_max).to_dict(), p
+        verdicts[rep.verdict] += 1
+    assert min(verdicts.values()) >= 5, verdicts

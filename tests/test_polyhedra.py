@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import from_v_ref, oracle_vertices, random_polytope, rank
+from conftest import (from_h_ref, from_v_ref, oracle_vertices,
+                      random_polytope, rank)
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
-                            NotPointed, Unbounded)
+                            NotPointed, Unbounded, ZeroVector)
 from normloc.exact import dot
 from normloc.polyhedra import (HRep, VRep, from_h, from_v, minkowski_sum,
                                polyhedron_from_dict, polyhedron_to_dict,
@@ -101,6 +102,22 @@ def test_scale_translate():
     assert translate(p, (5, 7)).v.vertices == ((5, 7), (5, 8), (6, 7))
     with pytest.raises(NormlocError):
         scale(p, 0)
+
+
+def test_scale_by_one_returns_the_record():
+    p = from_v(VRep(((0, 0), (1, 0), (0, 1)), ()))
+    assert scale(p, 1) is p
+
+
+def test_zero_normal_raises():
+    sq = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    for rhs in (-1, 0, 1):
+        with pytest.raises(ZeroVector, match="constraint with zero normal"):
+            from_h(HRep(tuple(sq) + (((0, 0), rhs),)))
+    with pytest.raises(ZeroVector, match="constraint with zero normal"):
+        from_h(HRep(tuple(sq), (((0, 0), 0),)))
+    with pytest.raises(ZeroVector, match="constraint with zero normal"):
+        from_h(HRep(tuple(sq) + (([0, 0], 1),)))
 
 
 def test_dd_convert_both_directions():
@@ -263,3 +280,66 @@ def test_from_v_matches_three_pass_reference():
         kinds["flat" if got.h.equalities else "full"] += 1
         kinds["rays"] += bool(got.v.rays)
     assert min(kinds.values()) >= 60, kinds
+
+
+def _rescaled_hrep(rng):
+    """A halfspace system in 1-3 dimensions whose rows are positively
+    rescaled (equalities by either sign), with Fraction, int and string
+    right-hand sides, list normals, redundant rows, and now and then a row
+    that makes it infeasible or dropped rows that leave a line."""
+    rep = _random_rep(rng)
+    if isinstance(rep, VRep):
+        try:
+            rep = from_v(rep).h
+        except NormlocError:
+            return _rescaled_hrep(rng)
+    ineqs, eqs = list(rep.inequalities), list(rep.equalities)
+    if not ineqs and not eqs:
+        return _rescaled_hrep(rng)
+    d = len((ineqs + eqs)[0][0])
+    for _ in range(rng.randint(0, 2)):
+        if ineqs:
+            (n1, b1), (n2, b2) = rng.choice(ineqs), rng.choice(ineqs)
+            if any(a + b for a, b in zip(n1, n2)):
+                ineqs.append((tuple(a + b for a, b in zip(n1, n2)),
+                              b1 + b2 + rng.randint(0, 2)))
+    if ineqs and rng.random() < 0.15:
+        n, b = rng.choice(ineqs)
+        ineqs.append((tuple(-x for x in n), -b - Fraction(1, 2)))
+    if rng.random() < 0.3:
+        ineqs = [row for row in ineqs if rng.random() < 0.5]
+        if not ineqs and not eqs:
+            ineqs = [(tuple(int(j == 0) for j in range(d)), 1)]
+
+    def rescale(n, b, c):
+        n = [c * x for x in n]
+        b = c * Fraction(b) / rng.choice((1, 1, 2, 3))
+        return (n if rng.random() < 0.2 else tuple(n),
+                rng.choice((b, str(b), b)) if b.denominator > 1
+                else rng.choice((b, int(b), str(b))))
+
+    ineqs = [rescale(n, b * rng.choice((1, 2, 3)), rng.randint(1, 4))
+             for n, b in ineqs]
+    eqs = [rescale(n, b, rng.choice((-3, -2, -1, 1, 2, 3)))
+           for n, b in eqs]
+    rng.shuffle(ineqs)
+    rng.shuffle(eqs)
+    return HRep(tuple(ineqs), tuple(eqs))
+
+
+def test_from_h_matches_rescaling_reference():
+    rng = random.Random(211)
+    kinds = {"ok": 0, EmptyPolyhedron: 0, NotPointed: 0}
+    for _ in range(1200):
+        rep = _rescaled_hrep(rng)
+        try:
+            expect = from_h_ref(rep)
+        except NormlocError as exc:
+            with pytest.raises(type(exc)):
+                from_h(rep)
+            kinds[type(exc)] = kinds.get(type(exc), 0) + 1
+            continue
+        got = from_h(rep)
+        assert got == expect and repr(got) == repr(expect)
+        kinds["ok"] += 1
+    assert min(kinds.values()) >= 40, kinds
