@@ -167,29 +167,43 @@ def support(f: Fan) -> Cone:
     return cone_from_generators(f.dim, rays=rays, lines=lines)
 
 
-def is_face(f: Cone, c: Cone) -> bool:
-    """Whether f is a face of c (f must already be contained in c).
+def _is_face(gens, m: Cone, c: Cone) -> bool:
+    """Whether f = m cap c, a subset of c generated by ``gens`` (its rays
+    and lines), is a face of c.
 
     The face of c on the normals tight on f is lin(c.lines) + cone(c's
     tight rays) and holds f; f is it iff f has c's lines and tight rays.
+    Those are points of c, so membership in f is membership in m.
     """
-    if not cone_contains(c, f):
-        return False
-    tight = [n for n in c.ineq_normals
-             if all(dot(n, g) == 0 for g in f.rays + f.lines)]
+    tight = [n for n in c.ineq_normals if all(dot(n, g) == 0 for g in gens)]
     return (all(dot(n, ln) == 0 for ln in c.lines
-                for n in f.eq_normals + f.ineq_normals)
-            and all(f.contains_point(r) for r in c.rays
+                for n in m.eq_normals + m.ineq_normals)
+            and all(m.contains_point(r) for r in c.rays
                     if all(dot(n, r) == 0 for n in tight)))
 
 
+def is_face(f: Cone, c: Cone) -> bool:
+    """Whether f is a face of c (False unless f is contained in c)."""
+    return cone_contains(c, f) and _is_face(f.rays + f.lines, f, c)
+
+
 def is_fan(f: Fan) -> bool:
-    """Pairwise intersections of maximal cones must be common faces."""
+    """Pairwise intersections of maximal cones must be common faces.
+
+    Each meet needs only generators, from one DD pass over both cones'
+    rows; membership in it is tested against the other cone.
+    """
     cones = f.maximal_cones
+    if len({c.dim for c in cones}) > 1:
+        raise SupportMismatch("cones live in different dimensions")
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
-            cap = intersect_cones(cones[i], cones[j])
-            if not (is_face(cap, cones[i]) and is_face(cap, cones[j])):
+            a, b = cones[i], cones[j]
+            lines, rays = dd.generators_from_constraints(
+                a.dim, a.eq_normals + b.eq_normals,
+                a.ineq_normals + b.ineq_normals)
+            if not (_is_face(rays + lines, b, a)
+                    and _is_face(rays + lines, a, b)):
                 return False
     return True
 

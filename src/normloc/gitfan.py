@@ -37,7 +37,7 @@ from .fans import (Cone, common_refinement, cone_contains,
                    normal_fan, refines, relative_interior_contains, support)
 from .latpoints import (LocationReport, VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                         VERDICT_VERIFIED_UP_TO, _located_over)
-from .polyhedra import (HRep, Polyhedron, VRep, from_h, from_v,
+from .polyhedra import (HRep, Polyhedron, VRep, _h_to_v, from_h, from_v,
                         minkowski_sum, scale, translate)
 from .reps import NOT_IN_SUM, Witness
 
@@ -269,16 +269,21 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
     P(u1) + P(u2) entirely (kind "not_in_sum") or inside it but without a
     lattice split (kind "no_decomposition").  The scan reports every
     witness as no_decomposition; one outside the sum is relabelled here.
+    A witness z of P(u1 + u2) lies in the sum iff some x of P(u1) has
+    x <= z (then z - x >= 0 has degree u2), one H-to-V emptiness test.
     """
     u1 = _require_in_cone(g, u1)
     u2 = _require_in_cone(g, u2)
     u12 = tuple(a + b for a, b in zip(u1, u2))
     f1 = fiber(g, u1)
-    f2 = fiber(g, u2)
-    report = _located_over(fiber(g, u12), f1, f2, window)
+    report = _located_over(fiber(g, u12), f1, fiber(g, u2), window)
     witness = report.witness
-    if witness and not minkowski_sum(f1, f2).contains(witness.point):
-        witness = Witness(witness.point, NOT_IN_SUM)
+    if witness:
+        caps = tuple(zip(identity_matrix(g.n), witness.point))
+        try:
+            _h_to_v(g.n, HRep(f1.h.inequalities + caps, f1.h.equalities))
+        except EmptyPolyhedron:
+            witness = Witness(witness.point, NOT_IN_SUM)
     checked = dict(report.checked)
     checked["u1"], checked["u2"] = list(u1), list(u2)
     return LocationReport(report.verdict, witness, checked)

@@ -5,9 +5,9 @@ sorted lexicographically, recession rays primitive and sorted) and a
 canonical halfspace description (irredundant facets ``normal @ x <= rhs``
 with primitive integer normals, equalities as an HNF-reduced system).  The
 tail cone is cone(``v.rays``): those rays are already its extreme rays.
-Construction goes through the double description engine in both
-directions, so two polyhedra are equal as sets iff their records compare
-equal.
+Construction derives each description the caller did not give with the
+double description engine, so two polyhedra are equal as sets iff their
+records compare equal.
 
 Only pointed polyhedra are supported: a constraint system whose solution set
 contains a line has no vertex description and raises NotPointed.
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
+from numbers import Real
 
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
@@ -47,14 +48,9 @@ class Polyhedron:
         return all(x.denominator == 1 for v in self.v.vertices for x in v)
 
     def affine_dimension(self) -> int:
-        """Rank of the vertex differences and rays (nonzero HNF rows)."""
-        v0 = self.v.vertices[0]
-        rows = [primitive(tuple(a - b for a, b in zip(v, v0)))
-                for v in self.v.vertices[1:]]
-        rows += self.v.rays
-        if not rows:
-            return 0
-        return sum(1 for row in hermite_normal_form(tuple(rows)) if any(row))
+        """Dimension of aff(P): ``dim`` less the canonical equalities, which
+        are independent (the nonzero rows of one HNF)."""
+        return self.dim - len(self.h.equalities)
 
 
 def vrep(vertices, rays=()) -> VRep:
@@ -126,8 +122,9 @@ def _v_to_h(d, verts, rec):
 def from_h(h: HRep) -> Polyhedron:
     """Polyhedron of a halfspace description.
 
-    Raises EmptyPolyhedron if the system is infeasible and NotPointed if the
-    solution set contains a line.
+    One H-to-V pass gives the canonical vertices, and the facets are
+    recomputed from them.  Raises EmptyPolyhedron if the system is
+    infeasible and NotPointed if the solution set contains a line.
     """
     rows = tuple(h.inequalities) + tuple(h.equalities)
     if not rows:
@@ -135,7 +132,12 @@ def from_h(h: HRep) -> Polyhedron:
     d = len(rows[0][0])
     if any(len(n) != d for n, _ in rows):
         raise DimensionMismatch("constraint normals of mixed lengths")
-    verts, rec = _h_to_v(d, h)
+    return _from_canonical_v(d, *_h_to_v(d, h))
+
+
+def _from_canonical_v(d, verts, rec) -> Polyhedron:
+    """Record of a canonical vertex description (lex-sorted vertices, the
+    sorted primitive extreme rays), computing only the facets."""
     ineqs, eqs = _v_to_h(d, verts, rec)
     return Polyhedron(d, HRep(tuple(ineqs), tuple(eqs)),
                       VRep(tuple(verts), tuple(rec)))
@@ -179,20 +181,35 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 
 
 def scale(p: Polyhedron, k: int) -> Polyhedron:
-    """The dilation k * P for a positive integer k (P itself for k = 1)."""
+    """The dilation k * P for a positive integer k (P itself for k = 1).
+
+    Scaling keeps the vertices' lex order and the rays, so only the facets
+    are recomputed.
+    """
     if not isinstance(k, int) or k < 1:
         raise NormlocError(f"scale factor must be a positive integer: {k}")
     if k == 1:
         return p
     verts = tuple(tuple(k * x for x in v) for v in p.v.vertices)
-    return from_v(VRep(verts, p.v.rays))
+    return _from_canonical_v(p.dim, verts, p.v.rays)
 
 
 def translate(p: Polyhedron, t) -> Polyhedron:
+    """The translate P + t, each entry of t taken exactly (a float as its
+    binary value; NormlocError if not a finite number).  The shift keeps
+    the vertices' lex order and the rays, so only the facets are recomputed.
+    """
     if len(t) != p.dim:
         raise DimensionMismatch("translation vector has wrong length")
+    if not all(isinstance(s, Real) for s in t):
+        raise NormlocError(f"translation entries must be numbers: {list(t)}")
+    try:
+        t = tuple(Fraction(s) for s in t)
+    except (OverflowError, ValueError):
+        raise NormlocError(f"translation entries must be finite: "
+                           f"{list(t)}") from None
     verts = tuple(tuple(x + s for x, s in zip(v, t)) for v in p.v.vertices)
-    return from_v(VRep(verts, p.v.rays))
+    return _from_canonical_v(p.dim, verts, p.v.rays)
 
 
 def vertex_box(p: Polyhedron):

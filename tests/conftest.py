@@ -25,6 +25,12 @@ sum as a Minkowski sum of freshly scaled copies through
 ``normally_located``, and ``from_h_ref`` rescales every row to a primitive
 normal (``hrep``) before the H-to-V pass; they are the references for the
 versions that scale a sum once and normalize each row once.
+``scale_ref`` and ``translate_ref`` rebuild the mapped vertices through
+``from_v`` (both DD directions), ``fiber_point_sum_exact_ref`` relabels a
+witness by membership in the Minkowski sum of the fibers, and
+``is_fan_ref`` intersects each pair of cones canonically; they are the
+references for the versions that run only the V-to-H pass, one emptiness
+test and one DD pass per pair.
 """
 
 import random
@@ -41,13 +47,14 @@ from normloc.fans import (Cone, cone_contains, cone_from_generators,
                           cone_from_h, fan_from_cones, intersect_cones,
                           normal_fan, refines, support)
 from normloc.gitfan import (GradedProjection, _fiber_cached, _multiple_sweep,
-                            _wall_normals, orbit_cones, weight_cone)
+                            _require_in_cone, _wall_normals, fiber,
+                            orbit_cones, weight_cone)
 from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_NOT_LOCATED, VERDICT_VERIFIED_UP_TO,
-                               normally_located)
+                               _located_over, normally_located)
 from normloc.polyhedra import (HRep, Polyhedron, VRep, _h_to_v, _v_to_h,
-                               from_h, from_v, scale, vrep)
-from normloc.reps import NORMALITY_FAILURE, Witness
+                               from_h, from_v, minkowski_sum, scale, vrep)
+from normloc.reps import NORMALITY_FAILURE, NOT_IN_SUM, Witness
 
 
 def rank(rows) -> int:
@@ -388,6 +395,43 @@ def from_v_ref(v: VRep) -> Polyhedron:
     v = vrep(v.vertices, v.rays)
     ineqs, eqs = _v_to_h(len(v.vertices[0]), v.vertices, v.rays)
     return from_h(HRep(tuple(ineqs), tuple(eqs)))
+
+
+def scale_ref(p: Polyhedron, k: int) -> Polyhedron:
+    """scale through ``from_v`` on the dilated vertices and the rays."""
+    if not isinstance(k, int) or k < 1:
+        raise NormlocError(f"scale factor must be a positive integer: {k}")
+    if k == 1:
+        return p
+    verts = tuple(tuple(k * x for x in v) for v in p.v.vertices)
+    return from_v(VRep(verts, p.v.rays))
+
+
+def translate_ref(p: Polyhedron, t) -> Polyhedron:
+    """translate through ``from_v`` on the exactly shifted vertices."""
+    if len(t) != p.dim:
+        raise DimensionMismatch("translation vector has wrong length")
+    t = tuple(Fraction(s) for s in t)
+    verts = tuple(tuple(x + s for x, s in zip(v, t)) for v in p.v.vertices)
+    return from_v(VRep(verts, p.v.rays))
+
+
+def fiber_point_sum_exact_ref(g: GradedProjection, u1, u2,
+                              window=None) -> LocationReport:
+    """fiber_point_sum_exact with a witness relabelled not_in_sum when the
+    Minkowski sum P(u1) + P(u2) does not contain it."""
+    u1 = _require_in_cone(g, u1)
+    u2 = _require_in_cone(g, u2)
+    u12 = tuple(a + b for a, b in zip(u1, u2))
+    f1 = fiber(g, u1)
+    f2 = fiber(g, u2)
+    report = _located_over(fiber(g, u12), f1, f2, window)
+    witness = report.witness
+    if witness and not minkowski_sum(f1, f2).contains(witness.point):
+        witness = Witness(witness.point, NOT_IN_SUM)
+    checked = dict(report.checked)
+    checked["u1"], checked["u2"] = list(u1), list(u2)
+    return LocationReport(report.verdict, witness, checked)
 
 
 def scan_undecomposed_ref(rcoeffs, rrhs, rlo, rhi,

@@ -177,10 +177,14 @@ def test_error_exits(files, capsys, tmp_path):
                                         {"normal": [1, 1], "rhs": 1},
                                         {"normal": [0, 0], "rhs": 1}]},
      ()),
+    ("located-check", SQUARE, ("--window", "0..5")),
+    ("normal-check", {"inequalities": [{"normal": [1, 0], "rhs": 1},
+                                       {"normal": [-1], "rhs": 0}]}, ()),
+    ("normal-fan", {"vertices": []}, ()),
 ], ids=["json-list", "zero-denominator", "bad-vector", "bad-window",
         "inverted-window", "grading-list", "float-weight", "float-ray",
         "inf-vertex", "inf-rhs", "spanning-rays", "empty-vertex",
-        "zero-normal"])
+        "zero-normal", "short-window", "mixed-normals", "no-vertex"])
 def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     path = files("in.json", poly)
     inputs = ("--input", path) * (2 if command == "located-check" else 1)

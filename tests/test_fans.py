@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import is_face_ref, random_polytope
+from conftest import is_face_ref, is_fan_ref, random_polytope
 from normloc.errors import DimensionMismatch, SupportMismatch
 from normloc.fans import (Cone, Fan, common_refinement, cone_contains,
                           cone_from_generators, cone_from_h, dual_cone,
@@ -107,6 +107,56 @@ def test_is_face_matches_carving_reference():
         seen["lines"] += bool(c.lines)
         seen["face" if got else "not_face"] += 1
     assert min(seen.values()) >= 600, seen
+
+
+def test_hexagram_pair_is_no_fan():
+    # neither cone holds a generator of the other, yet they meet in 3-d
+    a = cone_from_generators(3, rays=((2, 0, 1), (-1, 2, 1), (-1, -2, 1)))
+    b = cone_from_generators(3, rays=((-2, 0, 1), (1, -2, 1), (1, 2, 1)))
+    assert not any(b.contains_point(r) for r in a.rays)
+    assert not any(a.contains_point(r) for r in b.rays)
+    assert intersect_cones(a, b).span_dim == 3
+    assert is_fan(Fan(3, (a, b))) is False
+    assert is_fan(fan_from_cones(3, [a, b])) is False
+    assert is_fan_ref((a, b)) is False
+
+
+def _cone_family(rng):
+    """Up to four cones in 2 or 3 dimensions: maximal cones of the normal
+    fan of a random, often flat, polytope (so with lines), plus random
+    cones that may overlap them, as a ``Fan`` or through fan_from_cones."""
+    dim = rng.choice((2, 3))
+
+    def random_cone():
+        return cone_from_generators(
+            dim, rays=[tuple(rng.randint(-2, 2) for _ in range(dim))
+                       for _ in range(rng.randint(1, 3))],
+            lines=[tuple(rng.randint(-2, 2) for _ in range(dim))
+                   for _ in range(rng.choice((0, 0, 1)))])
+
+    p = random_polytope(rng, dim, 3, npoints=rng.randint(1, 4),
+                        full_dim=False)
+    cones = [c for c in normal_fan(p).maximal_cones if rng.random() < 0.8]
+    cones += [random_cone() for _ in range(rng.choice((0, 1, 1, 2)))]
+    cones = cones[:4] or [random_cone()]
+    if rng.random() < 0.5:
+        return "fan_from_cones", fan_from_cones(dim, cones)
+    return "Fan", Fan(dim, tuple(cones))
+
+
+def test_is_fan_matches_pairwise_reference():
+    rng = random.Random(41)
+    seen = {"dim2": 0, "dim3": 0, "lines": 0, "Fan": 0, "fan_from_cones": 0,
+            "fan": 0, "not_fan": 0}
+    for _ in range(1200):
+        built, f = _cone_family(rng)
+        got = is_fan(f)
+        assert got == is_fan_ref(f.maximal_cones), f
+        seen[f"dim{f.dim}"] += 1
+        seen["lines"] += any(c.lines for c in f.maximal_cones)
+        seen[built] += 1
+        seen["fan" if got else "not_fan"] += 1
+    assert min(seen.values()) >= 360, seen
 
 
 def test_relative_interior():

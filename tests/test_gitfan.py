@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (git_cone_ref, git_fan_ref, located_multiple_search_ref,
-                      random_polytope)
+from conftest import (fiber_point_sum_exact_ref, git_cone_ref, git_fan_ref,
+                      located_multiple_search_ref, random_polytope)
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, NormlocError, NotFullDimensional,
                             NotLattice, RealizationError, SubsetCapExceeded,
@@ -174,6 +174,39 @@ def test_fiber_point_sum_exact_witnesses():
         assert rep.checked["u1"] == list(a) and rep.checked["u2"] == list(b)
     rep = fiber_point_sum_exact(g, (4, 2), (2, 4))
     assert rep.verdict == "not_located" and rep.witness.point == (1, 0, 1, 1)
+
+
+def _degree_pair(rng):
+    """A grading of four nonzero weights in [0, 3]^2 (so every fiber is
+    bounded) and two nonzero degrees in its weight semigroup."""
+    while True:
+        ws = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(4)]
+        if not all(any(w) for w in ws):
+            continue
+        try:
+            g = graded_projection(ws)
+        except NormlocError:
+            continue
+        coefs = [[rng.randint(0, 2) for _ in ws] for _ in range(2)]
+        u1, u2 = ([sum(c * w[j] for c, w in zip(coef, ws)) for j in (0, 1)]
+                  for coef in coefs)
+        if any(u1) and any(u2):
+            return g, u1, u2
+
+
+def test_fiber_witness_labels_match_minkowski_reference():
+    rng = random.Random(73)
+    g, u1, u2 = boundary_grading()
+    cases = [(g, [s * x for x in u1], [s * x for x in u2])
+             for s in range(1, 7)]
+    cases += [_degree_pair(rng) for _ in range(460)]
+    kinds = {"no_decomposition": 0, "not_in_sum": 0}
+    for g, a, b in cases:
+        got = fiber_point_sum_exact(g, a, b)
+        assert got == fiber_point_sum_exact_ref(g, a, b), (g, a, b)
+        if got.witness:
+            kinds[got.witness.kind] += 1
+    assert sum(kinds.values()) >= 200 and min(kinds.values()) >= 50, kinds
 
 
 def test_multiple_making_sums_sweep():

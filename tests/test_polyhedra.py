@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (from_h_ref, from_v_ref, oracle_vertices,
-                      random_polytope, rank)
+                      random_polytope, rank, scale_ref, translate_ref)
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                             NotPointed, Unbounded, ZeroVector)
 from normloc.exact import dot
@@ -102,6 +102,46 @@ def test_scale_translate():
     assert translate(p, (5, 7)).v.vertices == ((5, 7), (5, 8), (6, 7))
     with pytest.raises(NormlocError):
         scale(p, 0)
+
+
+def test_translate_takes_float_shifts_exactly():
+    third = from_v(VRep(((Fraction(1, 3), 0), (1, 0), (0, 1)), ()))
+    moved = translate(third, (0.1, 0))
+    assert (Fraction(1, 3) + Fraction(0.1), 0) in moved.v.vertices
+    assert translate(moved, (-0.1, 0)) == third
+    # in floats 1e-20 + 1.0 == 1.0 + 0, which would merge two vertices
+    thin = from_v(VRep(((1e-20, 0), (2e-20, 1), (0, 0)), ()))
+    assert len(translate(thin, (1.0, 0)).v.vertices) == 3
+    for bad in (float("inf"), float("nan"), "1/2", None):
+        with pytest.raises(NormlocError):
+            translate(third, (bad, 0))
+
+
+def test_scale_translate_match_from_v_reference():
+    rng = random.Random(307)
+    kinds = {"flat": 0, "rays": 0, "fraction": 0, "float": 0}
+    n = 0
+    while n < 2000:
+        try:
+            p = from_v(_random_vrep(rng))
+        except NormlocError:
+            continue
+        k = rng.randint(1, 5)
+        kind = rng.randrange(3)
+        t = [(rng.randint(-5, 5),
+              Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+              rng.uniform(-3, 3))[kind] for _ in range(p.dim)]
+        for got, want in ((scale(p, k), scale_ref(p, k)),
+                          (translate(p, t), translate_ref(p, t))):
+            assert got == want and repr(got) == repr(want), (p, k, t)
+        n += 1
+        kinds["flat"] += bool(p.h.equalities)
+        kinds["rays"] += bool(p.v.rays)
+        kinds["fraction"] += any(x.denominator > 1
+                                 for v in p.v.vertices for x in v)
+        kinds["float"] += kind == 2
+    assert kinds["flat"] >= 600 and kinds["rays"] >= 400, kinds
+    assert kinds["fraction"] >= 400 and kinds["float"] >= 400, kinds
 
 
 def test_scale_by_one_returns_the_record():
