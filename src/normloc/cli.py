@@ -156,6 +156,9 @@ def _cmd_paper_counterexample(args):
 
 
 def _cmd_paper_oldex(args):
+    if args.s < 1:
+        # s = 0 would check the one-point fibers over 0: a verdict on no input
+        raise NormlocError(f"scale must be a positive integer: {args.s}")
     g, u1, u2 = boundary_grading()
     w1 = tuple(args.s * x for x in u1)
     w2 = tuple(args.s * x for x in u2)

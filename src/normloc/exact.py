@@ -156,24 +156,61 @@ def det(m: IMat) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def solution_lattice(m: IMat):
+    """One HNF of the rows ``[m^T | I_n]``, split as ``(image, kernel)``.
+
+    Their row lattice is ``{(m @ x, x)}``.  The HNF rows whose left block
+    is zero are the canonical basis of ker(m) (:func:`kernel_lattice_basis`);
+    the others, as pairs ``(m @ x, x)``, have left blocks in row echelon
+    form that generate the image m Z^n, which is what
+    :func:`integer_solution` reads.  ``m`` must have at least one row.
+    """
+    r = len(m)
+    aug = tuple(col + e for col, e in zip(transpose(m),
+                                          identity_matrix(len(m[0]))))
+    image, kernel = [], []
+    for row in hermite_normal_form(aug):
+        if any(row[:r]):
+            image.append((row[:r], row[r:]))
+        else:
+            kernel.append(row[r:])
+    return tuple(image), tuple(kernel)
+
+
 def kernel_lattice_basis(m: IMat) -> IMat:
     """Canonical basis of the saturated kernel lattice ``{x : m @ x = 0}``.
 
     The rows of the result generate ker(m) as a subgroup of Z^n and the
     subgroup is saturated (Z^n / ker has no torsion), so the basis can be
-    extended to a basis of Z^n.
-
-    One HNF of the rows ``[m^T | I_n]``: their row lattice is
-    ``{(x @ m^T, x)}``, and the HNF rows whose left block is zero are a
-    basis of its part with ``m @ x = 0``, already in Hermite form.
+    extended to a basis of Z^n.  The basis is in Hermite form: each row's
+    first nonzero entry is positive, in strictly increasing columns.
     """
     if not m:
         return ()
-    r = len(m)
-    aug = tuple(col + e for col, e in zip(transpose(m),
-                                          identity_matrix(len(m[0]))))
-    return tuple(row[r:] for row in hermite_normal_form(aug)
-                 if not any(row[:r]))
+    return solution_lattice(m)[1]
+
+
+def integer_solution(image, b, n: int):
+    """An integer x in Z^n with ``m @ x = b``, or None when there is none.
+
+    ``image`` is the first part of :func:`solution_lattice` of m, and ``b``
+    holds ints or Fractions.  b must be an integer combination of the
+    image rows' left blocks; their echelon form gives the coefficients one
+    pivot at a time, and x is the same combination of the right blocks.
+    """
+    if any(x.denominator != 1 for x in b):
+        return None
+    rest = [int(x) for x in b]
+    x = [0] * n
+    for left, right in image:
+        c = next(j for j, a in enumerate(left) if a)
+        q, r = divmod(rest[c], left[c])
+        if r:
+            return None
+        if q:
+            rest = [a - q * e for a, e in zip(rest, left)]
+            x = [a + q * e for a, e in zip(x, right)]
+    return None if any(rest) else tuple(x)
 
 
 def saturated_basis(vectors) -> IMat:

@@ -31,7 +31,7 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      SubsetCapExceeded, TailConeMismatch, WeightOutsideCone)
 from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
                     identity_matrix, kernel_lattice_basis, primitive,
-                    transpose)
+                    transpose, vec_gcd)
 from .fans import (Cone, common_refinement, cone_contains,
                    cone_from_generators, cone_from_h, fan_from_cones, is_fan,
                    normal_fan, refines, relative_interior_contains, support)
@@ -154,6 +154,11 @@ def fiber(g: GradedProjection, u) -> Polyhedron:
 
 @lru_cache(maxsize=4096)
 def _fiber_cached(g: GradedProjection, u) -> Polyhedron:
+    """P(u), built as c * P(u / c) for c = gcd(u) > 1: the record is the
+    same, as ``scale`` ends in the V-to-H pass that ``from_h`` ends in."""
+    c = vec_gcd(u)
+    if c > 1:
+        return scale(_fiber_cached(g, tuple(x // c for x in u)), c)
     eqs = [(row, u_j) for row, u_j in zip(g.matrix, u)]
     ineqs = [(tuple(-int(i == j) for j in range(g.n)), 0)
              for i in range(g.n)]
@@ -247,7 +252,9 @@ def git_fan(g: GradedProjection) -> GitFan:
             continue
         sample = tuple(sum(col) for col in zip(*cell.rays)) if cell.rays \
             else (0,) * g.m
-        chambers.append(git_cone(g, sample))
+        # u / gcd(u) has the GIT cone of u, and its fiber is built directly
+        c = vec_gcd(sample) or 1
+        chambers.append(git_cone(g, tuple(x // c for x in sample)))
     fan = fan_from_cones(g.m, chambers)
     verified = support(fan) == wc and is_fan(fan)
     return GitFan(g, wc, fan.maximal_cones, verified)

@@ -10,19 +10,44 @@ Verdicts are three-valued: "located" and "not_located" are exact answers,
 "verified_up_to" means the search space was truncated (a window, or a scale
 bound) and no witness appeared inside it.  A witness is only present on
 "not_located" and is always the lexicographically least failing point.
+
+Every scan runs in the lattice coordinates of an affine hull (a *frame*).
+For a set with equality normals W, let B be ``kernel_lattice_basis(W)``,
+rows b_1..b_k, and o one integer point of the hull; both come from one HNF
+(``exact.solution_lattice``).  The lattice points of the hull are
+x = o + sum_t y_t b_t with y in Z^k, and the kernels scan y.  B is in
+Hermite form, with positive pivots in columns c_1 < ... < c_k: two y that
+first differ at t give x that agree before column c_t and differ there by
+(y_t - y'_t) b_t[c_t].  So x -> y keeps lex order, and the first y found is
+the lex-least x.  The equalities hold by construction, so a flat set (a
+fiber of a grading, say) is scanned without the opposing row pairs that the
+box bounds of the scan cannot use.  A full-dimensional set gets the
+identity frame (o = 0, B = I), in which every system is the one in x.
+
+A location check uses R's frame for R, P and Q alike.  P's origin o_P is an
+integer point of aff(P) + lin(R), and Q gets o - o_P, so a split
+z = z' + z'' in x is y = y' + y'' in y and the split scan runs unchanged.
+Equalities of P or Q that R lacks become rows in y.  A hull without an
+integer point has no lattice point to scan.  Box bounds in y come from the
+images of the vertices.  A window stays a box in x: its y-box bounds each
+y_t, and in a frame other than the identity each axis enters as two rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import ceil, floor, lcm
+from operator import add, mul
 
 from . import kernels
 from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
                      NormlocError, Unbounded)
-from .exact import as_int
+from .exact import (as_int, dot, identity_matrix, integer_solution,
+                    solution_lattice)
 from .fans import cone_from_generators
-from .polyhedra import (HRep, Polyhedron, from_h, integer_constraint_rows,
+from .polyhedra import (HRep, Polyhedron, _h_to_v, integer_constraint_rows,
                         minkowski_sum, scale, vertex_box)
 from .reps import NO_DECOMPOSITION, NORMALITY_FAILURE, Witness
 
@@ -64,9 +89,184 @@ class LocationReport:
                 "checked": dict(self.checked)}
 
 
-def _rows(p: Polyhedron):
-    rows = integer_constraint_rows(p)
-    return tuple(a for a, _ in rows), tuple(b for _, b in rows)
+@dataclass(frozen=True)
+class _Frame:
+    """Lattice coordinates of the affine lattices {x in Z^n : W x = c}.
+
+    ``basis`` holds the rows b_1..b_k of the canonical basis of ker(W) in
+    Hermite form, with pivot columns ``pivots``; a point is
+    x = o + sum_t y_t b_t for an integer point o of the lattice, its
+    origin.  Back-substitution along the pivots inverts the map: with
+    x_P the pivot coordinates of x, y_t = dual_t @ (x_P - o_P) / scale for
+    integer rows ``dual``.  A W of full column rank leaves one point per
+    c: the frame then has one zero axis pinned at 0 (no pivot, an empty
+    dual row), so every scan keeps a last axis.  No W at all gives the
+    identity frame, where y = x - o.
+    """
+
+    normals: tuple
+    image: tuple
+    basis: tuple
+    pivots: tuple
+    dual: tuple
+    scale: int
+
+    def origin(self, rhs):
+        """An integer x with W x = rhs, or None when there is none."""
+        return integer_solution(self.image, rhs, len(self.basis[0]))
+
+    def origin_of(self, p: Polyhedron):
+        """An integer x with W x = W v for the points v of P, or None.
+
+        W must be constant on P, as it is on every summand of a set whose
+        equalities W are (aff(P) + aff(Q) lies in aff(P + Q)).
+        """
+        v = p.v.vertices[0]
+        return self.origin(tuple(dot(n, v) for n in self.normals))
+
+    def rows(self, p: Polyhedron, origin):
+        """P's constraints as integer rows a @ y <= b for x = origin + y B.
+
+        P's equalities enter as opposing pairs.  A row that vanishes on
+        the frame is dropped when origin meets it, and kept (0 <= b < 0,
+        so the system is empty) when not.
+        """
+        rows = integer_constraint_rows(p)
+        for n, b in p.h.equalities:
+            nn = tuple(b.denominator * x for x in n)
+            rows += [(nn, b.numerator), (tuple(-x for x in nn), -b.numerator)]
+        shifted = any(origin)
+        coeffs, rhs = [], []
+        for a, b in rows:
+            if shifted:
+                b -= sum(map(mul, a, origin))
+            if self.normals:
+                a = tuple([sum(map(mul, a, row)) for row in self.basis])
+                if b >= 0 and not any(a):
+                    continue
+            coeffs.append(a)
+            rhs.append(b)
+        return tuple(coeffs), tuple(rhs)
+
+    def box(self, points, origin):
+        """Integer y-box of the hull of ``points`` (lo > hi when empty).
+
+        In the identity frame it is the box of the points less the origin.
+        Otherwise each point's coordinates are cleared of denominators once,
+        so every y_t is an integer quotient, and ceil(min) is the min of the
+        ceils.
+        """
+        if not self.normals and points:
+            cols = tuple(zip(*points))
+            return (tuple(ceil(min(c)) - o for c, o in zip(cols, origin)),
+                    tuple(floor(max(c)) - o for c, o in zip(cols, origin)))
+        lo = hi = None
+        base = [origin[c] for c in self.pivots]
+        for v in points:
+            v = [v[c] for c in self.pivots]
+            den = lcm(*(x.denominator for x in v))
+            w = [x.numerator * (den // x.denominator) - den * o
+                 for x, o in zip(v, base)]
+            q = den * self.scale
+            nums = [sum(map(mul, lam, w)) for lam in self.dual]
+            vlo = [-(-t // q) for t in nums]
+            vhi = [t // q for t in nums]
+            if lo is None:
+                lo, hi = vlo, vhi
+            else:
+                lo = list(map(min, lo, vlo))
+                hi = list(map(max, hi, vhi))
+        if lo is None:
+            k = len(self.basis)
+            return (1,) * k, (0,) * k
+        return tuple(lo), tuple(hi)
+
+    def window(self, lo, hi, origin):
+        """Rows and y-box for the x-box lo <= x <= hi: (coeffs, rhs, ylo,
+        yhi).
+
+        The y-box is the range of each y_t over the x-box.  In the
+        identity frame it is the x-box itself; otherwise every axis gets its
+        two x-bounds as rows.
+        """
+        if any(a > b for a, b in zip(lo, hi)):
+            k = len(self.basis)
+            return (), (), (1,) * k, (0,) * k
+        ylo, yhi = [], []
+        span = [(lo[c] - origin[c], hi[c] - origin[c]) for c in self.pivots]
+        for lam in self.dual:
+            a = sum(min(c * l, c * h) for c, (l, h) in zip(lam, span))
+            b = sum(max(c * l, c * h) for c, (l, h) in zip(lam, span))
+            ylo.append(-(-a // self.scale))
+            yhi.append(b // self.scale)
+        coeffs, rhs = [], []
+        for j in range(len(lo) if self.normals else 0):
+            col = tuple(row[j] for row in self.basis)
+            neg = tuple(-x for x in col)
+            for a, b in ((col, hi[j] - origin[j]), (neg, origin[j] - lo[j])):
+                if b < 0 or any(a):
+                    coeffs.append(a)
+                    rhs.append(b)
+        return tuple(coeffs), tuple(rhs), tuple(ylo), tuple(yhi)
+
+    def points(self, ys, origin):
+        """The x = origin + y B of the scanned y's."""
+        if not self.normals:
+            if not any(origin):
+                return tuple(ys)
+            return tuple(tuple(map(add, origin, y)) for y in ys)
+        out = []
+        for y in ys:
+            x = list(origin)
+            for t, row in zip(y, self.basis):
+                if t:
+                    x = [a + t * e for a, e in zip(x, row)]
+            out.append(tuple(x))
+        return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _frame(normals, d) -> _Frame:
+    """The frame of the equality normals W (a tuple of rows) in Q^d: one
+    HNF gives both its basis and the image rows that solve for origins."""
+    if not normals:
+        unit = identity_matrix(d)
+        return _Frame((), (), unit, tuple(range(d)), unit, 1)
+    image, basis = solution_lattice(normals)
+    if not basis:
+        return _Frame(normals, image, ((0,) * d,), (), ((),), 1)
+    pivots = tuple(next(j for j, x in enumerate(b) if x) for b in basis)
+    k = len(basis)
+    # inv[j] = the y of x = e_(pivots[j]): back-substitution on the upper
+    # triangular m[s][t] = basis[s][pivots[t]], one unit vector at a time
+    m = [[row[c] for c in pivots] for row in basis]
+    inv = []
+    for j in range(k):
+        r = [Fraction(int(i == j)) for i in range(k)]
+        for t in range(k):
+            r[t] /= m[t][t]
+            for u in range(t + 1, k):
+                r[u] -= r[t] * m[t][u]
+        inv.append(r)
+    scale = lcm(*(y.denominator for r in inv for y in r))
+    dual = tuple(tuple(int(inv[j][t] * scale) for j in range(k))
+                 for t in range(k))
+    return _Frame(normals, image, basis, pivots, dual, scale)
+
+
+def _frame_of(p: Polyhedron) -> _Frame:
+    return _frame(tuple(n for n, _ in p.h.equalities), p.dim)
+
+
+def _system(frame: _Frame, p: Polyhedron, origin, window=None):
+    """P's lattice points as a kernel system in y, (coeffs, rhs, lo, hi):
+    the frame's rows of P, and the y-box of P's vertices, or of the x-box
+    ``window`` given as (lo, hi), whose bounds then become rows too."""
+    coeffs, rhs = frame.rows(p, origin)
+    if window is None:
+        return (coeffs, rhs) + frame.box(p.v.vertices, origin)
+    wc, wb, lo, hi = frame.window(*window, origin)
+    return coeffs + wc, rhs + wb, lo, hi
 
 
 def _window(p: Polyhedron, lo, hi):
@@ -93,20 +293,25 @@ def _clip_box(p: Polyhedron, lo, hi):
     return lo, hi
 
 
+def _enumerate(p: Polyhedron, window=None) -> LatticePointSet:
+    frame = _frame_of(p)
+    origin = frame.origin_of(p)
+    if origin is None:
+        return LatticePointSet(p.dim, ())
+    ys = kernels.scan_points(*_system(frame, p, origin, window))
+    return LatticePointSet(p.dim, frame.points(ys, origin))
+
+
 def enumerate_points(p: Polyhedron) -> LatticePointSet:
     """All lattice points of a bounded polyhedron, in lexicographic order."""
-    lo, hi = vertex_box(p)
-    coeffs, rhs = _rows(p)
-    return LatticePointSet(p.dim, tuple(kernels.scan_points(coeffs, rhs,
-                                                            lo, hi)))
+    if p.v.rays:
+        raise Unbounded("no finite bounding box: polyhedron has rays")
+    return _enumerate(p)
 
 
 def enumerate_windowed(p: Polyhedron, lo, hi) -> LatticePointSet:
     """Lattice points of P inside the box lo <= x <= hi (any P)."""
-    lo, hi = _clip_box(p, *_window(p, lo, hi))
-    coeffs, rhs = _rows(p)
-    return LatticePointSet(p.dim, tuple(kernels.scan_points(coeffs, rhs,
-                                                            lo, hi)))
+    return _enumerate(p, _clip_box(p, *_window(p, lo, hi)))
 
 
 def _decompose_unbounded_guard(p: Polyhedron, q: Polyhedron):
@@ -119,18 +324,19 @@ def _decompose_unbounded_guard(p: Polyhedron, q: Polyhedron):
                         "tail(P) meets -tail(Q) outside the origin")
 
 
-def _split_boxes(p: Polyhedron, q: Polyhedron, lo, hi):
-    """Boxes (plo, phi, qlo, qhi) holding z' and z'' of every split
+def _split_points(p: Polyhedron, q: Polyhedron, lo, hi):
+    """Point lists whose hulls hold z' and z'' of every split
     z = z' + z'' of a point z in the box [lo, hi].
 
-    Bounded summands give their vertex boxes.  Otherwise the boxes come
-    from the vertex box of the joint region
+    Bounded summands give their vertices.  Otherwise the points are the
+    halves of the vertices of the joint region
     {(z', z'') in P x Q : lo <= z' + z'' <= hi}, which the pointedness
-    guard keeps bounded; an empty region gives empty boxes (lo > hi), so
-    no z in the box splits.
+    guard keeps bounded; one H-to-V pass gives them (the region's facets
+    are never read).  An empty region gives empty lists, so no z in the
+    box splits.
     """
     if not p.v.rays and not q.v.rays:
-        return vertex_box(p) + vertex_box(q)
+        return p.v.vertices, q.v.vertices
     _decompose_unbounded_guard(p, q)
     d = p.dim
     zero = (0,) * d
@@ -147,25 +353,10 @@ def _split_boxes(p: Polyhedron, q: Polyhedron, lo, hi):
         else:
             ineqs += [(e, hi[j]), (tuple(-x for x in e), -lo[j])]
     try:
-        region = from_h(HRep(tuple(ineqs), tuple(eqs)))
+        verts, _ = _h_to_v(2 * d, HRep(tuple(ineqs), tuple(eqs)))
     except EmptyPolyhedron:
-        empty = (1,) * d, (0,) * d
-        return empty + empty
-    jlo, jhi = vertex_box(region)
-    return jlo[:d], jhi[:d], jlo[d:], jhi[d:]
-
-
-def _split_system(z, p: Polyhedron, q: Polyhedron):
-    """Integer rows and box for {z' in P : z - z' in Q}."""
-    pc, pb = _rows(p)
-    qc, qb = _rows(q)
-    coeffs = pc + tuple(tuple(-a for a in row) for row in qc)
-    rhs = pb + tuple(b - sum(a * x for a, x in zip(row, z))
-                     for row, b in zip(qc, qb))
-    plo, phi, qlo, qhi = _split_boxes(p, q, z, z)
-    lo = tuple(max(a, zz - b) for a, zz, b in zip(plo, z, qhi))
-    hi = tuple(min(a, zz - b) for a, zz, b in zip(phi, z, qlo))
-    return coeffs, rhs, lo, hi
+        return (), ()
+    return [v[:d] for v in verts], [v[d:] for v in verts]
 
 
 def decompose(z, p: Polyhedron, q: Polyhedron):
@@ -173,15 +364,35 @@ def decompose(z, p: Polyhedron, q: Polyhedron):
 
     Returns the pair (z', z'') with z' lexicographically least, or None when
     no split exists.  Raises Unbounded when the split region can be infinite.
+
+    z' is scanned in the frame of aff(P) cap (z - aff(Q)), whose equalities
+    are those of P and the reflected, shifted ones of Q.
     """
     if p.dim != q.dim:
         raise DimensionMismatch("P and Q live in different dimensions")
     z = tuple(as_int(x) for x in z)
     if len(z) != p.dim:
         raise DimensionMismatch("point has wrong length")
-    first = kernels.scan_first(*_split_system(z, p, q))
-    if first is None:
+    pverts, qverts = _split_points(p, q, z, z)
+    frame = _frame(tuple(n for n, _ in p.h.equalities + q.h.equalities),
+                   p.dim)
+    origin = frame.origin(tuple(b for _, b in p.h.equalities)
+                          + tuple(dot(n, z) - b for n, b in q.h.equalities))
+    if origin is None:
         return None
+    # z'' = (z - origin) - y B lies in Q: in y, Q's system at origin
+    # z - origin reflected, rows and box alike
+    zq = tuple(a - b for a, b in zip(z, origin))
+    pc, pb = frame.rows(p, origin)
+    qc, qb = frame.rows(q, zq)
+    plo, phi = frame.box(pverts, origin)
+    qlo, qhi = frame.box(qverts, zq)
+    y = kernels.scan_first(pc + tuple(tuple(-a for a in row) for row in qc),
+                           pb + qb, tuple(max(a, -b) for a, b in zip(plo, qhi)),
+                           tuple(min(a, -b) for a, b in zip(phi, qlo)))
+    if y is None:
+        return None
+    first, = frame.points((y,), origin)
     return first, tuple(a - b for a, b in zip(z, first))
 
 
@@ -190,10 +401,15 @@ def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
     """Location engine: split every lattice point of R over (P, Q).
 
     R is the ambient set whose points must split: P + Q for the
-    normal-location check, or a possibly larger set.  A witness is reported
-    as no_decomposition.  Bounded or not, the check is one kernel scan over
-    R's points in the window, with the split boxes of P and Q taken once
-    for the whole window.
+    normal-location check, or a larger set; either way aff(P) + aff(Q)
+    lies in aff(R).  A witness is reported as no_decomposition.  Bounded
+    or not, the check is one kernel scan over R's points in the window,
+    with the split boxes of P and Q taken once for the whole window.
+
+    The scan runs in R's frame.  With origins o for R and o_P for P, Q
+    gets o - o_P, so z = z' + z'' in x is y = y' + y'' in y.  No integer
+    point in aff(R) leaves nothing to split; none in aff(P) + lin(R) makes
+    R's first lattice point the witness.
     """
     bounded = not r.v.rays
     if window is None:
@@ -201,25 +417,35 @@ def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
             raise Unbounded("point set to split is unbounded; "
                             "pass a window box")
         rlo, rhi = vertex_box(r)
+        box = None
         full = True
         checked = {"window": None}
     else:
         lo, hi = _window(r, *window)
-        rlo, rhi = _clip_box(r, lo, hi)
+        rlo, rhi = box = _clip_box(r, lo, hi)
         # a window that still covers the whole vertex box loses nothing;
         # otherwise report the caller's window, since the clipped box has
         # lo > hi when the window misses the set
         full = bounded and (rlo, rhi) == vertex_box(r)
         checked = {"window": None if full else [list(lo), list(hi)]}
-    rc, rb = _rows(r)
-    pc, pb = _rows(p)
-    qc, qb = _rows(q)
-    plo, phi, qlo, qhi = _split_boxes(p, q, rlo, rhi)
-    z = kernels.scan_undecomposed(rc, rb, rlo, rhi, pc, pb, plo, phi,
-                                  qc, qb, qlo, qhi)
-    if z is None:
+    pverts, qverts = _split_points(p, q, rlo, rhi)
+    frame = _frame_of(r)
+    origin = frame.origin_of(r)
+    y = None
+    if origin is not None:
+        rsys = _system(frame, r, origin, box)
+        po = frame.origin_of(p)
+        if po is None:
+            y = kernels.scan_first(*rsys)
+        else:
+            qo = tuple(a - b for a, b in zip(origin, po))
+            y = kernels.scan_undecomposed(
+                *rsys, *frame.rows(p, po), *frame.box(pverts, po),
+                *frame.rows(q, qo), *frame.box(qverts, qo))
+    if y is None:
         verdict = VERDICT_LOCATED if full else VERDICT_VERIFIED_UP_TO
         return LocationReport(verdict, None, checked)
+    z, = frame.points((y,), origin)
     return LocationReport(VERDICT_NOT_LOCATED, Witness(z, NO_DECOMPOSITION),
                           checked)
 

@@ -222,21 +222,13 @@ def vertex_box(p: Polyhedron):
 
 
 def integer_constraint_rows(p: Polyhedron):
-    """All constraints as integer rows (a, b) meaning a @ x <= b.
+    """The inequalities as integer rows (a, b) meaning a @ x <= b.
 
-    Equalities are emitted as opposing inequality pairs, so the rows cut out
-    exactly P.  Used by the lattice scan kernels.
+    The rows cut out P within aff(P); the lattice scan works in the lattice
+    coordinates of aff(P), where the equalities hold by construction.
     """
-    rows = []
-    for n, b in p.h.inequalities:
-        den = b.denominator
-        rows.append((tuple(den * x for x in n), b.numerator))
-    for n, b in p.h.equalities:
-        den = b.denominator
-        nn = tuple(den * x for x in n)
-        rows.append((nn, b.numerator))
-        rows.append((tuple(-x for x in nn), -b.numerator))
-    return rows
+    return [(tuple(b.denominator * x for x in n), b.numerator)
+            for n, b in p.h.inequalities]
 
 
 def polyhedron_to_dict(p: Polyhedron):

@@ -31,6 +31,11 @@ witness by membership in the Minkowski sum of the fibers, and
 ``is_fan_ref`` intersects each pair of cones canonically; they are the
 references for the versions that run only the V-to-H pass, one emptiness
 test and one DD pass per pair.
+``x_system`` gives a set's scan system in x, each equality as two opposing
+rows: the form every scan took before the scans moved to the lattice
+coordinates of the affine hull.  The kernels run on it are the reference
+for the frame scans of ``latpoints``, and ``fiber_from_h_ref`` (a fresh
+``from_h`` per degree) for the fibers built by scaling.
 """
 
 import random
@@ -53,7 +58,8 @@ from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_NOT_LOCATED, VERDICT_VERIFIED_UP_TO,
                                _located_over, normally_located)
 from normloc.polyhedra import (HRep, Polyhedron, VRep, _h_to_v, _v_to_h,
-                               from_h, from_v, minkowski_sum, scale, vrep)
+                               from_h, from_v, integer_constraint_rows,
+                               minkowski_sum, scale, vrep)
 from normloc.reps import NORMALITY_FAILURE, NOT_IN_SUM, Witness
 
 
@@ -228,6 +234,17 @@ def box_of(p: Polyhedron):
     return lo, hi
 
 
+def x_system(p: Polyhedron):
+    """P's kernel system in x: its inequality rows, each equality as an
+    opposing pair of rows, and its vertex box (P bounded)."""
+    rows = integer_constraint_rows(p)
+    for n, b in p.h.equalities:
+        nn = tuple(b.denominator * x for x in n)
+        rows += [(nn, b.numerator), (tuple(-x for x in nn), -b.numerator)]
+    lo, hi = box_of(p)
+    return tuple(a for a, _ in rows), tuple(b for _, b in rows), lo, hi
+
+
 def oracle_points(p: Polyhedron):
     """Lattice points by brute box search with exact membership tests."""
     lo, hi = box_of(p)
@@ -325,6 +342,14 @@ def decompose_unbounded_guard_ref(p: Polyhedron, q: Polyhedron):
     if meet.rays or meet.lines:
         raise Unbounded("decomposition search region is unbounded: "
                         "tail(P) meets -tail(Q) outside the origin")
+
+
+def fiber_from_h_ref(g: GradedProjection, u) -> Polyhedron:
+    """P(u) by one fresh ``from_h`` of {x >= 0 : pi(x) = u}."""
+    eqs = tuple(zip(g.matrix, u))
+    ineqs = tuple((tuple(-int(i == j) for j in range(g.n)), 0)
+                  for i in range(g.n))
+    return from_h(HRep(ineqs, eqs))
 
 
 def git_cone_ref(g: GradedProjection, u) -> Cone:

@@ -128,6 +128,20 @@ def test_builtin_cases(files, capsys):
     assert code == 1 and rep["witness"]["point"] == [1, 0, 1, 1]
 
 
+@pytest.mark.parametrize("argv", [
+    ("paper-oldex", "--s", "0"),
+    ("paper-oldex", "--s", "-2"),
+    ("paper-counterexample", "--k", "0"),
+], ids=["oldex-s0", "oldex-negative", "counterexample-k0"])
+def test_builtin_cases_reject_nonpositive_scales(capsys, argv):
+    # a scale of 0 gives one-point sets, which would read as a verdict
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_output_is_deterministic(files, capsys):
     p, q = files("p.json", TRI_P), files("q.json", TRI_Q)
     argv = ("located-check", "--input", p, "--input", q)

@@ -9,8 +9,9 @@ from conftest import (hnf_with_transform, kernel_lattice_basis_ref, matmul,
                       solve_rational)
 from normloc.errors import ZeroVector
 from normloc.exact import (canonical_sign, det, dot, hermite_normal_form,
-                           identity_matrix, kernel_lattice_basis, primitive,
-                           project_off, saturated_basis, transpose)
+                           identity_matrix, integer_solution,
+                           kernel_lattice_basis, primitive, project_off,
+                           saturated_basis, solution_lattice, transpose)
 
 
 def test_primitive_divides_out_content():
@@ -89,6 +90,35 @@ def test_transform_free_core_matches_reference():
         assert kernel_lattice_basis(m) == kernel_lattice_basis_ref(m)
         assert saturated_basis(m) == saturated_basis_ref(m)
     assert min(shapes.values()) >= 500, shapes
+
+
+def test_integer_solution_matches_reference():
+    # one HNF gives the kernel basis and an integer solution of m @ x = b
+    # whenever the two-HNF reference finds one
+    rng = random.Random(43)
+    solved = unsolvable = 0
+    for trial in range(1200):
+        m = _test_matrix(rng, trial)
+        n = len(m[0])
+        image, kernel = solution_lattice(m)
+        assert kernel == kernel_lattice_basis_ref(m)
+        x = [rng.randint(-4, 4) for _ in range(n)]
+        b = [dot(row, x) for row in m]
+        if trial % 2:
+            # off the image lattice, most of the time
+            b[rng.randrange(len(b))] += rng.randint(1, 3)
+        got = integer_solution(image, b, n)
+        assert (got is None) == (solve_integral(m, tuple(b)) is None)
+        if got is None:
+            unsolvable += 1
+        else:
+            solved += 1
+            assert tuple(dot(row, got) for row in m) == tuple(b)
+        if got is not None:
+            # a rational right-hand side off Z^m has no integer solution
+            b[0] += Fraction(1, 2)
+            assert integer_solution(image, b, n) is None
+    assert solved >= 600 and unsolvable >= 300, (solved, unsolvable)
 
 
 def test_kernel_lattice_basis_spans_and_saturates():

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (fiber_point_sum_exact_ref, git_cone_ref, git_fan_ref,
-                      located_multiple_search_ref, random_polytope)
+from conftest import (fiber_from_h_ref, fiber_point_sum_exact_ref,
+                      git_cone_ref, git_fan_ref, located_multiple_search_ref,
+                      random_polytope)
+from normloc import gitfan
 from normloc.cases import boundary_grading, triangle_pair
-from normloc.errors import (DimensionMismatch, NormlocError, NotFullDimensional,
+from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
+                            NotFullDimensional,
                             NotLattice, RealizationError, SubsetCapExceeded,
                             SupportMismatch, TailConeMismatch,
                             WeightOutsideCone)
@@ -83,6 +86,47 @@ def test_fiber_polytopes():
         fiber(g, (0, 1))                        # outside cone((1,3),(4,1))
     with pytest.raises(DimensionMismatch):
         fiber(g, (1,))
+
+
+def test_scaled_fibers_match_fresh_from_h(monkeypatch):
+    # P(c u) is built as c P(u) for c = gcd(c u): the record must be the
+    # one a fresh from_h gives, rays and flat fibers included
+    calls = [0]
+    plain = gitfan.from_h
+
+    def counted(h):
+        calls[0] += 1
+        return plain(h)
+
+    monkeypatch.setattr(gitfan, "from_h", counted)
+    rng = random.Random(97)
+    g0, u1, u2 = boundary_grading()
+    cases = [(g0, u) for u in (u1, u2, (1, 3), (4, 1), (5, 5))]
+    for _ in range(120):
+        g = _random_grading(rng)
+        u = tuple(sum(rng.randint(0, 2) * w[j] for w in g.weights)
+                  for j in range(g.m))
+        cases.append((g, u))
+        cases.append((g, tuple(rng.randint(-2, 3) for _ in range(g.m))))
+    built = rays = 0
+    for g, u in cases:
+        for c in (2, 3, 6):
+            cu = tuple(c * x for x in u)
+            gitfan._fiber_cached.cache_clear()
+            calls[0] = 0
+            try:
+                expect = fiber_from_h_ref(g, cu)
+            except EmptyPolyhedron:
+                with pytest.raises(WeightOutsideCone):
+                    fiber(g, cu)
+                continue
+            got = fiber(g, cu)
+            assert got == expect and repr(got) == repr(expect), (g, cu)
+            # one from_h, of cu divided by its gcd
+            assert calls[0] == 1
+            built += 1
+            rays += bool(got.v.rays)
+    assert built >= 300 and rays >= 60, (built, rays)
 
 
 def test_git_cone_anchor_and_pointedness():

@@ -1,11 +1,10 @@
 import random
 
-from conftest import random_polytope, scan_undecomposed_ref
+from conftest import random_polytope, scan_undecomposed_ref, x_system
 from normloc import kernels
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.gitfan import fiber
-from normloc.polyhedra import (VRep, from_v, integer_constraint_rows,
-                               minkowski_sum, scale, translate, vertex_box)
+from normloc.polyhedra import VRep, from_v, minkowski_sum, scale, translate
 
 
 def _random_system(rng, d, m):
@@ -77,12 +76,6 @@ def test_scan_points_skips_empty_lines():
     assert len(kernels.scan_points(*sys_)) == 11
 
 
-def _polytope_system(p):
-    rows = integer_constraint_rows(p)
-    lo, hi = vertex_box(p)
-    return tuple(a for a, _ in rows), tuple(b for _, b in rows), lo, hi
-
-
 def _cut_boxes(sys_):
     """The system with its box cut below its rows, one axis end at a time."""
     coeffs, rhs, lo, hi = sys_
@@ -108,8 +101,8 @@ def _undecomposed_cases():
     for d, bound, k in ((2, 4, 2), (2, 3, 3), (3, 2, 2), (3, 3, 1)):
         p = random_polytope(rng, d, bound)
         q = scale(p, k)
-        rsys = _polytope_system(minkowski_sum(p, q))
-        psys, qsys = _polytope_system(p), _polytope_system(q)
+        rsys = x_system(minkowski_sum(p, q))
+        psys, qsys = x_system(p), x_system(q)
         yield rsys, psys, qsys
         # the box is part of each system: a shifted split that meets the
         # rows but leaves a box cut tighter than the rows does not count
@@ -140,8 +133,7 @@ def test_scan_undecomposed_agreement():
 
 def _pair_systems(p, q):
     """(R, P, Q) systems of R = P + Q."""
-    return (_polytope_system(minkowski_sum(p, q)), _polytope_system(p),
-            _polytope_system(q))
+    return x_system(minkowski_sum(p, q)), x_system(p), x_system(q)
 
 
 def _reference_cases():
@@ -168,7 +160,7 @@ def _reference_cases():
     for u1 in degrees:
         for u2 in degrees[2:5]:
             u12 = tuple(a + b for a, b in zip(u1, u2))
-            yield tuple(_polytope_system(fiber(g, u))
+            yield tuple(x_system(fiber(g, u))
                         for u in (u12, u1, u2))
     # P and Q boxes cut one step inside the rows at either end of the
     # last axis

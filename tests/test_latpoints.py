@@ -5,7 +5,9 @@ import pytest
 
 from conftest import (box_of, decompose_unbounded_guard_ref, is_normal_ref,
                       lattice_sum, oracle_points, oracle_split, oracle_sums,
-                      oracle_window_points, random_polytope)
+                      oracle_window_points, random_polytope,
+                      scan_undecomposed_ref, x_system)
+from normloc.cases import boundary_grading
 from normloc.errors import NotLattice, NormlocError, Unbounded
 from normloc.gitfan import fiber, fiber_point_sum_exact, graded_projection
 from normloc.latpoints import (decompose, enumerate_points,
@@ -402,3 +404,131 @@ def test_is_normal_matches_scaled_sum_reference():
         assert rep.to_dict() == is_normal_ref(p, s_max).to_dict(), p
         verdicts[rep.verdict] += 1
     assert min(verdicts.values()) >= 5, verdicts
+
+
+def _fiber_cases(rng, count):
+    """Seeded (g, u1, u2): n <= 6 weights with a positive first entry, so
+    every fiber is bounded, m <= 3, and degrees in the weight semigroup;
+    then the boundary grading at scales 1-11."""
+    cases = []
+    while len(cases) < count:
+        m = rng.randint(1, 3)
+        n = rng.randint(m, 6)
+        ws = [(rng.randint(1, 3),) + tuple(rng.randint(0, 3)
+                                           for _ in range(m - 1))
+              for _ in range(n)]
+        try:
+            g = graded_projection(ws)
+        except NormlocError:
+            continue
+        coefs = [[rng.randint(0, 1) for _ in ws] for _ in range(2)]
+        u1, u2 = (tuple(sum(c * w[j] for c, w in zip(coef, ws))
+                        for j in range(m)) for coef in coefs)
+        cases.append((g, u1, u2))
+    g, u1, u2 = boundary_grading()
+    cases += [(g, tuple(s * x for x in u1), tuple(s * x for x in u2))
+              for s in range(1, 12)]
+    return cases
+
+
+def _box_volume(p):
+    lo, hi = box_of(p)
+    vol = 1
+    for a, b in zip(lo, hi):
+        vol *= max(0, b - a + 1)
+    return vol
+
+
+def test_fiber_points_match_oracle_in_order():
+    # fibers are flat: the scan runs in the lattice coordinates of their
+    # affine hulls and must give the points of the x-box oracle, in order
+    rng = random.Random(83)
+    nonempty = 0
+    for g, u1, u2 in _fiber_cases(rng, 60):
+        for u in (u1, u2, tuple(a + b for a, b in zip(u1, u2))):
+            f = fiber(g, u)
+            assert f.h.equalities
+            if _box_volume(f) > 40_000:
+                continue
+            expect = tuple(oracle_points(f))
+            assert enumerate_points(f).points == expect, (g, u)
+            nonempty += bool(expect)
+            lo, hi = box_of(f)
+            lo = tuple(a + rng.randint(-1, 1) for a in lo)
+            hi = tuple(max(a, b - rng.randint(0, 2)) for a, b in zip(lo, hi))
+            assert (enumerate_windowed(f, lo, hi).points
+                    == tuple(oracle_window_points(f, lo, hi))), (g, u)
+    assert nonempty >= 180, nonempty
+
+
+def test_fiber_witnesses_match_reference_scan_in_x():
+    # the split check in the frame against the per-point reference scan
+    # on the x-systems, where each equality is two opposing rows
+    rng = random.Random(89)
+    witnesses = 0
+    for g, u1, u2 in _fiber_cases(rng, 60):
+        u12 = tuple(a + b for a, b in zip(u1, u2))
+        f1, f2, f12 = fiber(g, u1), fiber(g, u2), fiber(g, u12)
+        if _box_volume(f12) > 40_000:
+            continue
+        rep = fiber_point_sum_exact(g, u1, u2)
+        expect = scan_undecomposed_ref(*x_system(f12), *x_system(f1),
+                                       *x_system(f2))
+        assert (rep.witness.point if rep.witness else None) == expect
+        witnesses += expect is not None
+        # decompose works in the frame of aff(P) cap (z - aff(Q))
+        pts = list(enumerate_points(f12))
+        probes = rng.sample(pts, min(4, len(pts))) + ([expect] if expect
+                                                      else [])
+        lo, hi = box_of(f12)
+        probes.append(tuple(rng.randint(a, b) for a, b in zip(lo, hi)))
+        for z in probes:
+            assert decompose(z, f1, f2) == oracle_split(f1, f2, z), (g, z)
+    assert witnesses >= 25, witnesses
+
+
+def test_lattice_free_affine_hulls():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    # P on the line x = 1/2 has no lattice point, P + P on x = 1 has: no
+    # point splits, so the witness is the first lattice point of P + P
+    p = from_v(VRep(((half, 0), (half, 2)), ()))
+    assert enumerate_points(p).points == ()
+    rep = normally_located(p, p)
+    assert rep.verdict == "not_located" and rep.witness.point == (1, 0)
+    # the same in 3-d, on the plane 2x + 2y = 1, and for a single point
+    q = from_v(VRep(((half, 0, 0), (0, half, 0), (half, 0, 3)), ()))
+    r = minkowski_sum(q, q)
+    assert normally_located(q, q).witness.point == oracle_points(r)[0]
+    dot_ = from_v(VRep(((half, half),), ()))
+    assert normally_located(dot_, dot_).witness.point == (1, 1)
+    assert decompose((1, 1), dot_, dot_) is None
+    # R on x = 1/2 (and on 2x + 2y = 1) has no lattice point at all
+    for s in (from_v(VRep(((quarter, 0), (quarter, 3)), ())),
+              from_v(VRep(((quarter, 0, 0), (0, quarter, 0),
+                           (0, quarter, 2)), ()))):
+        r = minkowski_sum(s, s)
+        assert r.h.equalities
+        assert oracle_points(r) == []
+        assert enumerate_points(r).points == ()
+        rep = normally_located(s, s)
+        assert rep.verdict == "located" and rep.witness is None
+        assert enumerate_windowed(r, (-2,) * r.dim, (3,) * r.dim).points == ()
+
+
+def test_windows_missing_flat_sets():
+    # a window that misses the set on one axis scans nothing, even where
+    # the set has points that do not split
+    half = Fraction(1, 2)
+    seg = from_v(VRep(((half,), (3 * half,)), ()))
+    assert normally_located(seg, seg).witness.point == (1,)
+    flat = from_v(VRep(((half, 0), (3 * half, 0)), ()))
+    assert normally_located(flat, flat).witness.point == (1, 0)
+    for p, lo, hi in ((seg, (-4,), (0,)), (flat, (-4, 0), (0, 0)),
+                      (flat, (1, 1), (3, 2))):
+        rep = normally_located(p, p, window=(lo, hi))
+        assert rep.verdict == "verified_up_to" and rep.witness is None
+        assert rep.checked == {"window": [list(lo), list(hi)]}
+        assert enumerate_windowed(minkowski_sum(p, p), lo, hi).points == ()
+    # a window inside the set's box keeps only its points
+    assert enumerate_windowed(minkowski_sum(flat, flat), (2, -1),
+                              (3, 1)).points == ((2, 0), (3, 0))
