@@ -37,8 +37,8 @@ from .fans import (Cone, common_refinement, cone_contains,
                    normal_fan, refines, relative_interior_contains, support)
 from .latpoints import (LocationReport, VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                         VERDICT_VERIFIED_UP_TO, _located_over)
-from .polyhedra import (HRep, Polyhedron, VRep, _h_to_v, from_h, from_v,
-                        minkowski_sum, scale, translate)
+from .polyhedra import (HRep, Polyhedron, VRep, _from_canonical_v, _h_to_v,
+                        from_v, minkowski_sum, scale, translate)
 from .reps import NOT_IN_SUM, Witness
 
 VERDICT_EXHAUSTED = "exhausted"
@@ -119,7 +119,9 @@ def _require_in_cone(g: GradedProjection, u):
     The fiber is the set of nonnegative combinations of the weights hitting
     u, so it is nonempty exactly when u lies in the weight cone.  Going
     through the fiber keeps the check cheap for wide projections, where the
-    weight cone's facet description can be enormous.
+    weight cone's facet description can be enormous.  The test is the one
+    H-to-V pass of ``_fiber_cached``, whose vertices stay cached for the
+    caller.
     """
     u = _degree(g, u)
     try:
@@ -149,20 +151,45 @@ def orbit_cones(g: GradedProjection):
 def fiber(g: GradedProjection, u) -> Polyhedron:
     """The fiber polyhedron P(u) = {x >= 0 : pi(x) = u} in Q^n."""
     u = _require_in_cone(g, u)
-    return _fiber_cached(g, u)
+    return _fiber_record(g, u)
 
 
 @lru_cache(maxsize=4096)
-def _fiber_cached(g: GradedProjection, u) -> Polyhedron:
-    """P(u), built as c * P(u / c) for c = gcd(u) > 1: the record is the
-    same, as ``scale`` ends in the V-to-H pass that ``from_h`` ends in."""
+def _fiber_cached(g: GradedProjection, u):
+    """Canonical ``(vertices, rays)`` of P(u) from one H-to-V pass.
+
+    Lex-sorted vertices and sorted primitive rays, as a record carries them;
+    EmptyPolyhedron when u lies outside the weight cone.  For c = gcd(u) > 1
+    this is c times the entry of u / c: scaling keeps the vertices' lex
+    order and the rays.  Readers of the vertices alone (the weight-cone
+    check, GIT cones, the projection checks of ``realize_pair``) stop here;
+    no facet is computed.
+    """
     c = vec_gcd(u)
     if c > 1:
-        return scale(_fiber_cached(g, tuple(x // c for x in u)), c)
+        verts, rays = _fiber_cached(g, tuple(x // c for x in u))
+        return tuple(tuple(c * x for x in v) for v in verts), rays
     eqs = [(row, u_j) for row, u_j in zip(g.matrix, u)]
     ineqs = [(tuple(-int(i == j) for j in range(g.n)), 0)
              for i in range(g.n)]
-    return from_h(HRep(tuple(ineqs), tuple(eqs)))
+    verts, rays = _h_to_v(g.n, HRep(tuple(ineqs), tuple(eqs)))
+    return tuple(verts), tuple(rays)
+
+
+@lru_cache(maxsize=256)
+def _fiber_record(g: GradedProjection, u) -> Polyhedron:
+    """The record of P(u), the one ``from_h`` gives: only the V-to-H pass
+    runs here, on the cached vertices."""
+    return _from_canonical_v(g.n, *_fiber_cached(g, u))
+
+
+@lru_cache(maxsize=4096)
+def _support_rows(g: GradedProjection, sup):
+    """(eqs, ineqs) of the cone spanned by the weights indexed by sup, one
+    V-to-H DD pass; chambers of one grading share most supports."""
+    eqs, ineqs = dd.constraints_from_generators(g.m, (),
+                                                [g.weights[i] for i in sup])
+    return tuple(eqs), tuple(ineqs)
 
 
 def git_cone(g: GradedProjection, u) -> Cone:
@@ -177,15 +204,17 @@ def git_cone(g: GradedProjection, u) -> Cone:
     orbit cone.  At a fiber vertex the active rows have full rank, which
     forces the supporting weights to be linearly independent; GIT cones are
     therefore intersections of simplicial cones, in particular pointed.
+
+    Only the fiber's vertices are read (``_fiber_cached``, no facets), and
+    each vertex-support cone enters through its cached constraint rows
+    (``_support_rows``); the one ``cone_from_h`` canonicalizes their
+    intersection.
     """
     u = _require_in_cone(g, u)
-    supports = sorted({tuple(i for i, x in enumerate(v) if x != 0)
-                       for v in _fiber_cached(g, u).v.vertices})
-    # each vertex-support cone enters only through its constraint rows;
-    # the one cone_from_h canonicalizes their intersection
-    rows = [dd.constraints_from_generators(g.m, (),
-                                           [g.weights[i] for i in sup])
-            for sup in supports]
+    verts, _ = _fiber_cached(g, u)
+    rows = [_support_rows(g, sup)
+            for sup in sorted({tuple(i for i, x in enumerate(v) if x != 0)
+                               for v in verts})]
     return cone_from_h(g.m, ineqs=[n for _, ineqs in rows for n in ineqs],
                        eqs=[n for eqs, _ in rows for n in eqs])
 
@@ -386,10 +415,12 @@ class RealizedPair:
                 "translation": list(self.translation)}
 
 
-def _project_front(p: Polyhedron, d: int) -> Polyhedron:
-    verts = tuple(v[:d] for v in p.v.vertices)
-    rays = tuple(r[:d] for r in p.v.rays if any(r[:d]))
-    return from_v(VRep(verts, rays))
+def _project_front(fib, d: int) -> Polyhedron:
+    """Image of a fiber, given as its cached ``(vertices, rays)``, under
+    the projection onto the first d coordinates."""
+    verts, rays = fib
+    return from_v(VRep(tuple(v[:d] for v in verts),
+                       tuple(r[:d] for r in rays if any(r[:d]))))
 
 
 def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
@@ -436,7 +467,8 @@ def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
     for u, target in ((u1, q1t), (u2, q2t),
                       (tuple(a + b for a, b in zip(u1, u2)),
                        minkowski_sum(q1t, q2t))):
-        if _project_front(fiber(g, u), d) != target:
+        fib = _fiber_cached(g, _require_in_cone(g, u))
+        if _project_front(fib, d) != target:
             raise RealizationError(f"fiber over {u} does not project onto "
                                    "its polyhedron")
     return RealizedPair(g, tuple(int(x) for x in u1),

@@ -10,8 +10,8 @@ The Hermite normal form that also builds its unimodular transform
 integral solver built on it, are references for the transform-free
 versions in ``normloc.exact``.  The split-region guard and the GIT cone
 also keep their cone-based forms here: tail(P) cap -tail(Q) as a
-canonical cone, and each vertex-support cone built whole before the
-intersection.
+canonical cone, and each vertex-support cone of a fresh ``from_h`` fiber
+built whole before the intersection.
 The per-point lattice scan (``scan_undecomposed_ref``) is the reference
 for the line-at-a-time ``kernels.scan_undecomposed``, and the three-pass
 ``from_v_ref`` for the ``from_v`` that reuses its first facets.
@@ -51,9 +51,9 @@ from normloc.exact import (IMat, IVec, dot, identity_matrix, primitive,
 from normloc.fans import (Cone, cone_contains, cone_from_generators,
                           cone_from_h, fan_from_cones, intersect_cones,
                           normal_fan, refines, support)
-from normloc.gitfan import (GradedProjection, _fiber_cached, _multiple_sweep,
-                            _require_in_cone, _wall_normals, fiber,
-                            orbit_cones, weight_cone)
+from normloc.gitfan import (GradedProjection, _multiple_sweep,
+                            _require_in_cone, _wall_normals, fiber, orbit_cones,
+                            weight_cone)
 from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_NOT_LOCATED, VERDICT_VERIFIED_UP_TO,
                                _located_over, normally_located)
@@ -353,8 +353,8 @@ def fiber_from_h_ref(g: GradedProjection, u) -> Polyhedron:
 
 
 def git_cone_ref(g: GradedProjection, u) -> Cone:
-    """GIT cone of u from whole vertex-support cones of the fiber."""
-    f = _fiber_cached(g, u)
+    """GIT cone of u from whole vertex-support cones of a fresh fiber."""
+    f = fiber_from_h_ref(g, u)
     supports = sorted({tuple(i for i, x in enumerate(v) if x != 0)
                        for v in f.v.vertices})
     cones = [cone_from_generators(g.m, rays=[g.weights[i] for i in sup])

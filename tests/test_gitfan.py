@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -89,16 +90,17 @@ def test_fiber_polytopes():
 
 
 def test_scaled_fibers_match_fresh_from_h(monkeypatch):
-    # P(c u) is built as c P(u) for c = gcd(c u): the record must be the
-    # one a fresh from_h gives, rays and flat fibers included
-    calls = [0]
-    plain = gitfan.from_h
+    # the vertices of P(c u) are c times those of P(u) for c = gcd(c u):
+    # the record must be the one a fresh from_h gives, rays and flat fibers
+    # included
+    calls = []
+    plain = gitfan._h_to_v
 
-    def counted(h):
-        calls[0] += 1
-        return plain(h)
+    def counted(d, h):
+        calls.append(tuple(rhs for _, rhs in h.equalities))
+        return plain(d, h)
 
-    monkeypatch.setattr(gitfan, "from_h", counted)
+    monkeypatch.setattr(gitfan, "_h_to_v", counted)
     rng = random.Random(97)
     g0, u1, u2 = boundary_grading()
     cases = [(g0, u) for u in (u1, u2, (1, 3), (4, 1), (5, 5))]
@@ -113,7 +115,8 @@ def test_scaled_fibers_match_fresh_from_h(monkeypatch):
         for c in (2, 3, 6):
             cu = tuple(c * x for x in u)
             gitfan._fiber_cached.cache_clear()
-            calls[0] = 0
+            gitfan._fiber_record.cache_clear()
+            calls.clear()
             try:
                 expect = fiber_from_h_ref(g, cu)
             except EmptyPolyhedron:
@@ -122,11 +125,44 @@ def test_scaled_fibers_match_fresh_from_h(monkeypatch):
                 continue
             got = fiber(g, cu)
             assert got == expect and repr(got) == repr(expect), (g, cu)
-            # one from_h, of cu divided by its gcd
-            assert calls[0] == 1
+            # one H-to-V pass, of cu divided by its gcd
+            c_all = math.gcd(*cu) or 1
+            assert calls == [tuple(x // c_all for x in cu)]
             built += 1
             rays += bool(got.v.rays)
     assert built >= 300 and rays >= 60, (built, rays)
+
+
+def test_vertex_readers_build_no_fiber_facets(monkeypatch):
+    # git_fan, git_cone and realize_pair read only the fibers' vertices:
+    # with every cache cold, no V-to-H pass runs on any fiber
+    calls = []
+    plain = gitfan._from_canonical_v
+
+    def counted(d, verts, rays):
+        calls.append(d)
+        return plain(d, verts, rays)
+
+    monkeypatch.setattr(gitfan, "_from_canonical_v", counted)
+    for val in vars(gitfan).values():
+        if callable(getattr(val, "cache_clear", None)):
+            val.cache_clear()
+    g, u1, u2 = boundary_grading()
+    assert git_fan(g).fan_verified and git_fan(WIDE).fan_verified
+    for u in (u1, (6, 6), (0, 0)):
+        git_cone(g, u)
+    rng = random.Random(89)
+    for _ in range(3):
+        q2 = random_polytope(rng, 2, 4)
+        realize_pair(minkowski_sum(random_polytope(rng, 2, 4), q2), q2)
+    seg = from_v(VRep(((0,), (1,)), ()))
+    realize_pair(seg, scale(seg, 2))
+    quadrant = from_v(VRep(((0, 0),), ((0, 1), (1, 0))))
+    realize_pair(translate(quadrant, (1, 0)), quadrant)
+    assert calls == []
+    # the counter sees the records that fiber() builds
+    fiber(g, u2)
+    assert calls == [4]
 
 
 def test_git_cone_anchor_and_pointedness():
@@ -291,8 +327,27 @@ def test_git_cone_matches_cone_oracle():
             cs = [rng.randint(0, 2) for _ in ws]
             u = tuple(sum(c * w[j] for c, w in zip(cs, ws))
                       for j in range(m))
-            assert repr(git_cone(g, u)) == repr(git_cone_ref(g, u))
+            # multiples reach the cached fiber of their primitive degree
+            for c in (1, 2, 3):
+                cu = tuple(c * x for x in u)
+                assert repr(git_cone(g, cu)) == repr(git_cone_ref(g, cu))
             checked += 1
+        zero = git_cone(g, (0,) * m)
+        assert zero.rays == zero.lines == zero.ineq_normals == ()
+        assert zero.eq_normals == tuple(tuple(int(i == j) for j in range(m))
+                                        for i in range(m))
+        assert repr(zero) == repr(git_cone_ref(g, (0,) * m))
+    # the wide gradings of realized refining pairs (Q1 = Q2 + R)
+    widths = set()
+    for _ in range(6):
+        q2 = random_polytope(rng, 2, 5, 5)
+        q1 = minkowski_sum(random_polytope(rng, 2, 5, 5), q2)
+        rp = realize_pair(q1, q2)
+        g = rp.projection
+        widths.add(g.m)
+        for u in (rp.u1, rp.u2, tuple(a + b for a, b in zip(rp.u1, rp.u2))):
+            assert repr(git_cone(g, u)) == repr(git_cone_ref(g, u))
+    assert max(widths) >= 7, widths
 
 
 def test_realize_pair_segments():
