@@ -28,13 +28,14 @@ from itertools import combinations
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotFullDimensional, NotLattice, RealizationError,
-                     SubsetCapExceeded, TailConeMismatch, WeightOutsideCone)
+                     SubsetCapExceeded, SupportMismatch, TailConeMismatch,
+                     WeightOutsideCone)
 from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
                     identity_matrix, kernel_lattice_basis, primitive,
                     transpose, vec_gcd)
-from .fans import (Cone, common_refinement, cone_contains,
-                   cone_from_generators, cone_from_h, fan_from_cones, is_fan,
-                   normal_fan, refines, relative_interior_contains, support)
+from .fans import (Cone, cone_contains, cone_from_generators, cone_from_h,
+                   fan_from_cones, is_fan, normal_fan, refines,
+                   relative_interior_contains, support)
 from .latpoints import (LocationReport, VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                         VERDICT_VERIFIED_UP_TO, _located_over)
 from .polyhedra import (HRep, Polyhedron, VRep, _from_canonical_v, _h_to_v,
@@ -281,9 +282,7 @@ def git_fan(g: GradedProjection) -> GitFan:
             continue
         sample = tuple(sum(col) for col in zip(*cell.rays)) if cell.rays \
             else (0,) * g.m
-        # u / gcd(u) has the GIT cone of u, and its fiber is built directly
-        c = vec_gcd(sample) or 1
-        chambers.append(git_cone(g, tuple(x // c for x in sample)))
+        chambers.append(git_cone(g, sample))
     fan = fan_from_cones(g.m, chambers)
     verified = support(fan) == wc and is_fan(fan)
     return GitFan(g, wc, fan.maximal_cones, verified)
@@ -427,10 +426,11 @@ def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
     """Embed lattice polyhedra Q1, Q2 with a common tail as two fibers.
 
     Both are translated into the positive orthant by one shared shift t.
-    The functionals are the rays of the common refinement of the two normal
-    fans; with l_1 > ... > l_m in lexicographic order and a_i, b_i their
-    maxima over the shifted Q1, Q2, the grading on Z^(d+m) has weights
-    (columns of the functional matrix, then unit vectors) and the fibers
+    The functionals are the facet normals of the shifted sum Q1' + Q2',
+    that is the rays of N(Q1') ^ N(Q2'), the normal fan of the sum; with
+    l_1 > ... > l_m in lexicographic order and a_i, b_i their maxima over
+    the shifted Q1, Q2, the grading on Z^(d+m) has weights (columns of
+    the functional matrix, then unit vectors) and the fibers
     over u1 = a and u2 = b project isomorphically onto the shifted Q1, Q2.
     The construction verifies this, and the sum identity, before returning.
     """
@@ -453,11 +453,8 @@ def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
     shift = tuple(max(0, 1 - int(x)) for x in lo)
     q1t = translate(q1, shift)
     q2t = translate(q2, shift)
-    refined = common_refinement(normal_fan(q1t), normal_fan(q2t))
-    funcs = sorted({r for c in refined.maximal_cones for r in c.rays},
-                   reverse=True)
-    if not funcs:
-        raise RealizationError("refined normal fan has no rays")
+    total = minkowski_sum(q1t, q2t)
+    funcs = sorted({n for n, _ in total.h.inequalities}, reverse=True)
     m = len(funcs)
     u1 = tuple(max(dot(f, v) for v in q1t.v.vertices) for f in funcs)
     u2 = tuple(max(dot(f, v) for v in q2t.v.vertices) for f in funcs)
@@ -465,8 +462,7 @@ def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
     units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     g = graded_projection(cols + units)
     for u, target in ((u1, q1t), (u2, q2t),
-                      (tuple(a + b for a, b in zip(u1, u2)),
-                       minkowski_sum(q1t, q2t))):
+                      (tuple(a + b for a, b in zip(u1, u2)), total)):
         fib = _fiber_cached(g, _require_in_cone(g, u))
         if _project_front(fib, d) != target:
             raise RealizationError(f"fiber over {u} does not project onto "
@@ -515,11 +511,16 @@ def located_multiple_search(q1: Polyhedron, q2: Polyhedron,
 
     When N(Q1) refines N(Q2) some multiple k works for every s; the theorem
     says nothing when it does not, so the sweep runs either way and records
-    the refinement in checked["refines"].  Normal fans with different
-    supports raise SupportMismatch.
+    the refinement in checked["refines"], read off the vertex counts of Q1
+    and Q1 + Q2.  Different dimensions or tail cones (normal fans with
+    different supports) raise SupportMismatch.
     """
-    ok = refines(normal_fan(q1), normal_fan(q2))
+    if q1.dim != q2.dim or q1.v.rays != q2.v.rays:
+        raise SupportMismatch("fans have different supports")
     total = minkowski_sum(q1, q2)
+    # N(Q1 + Q2) always refines N(Q1) on the same support, one maximal cone
+    # per vertex, so equal counts make them equal: N(Q1) = N(Q1) ^ N(Q2)
+    ok = len(total.v.vertices) == len(q1.v.vertices)
 
     def step(k, s):
         return _located_over(scale(total, s * k), scale(q1, s * k),

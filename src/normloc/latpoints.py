@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil, floor, lcm
-from operator import add, mul
+from operator import mul
 
 from . import kernels
 from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
@@ -210,11 +210,9 @@ class _Frame:
         return tuple(coeffs), tuple(rhs), tuple(ylo), tuple(yhi)
 
     def points(self, ys, origin):
-        """The x = origin + y B of the scanned y's."""
+        """The x = origin + y B of the scanned y's (origin 0 if no W)."""
         if not self.normals:
-            if not any(origin):
-                return tuple(ys)
-            return tuple(tuple(map(add, origin, y)) for y in ys)
+            return tuple(ys)
         out = []
         for y in ys:
             x = list(origin)

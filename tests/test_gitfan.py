@@ -13,9 +13,10 @@ from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                             NotFullDimensional,
                             NotLattice, RealizationError, SubsetCapExceeded,
-                            SupportMismatch, TailConeMismatch,
+                            SupportMismatch, TailConeMismatch, Unbounded,
                             WeightOutsideCone)
-from normloc.fans import cone_from_generators, normal_fan, refines
+from normloc.fans import (common_refinement, cone_from_generators,
+                          normal_fan, refines)
 from normloc.gitfan import (GradedProjection, fiber, fiber_point_sum_exact,
                             fiber_sum_exact, git_cone, git_fan,
                             graded_projection, graded_projection_from_dict,
@@ -375,6 +376,61 @@ def test_realize_pair_round_trips_through_fibers():
                        for v in t1.v.vertices) == val
 
 
+def test_realize_pair_functionals_are_the_refined_fan_rays():
+    # the functionals are read off the facets of Q1' + Q2'; the reference
+    # takes the rays of N(Q1') ^ N(Q2') on bounded 2-d and 3-d pairs
+    # (unrelated and refining) and on 2-d pairs with a common tail
+    rng = random.Random(97)
+    tails = (((1, 0),), ((0, 1),), ((1, 1),), ((1, 0), (0, 1)),
+             ((1, 0), (1, 2)), ((0, 1), (3, 1)))
+    pairs = []
+    for _ in range(10):
+        q2 = random_polytope(rng, 2, 4)
+        pairs.append((random_polytope(rng, 2, 4), q2))
+        pairs.append((minkowski_sum(random_polytope(rng, 2, 2), q2), q2))
+    for _ in range(8):
+        pairs.append((random_polytope(rng, 3, 2), random_polytope(rng, 3, 2)))
+    for _ in range(12):
+        tail = rng.choice(tails)
+        pairs.append(tuple(from_v(VRep(random_polytope(rng, 2, 3).v.vertices,
+                                       tail)) for _ in range(2)))
+    assert len(pairs) >= 40
+    rays = 0
+    for q1, q2 in pairs:
+        rp = realize_pair(q1, q2)
+        refined = common_refinement(normal_fan(rp.q1), normal_fan(rp.q2))
+        assert rp.functionals == tuple(sorted(
+            {r for c in refined.maximal_cones for r in c.rays},
+            reverse=True)), (q1, q2)
+        rays += bool(rp.q1.v.rays)
+    assert rays == 12
+
+
+def test_pair_readers_build_no_normal_fan(monkeypatch):
+    # realize_pair and located_multiple_search read the Minkowski sum;
+    # only the fan side of refinement_iff_interior builds normal fans
+    calls = []
+    plain = gitfan.normal_fan
+
+    def counted(q):
+        calls.append(q.dim)
+        return plain(q)
+
+    monkeypatch.setattr(gitfan, "normal_fan", counted)
+    sq = from_v(VRep(((0, 0), (1, 0), (0, 1), (1, 1)), ()))
+    tri = from_v(VRep(((0, 0), (1, 0), (0, 1)), ()))
+    quad = from_v(VRep(((0, 0),), ((1, 0), (0, 1))))
+    realize_pair(sq, tri)
+    realize_pair(translate(quad, (1, 0)), quad)
+    located_multiple_search(tri, sq, k_max=1, s_max=2)
+    located_multiple_search(minkowski_sum(sq, tri), tri, k_max=1, s_max=1)
+    with pytest.raises(SupportMismatch):
+        located_multiple_search(tri, quad, k_max=1, s_max=1)
+    assert calls == []
+    refinement_iff_interior(sq, tri)
+    assert calls == [2, 2]
+
+
 def test_realize_pair_reads_the_tail_off_the_rays():
     # redundant generators of the same quadrant are dropped by from_v
     q1 = from_v(VRep(((0, 1), (1, 0)), ((1, 0), (0, 1), (1, 1))))
@@ -499,16 +555,27 @@ def test_located_multiple_search_matches_reference():
     pairs += [(reeve, reeve), (reeve, scale(reeve, 2))]
     ray = from_v(VRep(((0, 0),), ((1, 0), (0, 1))))
     pairs.append((ray, ray))
+    # different tails and different dimensions raise SupportMismatch, and a
+    # 3-d pair with a common ray raises Unbounded
+    pairs.append((ray, from_v(VRep(((0, 0), (0, 1)), ((1, 0),)))))
+    pairs.append((from_v(VRep(((0,), (2,)), ())), ray))
+    up = ((0, 0, 1),)
+    pairs.append((from_v(VRep(reeve.v.vertices, up)),
+                  from_v(VRep(scale(reeve, 2).v.vertices, up))))
     verdicts = {"verified_up_to": 0, "exhausted": 0}
     refining = set()
+    outcomes = []
     for q1, q2 in pairs:
         k_max = rng.randint(1, 2)
         s_max = rng.randint(1, 3 if q1.dim == 2 else 2)
         got = _search_outcome(located_multiple_search, q1, q2, k_max, s_max)
         assert got == _search_outcome(located_multiple_search_ref, q1, q2,
                                       k_max, s_max), (q1, q2)
+        outcomes.append(got)
         if isinstance(got, dict):
             verdicts[got["verdict"]] += 1
             refining.add(got["checked"]["refines"])
     assert len(pairs) >= 40
     assert min(verdicts.values()) >= 5 and refining == {False, True}, verdicts
+    assert outcomes[-4:] == [Unbounded, SupportMismatch, SupportMismatch,
+                             Unbounded]
