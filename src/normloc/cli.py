@@ -49,8 +49,12 @@ def _parse_int(word, text):
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # bad UTF-8 or JSON, nesting past the recursion limit, too many digits
+        except (ValueError, RecursionError) as exc:
+            raise NormlocError(f"{path}: {exc}") from None
 
 
 def _load_poly(path):
@@ -236,7 +240,7 @@ def main(argv=None) -> int:
     except NormlocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, KeyError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,13 +44,13 @@ def _insert(lines, rays, a, is_eq, bit, prev_mask):
                 continue
             la = dot(a, ln)
             if la:
-                ln = primitive(tuple(-s * x + la * y for x, y in zip(ln, p)))
+                ln = primitive([-s * x + la * y for x, y in zip(ln, p)])
             new_lines.append(ln)
         new_rays = []
         for r, z in rays:
             ra = dot(a, r)
             if ra:
-                r = primitive(tuple(-s * x + ra * y for x, y in zip(r, p)))
+                r = primitive([-s * x + ra * y for x, y in zip(r, p)])
             new_rays.append((r, z | bit))
         if not is_eq:
             # the eliminated line survives on its strictly feasible side;
@@ -87,14 +87,14 @@ def _insert(lines, rays, a, is_eq, bit, prev_mask):
                     break
             if not adjacent:
                 continue
-            vec = primitive(tuple(sp * x - sn * y for x, y in zip(rn, rp)))
+            vec = primitive([sp * x - sn * y for x, y in zip(rn, rp)])
             new_rays.append((vec, t | bit))
     return lines, new_rays
 
 
 def generators_from_constraints(dim: int, eqs, ineqs) -> tuple[IMat, IMat]:
     """Generators (lines, rays) of the cone cut out by eqs and ineqs."""
-    lines = [tuple(r) for r in identity_matrix(dim)]
+    lines = list(identity_matrix(dim))
     rays: list = []
     for e in eqs:
         if any(e):

@@ -15,7 +15,9 @@ none.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import NormlocError, ZeroVector
 
@@ -25,7 +27,7 @@ IMat = tuple[IVec, ...]
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def as_int(x) -> int:
@@ -51,26 +53,24 @@ def as_int(x) -> int:
     raise NormlocError(f"not an integer: {x!r}")
 
 
-def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v) -> IVec:
     """Shortest integer vector with the same direction as ``v``.
 
-    Accepts int or Fraction entries (ints have a numerator and a denominator
-    too), clearing denominators in integer arithmetic.  Raises ZeroVector on
-    the zero vector.
+    Accepts int or Fraction entries.  Int entries take one gcd; a Fraction
+    entry makes that gcd raise TypeError, and then the denominators are
+    cleared in integer arithmetic first.  Raises ZeroVector on the zero
+    vector.
     """
-    den = lcm(*(x.denominator for x in v))
-    w = tuple(x.numerator * (den // x.denominator) for x in v)
-    g = vec_gcd(w)
+    w = v
+    try:
+        g = gcd(*w)
+    except TypeError:  # a Fraction entry: clear the denominators first
+        den = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (den // x.denominator) for x in v]
+        g = gcd(*w)
     if not g:
         raise ZeroVector(f"no primitive vector for {tuple(v)}")
-    return tuple(x // g for x in w)
+    return tuple([x // g for x in w])
 
 
 def canonical_sign(v: IVec) -> IVec:
@@ -83,6 +83,7 @@ def canonical_sign(v: IVec) -> IVec:
     return tuple(v)
 
 
+@lru_cache(maxsize=64)
 def identity_matrix(n: int) -> IMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

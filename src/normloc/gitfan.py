@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
@@ -32,7 +33,7 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      WeightOutsideCone)
 from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
                     identity_matrix, kernel_lattice_basis, primitive,
-                    transpose, vec_gcd)
+                    transpose)
 from .fans import (Cone, cone_contains, cone_from_generators, cone_from_h,
                    fan_from_cones, is_fan, normal_fan, refines,
                    relative_interior_contains, support)
@@ -166,7 +167,7 @@ def _fiber_cached(g: GradedProjection, u):
     check, GIT cones, the projection checks of ``realize_pair``) stop here;
     no facet is computed.
     """
-    c = vec_gcd(u)
+    c = gcd(*u)
     if c > 1:
         verts, rays = _fiber_cached(g, tuple(x // c for x in u))
         return tuple(tuple(c * x for x in v) for v in verts), rays

@@ -21,53 +21,45 @@ found at the first points of the neighbouring lines one step back along
 each other axis, before it searches.
 """
 
+from operator import mul
+
 
 def backend() -> str:
     """Name of the scan implementation: always the pure Python one."""
     return "pure"
 
 
-def _ceildiv(a, b):
-    return -((-a) // b)
-
-
-def _minrest(coeffs, lo, hi, d):
-    """minrest[i][j] = min over the box of sum(coeffs[i][t] * x[t], t >= j)."""
-    table = []
-    for row in coeffs:
-        acc = [0] * (d + 1)
-        for j in range(d - 1, -1, -1):
-            c = row[j]
-            acc[j] = acc[j + 1] + (c * lo[j] if c >= 0 else c * hi[j])
-        table.append(acc)
-    return table
-
-
 def _lines(coeffs, rhs, lo, hi):
     """Yield (prefix, lo_last, hi_last) for every nonempty line, lex order.
 
     ``prefix`` holds the first d - 1 coordinates; the line's points are
-    ``prefix + (v,)`` for lo_last <= v <= hi_last.
+    ``prefix + (v,)`` for lo_last <= v <= hi_last.  ``slack[j][i]`` is
+    rhs[i] less the box minimum of row i over the axes after j.
     """
     d = len(lo)
     if any(a > b for a, b in zip(lo, hi)):
         return
-    m = len(coeffs)
-    minrest = _minrest(coeffs, lo, hi, d)
+    cols = list(zip(*coeffs)) or [()] * d
+    slack = [None] * d
+    acc = list(rhs)
+    for j in range(d - 1, -1, -1):
+        slack[j] = acc
+        acc = [s - (c * lo[j] if c >= 0 else c * hi[j])
+               for s, c in zip(acc, cols[j])]
     last = d - 1
     x = [0] * last
 
     def rec(j, partial):
         lo_j, hi_j = lo[j], hi[j]
-        for i in range(m):
-            c = coeffs[i][j]
-            rem = rhs[i] - partial[i] - minrest[i][j + 1]
+        col = cols[j]
+        for c, s, p in zip(col, slack[j], partial):
+            rem = s - p
             if c > 0:
                 b = rem // c
                 if b < hi_j:
                     hi_j = b
             elif c < 0:
-                b = _ceildiv(rem, c)
+                b = -(-rem // c)
                 if b > lo_j:
                     lo_j = b
             elif rem < 0:
@@ -78,10 +70,9 @@ def _lines(coeffs, rhs, lo, hi):
             return
         for v in range(lo_j, hi_j + 1):
             x[j] = v
-            nxt = [partial[i] + coeffs[i][j] * v for i in range(m)]
-            yield from rec(j + 1, nxt)
+            yield from rec(j + 1, [p + c * v for p, c in zip(partial, col)])
 
-    yield from rec(0, [0] * m)
+    yield from rec(0, [0] * len(rhs))
 
 
 def iter_points(coeffs, rhs, lo, hi):
@@ -105,7 +96,7 @@ def _member(coeffs, rhs, lo, hi, x):
         if v < a or v > b:
             return False
     for row, b in zip(coeffs, rhs):
-        if sum(c * v for c, v in zip(row, x)) > b:
+        if sum(map(mul, row, x)) > b:
             return False
     return True
 
@@ -119,7 +110,7 @@ def _run(x, rows, top):
     """
     t = top - x[-1]
     for row, b, c in rows:
-        s = (b - sum(a * v for a, v in zip(row, x))) // c
+        s = (b - sum(map(mul, row, x))) // c
         if s < t:
             t = s
     return t
@@ -167,7 +158,7 @@ def scan_undecomposed(rcoeffs, rrhs, rlo, rhi,
         ihi = tuple(min(phi[j], z[j] - qlo[j]) for j in range(d))
         irhs = list(prhs)
         for row, b in zip(qcoeffs, qrhs):
-            irhs.append(b - sum(a * zz for a, zz in zip(row, z)))
+            irhs.append(b - sum(map(mul, row, z)))
         zp = next(iter_points(icoeffs, irhs, ilo, ihi), None)
         if zp is None:
             return None

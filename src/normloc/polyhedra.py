@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 from numbers import Real
 
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotPointed, Unbounded, ZeroVector)
-from .exact import as_int, dot, hermite_normal_form, primitive, vec_gcd
+from .exact import as_int, dot, hermite_normal_form, primitive
 from .reps import HRep, VRep
 
 
@@ -105,7 +105,7 @@ def _v_to_h(d, verts, rec):
             # polar lines; every facet of a pointed P contains a vertex
             continue
         sp, c = m[:-1], m[-1]
-        g = vec_gcd(sp)
+        g = gcd(*sp)
         ineqs.append((tuple(x // g for x in sp), Fraction(-c, g)))
     eq_rows = []
     for m in plines:

@@ -31,6 +31,11 @@ witness by membership in the Minkowski sum of the fibers, and
 ``is_fan_ref`` intersects each pair of cones canonically; they are the
 references for the versions that run only the V-to-H pass, one emptiness
 test and one DD pass per pair.
+``dot_ref`` and ``primitive_ref`` are the generator-expression dot
+product and the denominator-clearing ``primitive`` that every input took,
+and ``lines_ref`` the row-major line scan with its ``minrest`` table;
+they are the references for the versions on C builtins (``map(mul)``,
+one ``gcd`` on int entries, a column-major recursion over slacks).
 ``x_system`` gives a set's scan system in x, each equality as two opposing
 rows: the form every scan took before the scans moved to the lattice
 coordinates of the affine hull.  The kernels run on it are the reference
@@ -41,7 +46,7 @@ for the frame scans of ``latpoints``, and ``fiber_from_h_ref`` (a fresh
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, gcd, lcm
 
 from normloc import kernels
 from normloc.errors import (DimensionMismatch, NormlocError, NotLattice,
@@ -457,6 +462,70 @@ def fiber_point_sum_exact_ref(g: GradedProjection, u1, u2,
     checked = dict(report.checked)
     checked["u1"], checked["u2"] = list(u1), list(u2)
     return LocationReport(report.verdict, witness, checked)
+
+
+def dot_ref(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def primitive_ref(v):
+    """Shortest integer vector along ``v``: denominators cleared first."""
+    den = lcm(*(x.denominator for x in v))
+    w = tuple(x.numerator * (den // x.denominator) for x in v)
+    g = 0
+    for x in w:
+        g = gcd(g, abs(x))
+    if not g:
+        raise ZeroVector(f"no primitive vector for {tuple(v)}")
+    return tuple(x // g for x in w)
+
+
+def lines_ref(coeffs, rhs, lo, hi):
+    """(prefix, lo_last, hi_last) for every nonempty line, row by row.
+
+    Each row's bound on axis j is rhs minus its partial sum minus
+    ``minrest[i][j + 1]``, the row's minimum over the box on the axes
+    after j, divided by the coefficient.
+    """
+    d = len(lo)
+    if any(a > b for a, b in zip(lo, hi)):
+        return
+    m = len(coeffs)
+    minrest = []
+    for row in coeffs:
+        acc = [0] * (d + 1)
+        for j in range(d - 1, -1, -1):
+            c = row[j]
+            acc[j] = acc[j + 1] + (c * lo[j] if c >= 0 else c * hi[j])
+        minrest.append(acc)
+    last = d - 1
+    x = [0] * last
+
+    def rec(j, partial):
+        lo_j, hi_j = lo[j], hi[j]
+        for i in range(m):
+            c = coeffs[i][j]
+            rem = rhs[i] - partial[i] - minrest[i][j + 1]
+            if c > 0:
+                b = rem // c
+                if b < hi_j:
+                    hi_j = b
+            elif c < 0:
+                b = -((-rem) // c)
+                if b > lo_j:
+                    lo_j = b
+            elif rem < 0:
+                return
+        if j == last:
+            if lo_j <= hi_j:
+                yield tuple(x), lo_j, hi_j
+            return
+        for v in range(lo_j, hi_j + 1):
+            x[j] = v
+            nxt = [partial[i] + coeffs[i][j] * v for i in range(m)]
+            yield from rec(j + 1, nxt)
+
+    yield from rec(0, [0] * m)
 
 
 def scan_undecomposed_ref(rcoeffs, rrhs, rlo, rhi,

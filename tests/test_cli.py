@@ -210,6 +210,24 @@ def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("raw", [
+    b"\xff\xfe",
+    b"[" * 200000 + b"]" * 200000,
+    b'{"vertices": [[' + b"9" * 5000 + b', 0], [0, 1], [0, 0]]}',
+], ids=["undecodable", "too-deep", "too-many-digits"])
+def test_unreadable_json_exits_2(tmp_path, capsys, raw):
+    # the decoder's own failures: bad UTF-8, nesting past the recursion
+    # limit, an integer past the int-from-string digit limit
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    assert main(["normal-check", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_gitfan_over_the_subset_cap_exits_2(files, capsys):
     # the fan itself is computed; the report's orbit cones are not
     wide = files("wide.json",

@@ -4,9 +4,9 @@ from math import gcd
 
 import pytest
 
-from conftest import (hnf_with_transform, kernel_lattice_basis_ref, matmul,
-                      rank, saturated_basis_ref, solve_integral,
-                      solve_rational)
+from conftest import (dot_ref, hnf_with_transform, kernel_lattice_basis_ref,
+                      matmul, primitive_ref, rank, saturated_basis_ref,
+                      solve_integral, solve_rational)
 from normloc.errors import ZeroVector
 from normloc.exact import (canonical_sign, det, dot, hermite_normal_form,
                            identity_matrix, integer_solution,
@@ -248,6 +248,46 @@ def test_primitive_matches_fraction_reference():
         else:
             with pytest.raises(ZeroVector):
                 primitive(v)
+
+
+def _mixed_vector(rng, n, kind):
+    """n entries of one kind: int, Fraction, mixed, bool or huge int."""
+    def entry():
+        k = rng.choice(("int", "frac")) if kind == "mixed" else kind
+        if k == "bool":
+            return rng.random() < 0.5
+        if k == "huge":
+            return rng.choice((-1, 0, 1)) * rng.randint(1, 10 ** 6) * 10 ** 30
+        x = rng.randint(-12, 12) * rng.choice((1, 1, 6, 60))
+        return Fraction(x, rng.randint(1, 9)) if k == "frac" else x
+    return [entry() for _ in range(n)]
+
+
+def test_primitive_and_dot_match_the_denominator_clearing_reference():
+    rng = random.Random(31)
+    kinds = ("int", "frac", "mixed", "bool", "huge")
+    zeros = 0
+    for trial in range(1500):
+        kind = kinds[trial % len(kinds)]
+        n = rng.randint(0, 5)
+        v = _mixed_vector(rng, n, kind)
+        if trial % 3 == 0:
+            v = [0 * x for x in v]  # the zero vector of this kind
+        w = _mixed_vector(rng, n, rng.choice(kinds))
+        for a in (v, tuple(v)):
+            assert dot(a, w) == dot_ref(a, w)
+            try:
+                want = primitive_ref(a)
+            except ZeroVector as exc:
+                zeros += 1
+                with pytest.raises(ZeroVector) as got:
+                    primitive(a)
+                assert str(got.value) == str(exc)
+                continue
+            got = primitive(a)
+            assert got == want and type(got) is tuple
+            assert all(type(x) is int for x in got)
+    assert zeros > 500
 
 
 def test_project_off_matches_gram_reference():

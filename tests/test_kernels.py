@@ -1,6 +1,7 @@
 import random
 
-from conftest import random_polytope, scan_undecomposed_ref, x_system
+from conftest import (lines_ref, random_polytope, scan_undecomposed_ref,
+                      x_system)
 from normloc import kernels
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.gitfan import fiber
@@ -203,6 +204,37 @@ def test_scan_undecomposed_matches_reference(monkeypatch):
     # run jumps alone search where the reference does; the neighbouring
     # lines' splits must save some searches
     assert totals[1] < totals[0], totals
+
+
+def _line_cases(rng):
+    """Random systems, and their edge forms: no rows, zero columns, d = 1,
+    an empty box and coefficients of 10^30 and more."""
+    for trial in range(400):
+        d = 1 if trial % 5 == 0 else rng.randint(2, 4)
+        m = 0 if trial % 7 == 0 else rng.randint(1, 5)
+        coeffs, rhs, lo, hi = _random_system(rng, d, m)
+        if trial % 4 == 1:
+            j = rng.randrange(d)
+            coeffs = tuple(row[:j] + (0,) + row[j + 1:] for row in coeffs)
+        if trial % 6 == 2:
+            j = rng.randrange(d)
+            hi = hi[:j] + (lo[j] - rng.randint(1, 3),) + hi[j + 1:]
+        if trial % 3 == 0:
+            big = 10 ** 30 + rng.randint(0, 10 ** 6)
+            coeffs = tuple(tuple(c * big for c in row) for row in coeffs)
+            rhs = tuple(b * big + rng.randint(-big, big) for b in rhs)
+        yield coeffs, rhs, lo, hi
+
+
+def test_lines_match_the_row_major_reference():
+    rng = random.Random(59)
+    empty = lines = 0
+    for sys_ in _line_cases(rng):
+        got = list(kernels._lines(*sys_))
+        assert got == list(lines_ref(*sys_)), sys_
+        empty += not got
+        lines += len(got)
+    assert empty > 40 and lines > 1000, (empty, lines)
 
 
 def test_huge_coefficients_are_exact():
