@@ -16,11 +16,12 @@ import sys
 
 from .cases import boundary_grading, triangle_pair
 from .errors import NormlocError
-from .fans import normal_fan, refines
+from .exact import positive_int
+from .fans import normal_fan
 from .gitfan import (VERDICT_EXHAUSTED, fiber, fiber_point_sum_exact,
                      git_fan, graded_projection_from_dict,
                      located_multiple_search, multiple_making_sums_exact,
-                     realize_pair)
+                     normal_fan_refines, realize_pair)
 from .latpoints import VERDICT_NOT_LOCATED, is_normal, normally_located
 from .polyhedra import polyhedron_from_dict, polyhedron_to_dict
 
@@ -105,9 +106,7 @@ def _cmd_normal_fan(args):
 
 def _cmd_refine_check(args):
     paths = _inputs(args, 2)
-    f1 = normal_fan(_load_poly(paths[0]))
-    f2 = normal_fan(_load_poly(paths[1]))
-    ok = refines(f1, f2)
+    ok = normal_fan_refines(_load_poly(paths[0]), _load_poly(paths[1]))
     _emit({"command": "refine-check", "refines": ok})
     return 0 if ok else 1
 
@@ -160,9 +159,8 @@ def _cmd_paper_counterexample(args):
 
 
 def _cmd_paper_oldex(args):
-    if args.s < 1:
-        # s = 0 would check the one-point fibers over 0: a verdict on no input
-        raise NormlocError(f"scale must be a positive integer: {args.s}")
+    # s = 0 would check the one-point fibers over 0: a verdict on no input
+    positive_int(args.s, "scale")
     g, u1, u2 = boundary_grading()
     w1 = tuple(args.s * x for x in u1)
     w2 = tuple(args.s * x for x in u2)

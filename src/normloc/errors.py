@@ -33,10 +33,6 @@ class SupportMismatch(NormlocError):
     """Fan operation on fans with different supports."""
 
 
-class SubsetCapExceeded(NormlocError):
-    """Too many graded coordinates for exhaustive orbit cone enumeration."""
-
-
 class WeightOutsideCone(NormlocError):
     """The requested degree lies outside the weight cone."""
 

@@ -53,6 +53,14 @@ def as_int(x) -> int:
     raise NormlocError(f"not an integer: {x!r}")
 
 
+def positive_int(x, name: str) -> int:
+    """``x`` when it is an int >= 1; NormlocError otherwise, for bools too
+    (as in ``as_int``), so a scale or sweep bound is never True or 2.0."""
+    if isinstance(x, int) and not isinstance(x, bool) and x >= 1:
+        return x
+    raise NormlocError(f"{name} must be a positive integer: {x}")
+
+
 def primitive(v) -> IVec:
     """Shortest integer vector with the same direction as ``v``.
 

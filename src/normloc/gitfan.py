@@ -29,14 +29,13 @@ from math import gcd
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotFullDimensional, NotLattice, RealizationError,
-                     SubsetCapExceeded, SupportMismatch, TailConeMismatch,
-                     WeightOutsideCone)
+                     SupportMismatch, TailConeMismatch, WeightOutsideCone)
 from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
-                    identity_matrix, kernel_lattice_basis, primitive,
-                    transpose)
+                    identity_matrix, kernel_lattice_basis, positive_int,
+                    primitive, transpose)
 from .fans import (Cone, cone_contains, cone_from_generators, cone_from_h,
-                   fan_from_cones, is_fan, normal_fan, refines,
-                   relative_interior_contains, support)
+                   fan_from_cones, is_fan, relative_interior_contains,
+                   support)
 from .latpoints import (LocationReport, VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                         VERDICT_VERIFIED_UP_TO, _located_over)
 from .polyhedra import (HRep, Polyhedron, VRep, _from_canonical_v, _h_to_v,
@@ -48,8 +47,6 @@ VERDICT_EXHAUSTED = "exhausted"
 GENERATING_BY_THEOREM = "generating_by_theorem"
 NOT_GENERATING_BY_THEOREM = "not_generating_by_theorem"
 INDETERMINATE_BOUNDARY = "indeterminate_boundary"
-
-SUBSET_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -133,23 +130,6 @@ def _require_in_cone(g: GradedProjection, u):
     return u
 
 
-def orbit_cones(g: GradedProjection):
-    """All cones spanned by subsets of the weights, deduplicated and sorted.
-
-    Subset enumeration is exponential in n, so gradings with more than
-    SUBSET_CAP weights are rejected rather than silently ground through.
-    """
-    if g.n > SUBSET_CAP:
-        raise SubsetCapExceeded(f"{g.n} weights exceed the subset cap "
-                                f"{SUBSET_CAP}")
-    distinct = sorted({primitive(w) for w in g.weights if any(w)})
-    cones = {cone_from_generators(g.m)}
-    for size in range(1, len(distinct) + 1):
-        for sub in combinations(distinct, size):
-            cones.add(cone_from_generators(g.m, rays=sub))
-    return tuple(sorted(cones, key=Cone.sort_key))
-
-
 def fiber(g: GradedProjection, u) -> Polyhedron:
     """The fiber polyhedron P(u) = {x >= 0 : pi(x) = u} in Q^n."""
     u = _require_in_cone(g, u)
@@ -228,14 +208,8 @@ class GitFan:
     git_cones: tuple
     fan_verified: bool
 
-    @property
-    def orbit_cones(self):
-        """All orbit cones of the grading, enumerated when read."""
-        return orbit_cones(self.grading)
-
     def to_dict(self):
         return {"weight_cone": self.weight_cone.to_dict(),
-                "orbit_cones": [c.to_dict() for c in self.orbit_cones],
                 "git_cones": [c.to_dict() for c in self.git_cones],
                 "fan_verified": self.fan_verified}
 
@@ -262,7 +236,7 @@ def git_fan(g: GradedProjection) -> GitFan:
     any of its interior points, and a cell inside a chamber already found
     is skipped.  The result is cross-checked (pairwise intersections are
     faces, union has the right conic hull) and the outcome recorded in
-    fan_verified rather than trusted.  Orbit cones are computed when read.
+    fan_verified rather than trusted.
     """
     wc = weight_cone(g)
     cells = {wc}
@@ -327,8 +301,8 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
 
 def _multiple_sweep(k_max: int, s_max: int, step):
     """Search k <= k_max with step(k, s) located for every s <= s_max."""
-    if k_max < 1 or s_max < 1:
-        raise NormlocError("k_max and s_max must be positive")
+    positive_int(k_max, "k_max")
+    positive_int(s_max, "s_max")
     failures = []
     for k in range(1, k_max + 1):
         hit = None
@@ -488,17 +462,40 @@ class CrossCheckReport:
                 "pair": self.pair.to_dict()}
 
 
+def _refining_sum(q1: Polyhedron, q2: Polyhedron):
+    """Q1 + Q2 and whether N(Q1) refines N(Q2).
+
+    N(Q1 + Q2) = N(Q1) ^ N(Q2) refines N(Q1) on the same support, one
+    maximal cone per vertex, so equal vertex counts of Q1 + Q2 and Q1 make
+    N(Q1) = N(Q1) ^ N(Q2), which is N(Q1) refining N(Q2).  Different
+    dimensions or tail cones (normal fans with different supports) raise
+    SupportMismatch.
+    """
+    if q1.dim != q2.dim or q1.v.rays != q2.v.rays:
+        raise SupportMismatch("fans have different supports")
+    total = minkowski_sum(q1, q2)
+    return total, len(total.v.vertices) == len(q1.v.vertices)
+
+
+def normal_fan_refines(q1: Polyhedron, q2: Polyhedron) -> bool:
+    """Whether N(Q1) refines N(Q2), read off the vertex counts of Q1 + Q2
+    and Q1; no normal fan is built."""
+    return _refining_sum(q1, q2)[1]
+
+
 def refinement_iff_interior(q1: Polyhedron, q2: Polyhedron)\
         -> CrossCheckReport:
     """Cross-check the refinement criterion on a realized pair.
 
     N(Q1) refines N(Q2) exactly when some GIT cone of the realization has
     u1 in its relative interior and contains u2 (that cone can only be the
-    GIT cone of u1).  Both sides are computed independently; disagreement
-    indicates a defect and is reported, not hidden.
+    GIT cone of u1).  The fan side is ``normal_fan_refines`` on the realized
+    copies, the vertex counts of Q1 + Q2 and Q1; the GIT side reads the
+    grading alone.  Disagreement indicates a defect and is reported, not
+    hidden.
     """
     rp = realize_pair(q1, q2)
-    fan_side = refines(normal_fan(rp.q1), normal_fan(rp.q2))
+    fan_side = normal_fan_refines(rp.q1, rp.q2)
     lam = git_cone(rp.projection, rp.u1)
     git_side = (relative_interior_contains(lam, rp.u1)
                 and lam.contains_point(rp.u2))
@@ -512,16 +509,11 @@ def located_multiple_search(q1: Polyhedron, q2: Polyhedron,
 
     When N(Q1) refines N(Q2) some multiple k works for every s; the theorem
     says nothing when it does not, so the sweep runs either way and records
-    the refinement in checked["refines"], read off the vertex counts of Q1
-    and Q1 + Q2.  Different dimensions or tail cones (normal fans with
-    different supports) raise SupportMismatch.
+    the refinement in checked["refines"], decided as ``normal_fan_refines``
+    does on the Q1 + Q2 the sweep scales.  Different dimensions or tail
+    cones (normal fans with different supports) raise SupportMismatch.
     """
-    if q1.dim != q2.dim or q1.v.rays != q2.v.rays:
-        raise SupportMismatch("fans have different supports")
-    total = minkowski_sum(q1, q2)
-    # N(Q1 + Q2) always refines N(Q1) on the same support, one maximal cone
-    # per vertex, so equal counts make them equal: N(Q1) = N(Q1) ^ N(Q2)
-    ok = len(total.v.vertices) == len(q1.v.vertices)
+    total, ok = _refining_sum(q1, q2)
 
     def step(k, s):
         return _located_over(scale(total, s * k), scale(q1, s * k),

@@ -45,7 +45,7 @@ from . import kernels
 from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
                      NormlocError, Unbounded)
 from .exact import (as_int, dot, identity_matrix, integer_solution,
-                    solution_lattice)
+                    positive_int, solution_lattice)
 from .fans import cone_from_generators
 from .polyhedra import (HRep, Polyhedron, _h_to_v, integer_constraint_rows,
                         minkowski_sum, scale, vertex_box)
@@ -472,8 +472,7 @@ def is_normal(p: Polyhedron, s_max: int) -> LocationReport:
     therefore a genuine normality failure at its scale.  As P is convex,
     R = (s-1)P + P is sP, one scale of P; step s reuses step s-1's R.
     """
-    if not isinstance(s_max, int) or s_max < 1:
-        raise NormlocError(f"s_max must be a positive integer: {s_max}")
+    positive_int(s_max, "s_max")
     if p.v.rays:
         raise Unbounded("normality is checked for bounded polytopes")
     if not p.is_lattice():

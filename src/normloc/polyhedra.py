@@ -23,7 +23,8 @@ from numbers import Real
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotPointed, Unbounded, ZeroVector)
-from .exact import as_int, dot, hermite_normal_form, primitive
+from .exact import (as_int, dot, hermite_normal_form, positive_int,
+                    primitive)
 from .reps import HRep, VRep
 
 
@@ -186,9 +187,7 @@ def scale(p: Polyhedron, k: int) -> Polyhedron:
     Scaling keeps the vertices' lex order and the rays, so only the facets
     are recomputed.
     """
-    if not isinstance(k, int) or k < 1:
-        raise NormlocError(f"scale factor must be a positive integer: {k}")
-    if k == 1:
+    if positive_int(k, "scale factor") == 1:
         return p
     verts = tuple(tuple(k * x for x in v) for v in p.v.vertices)
     return _from_canonical_v(p.dim, verts, p.v.rays)

@@ -16,15 +16,18 @@ The per-point lattice scan (``scan_undecomposed_ref``) is the reference
 for the line-at-a-time ``kernels.scan_undecomposed``, and the three-pass
 ``from_v_ref`` for the ``from_v`` that reuses its first facets.
 ``is_face_ref`` decides faces by carving c with a canonical ``cone_from_h``
-and comparing, and ``git_fan_ref`` splits every cell along every wall,
-builds one GIT cone per cell (by ``git_cone_ref``) and enumerates the orbit
-cones eagerly; they are the references for ``fans.is_face`` and
-``gitfan.git_fan``.
+and comparing, and ``git_fan_ref`` splits every cell along every wall and
+takes one GIT cone per cell by its definition, the intersection of the
+orbit cones (``orbit_cones_ref``, all 2^n of them) containing a cell
+point; they are the references for ``fans.is_face`` and ``gitfan.git_fan``.
 ``is_normal_ref`` and ``located_multiple_search_ref`` build each dilated
 sum as a Minkowski sum of freshly scaled copies through
 ``normally_located``, and ``from_h_ref`` rescales every row to a primitive
 normal (``hrep``) before the H-to-V pass; they are the references for the
 versions that scale a sum once and normalize each row once.
+``located_multiple_search_ref`` and ``refinement_iff_interior_ref`` decide
+refinement by building both normal fans and running ``refines``: the
+reference for ``gitfan.normal_fan_refines``, which counts vertices.
 ``scale_ref`` and ``translate_ref`` rebuild the mapped vertices through
 ``from_v`` (both DD directions), ``fiber_point_sum_exact_ref`` relabels a
 witness by membership in the Minkowski sum of the fibers, and
@@ -55,10 +58,11 @@ from normloc.exact import (IMat, IVec, dot, identity_matrix, primitive,
                            transpose)
 from normloc.fans import (Cone, cone_contains, cone_from_generators,
                           cone_from_h, fan_from_cones, intersect_cones,
-                          normal_fan, refines, support)
-from normloc.gitfan import (GradedProjection, _multiple_sweep,
-                            _require_in_cone, _wall_normals, fiber, orbit_cones,
-                            weight_cone)
+                          normal_fan, refines, relative_interior_contains,
+                          support)
+from normloc.gitfan import (CrossCheckReport, GradedProjection,
+                            _multiple_sweep, _require_in_cone, _wall_normals,
+                            fiber, git_cone, realize_pair, weight_cone)
 from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_NOT_LOCATED, VERDICT_VERIFIED_UP_TO,
                                _located_over, normally_located)
@@ -381,11 +385,32 @@ def is_face_ref(f: Cone, c: Cone) -> bool:
     return carved == f
 
 
+def orbit_cones_ref(g: GradedProjection):
+    """All cones spanned by subsets of the weights, the zero cone included,
+    deduplicated and sorted: every one of the 2^n subsets, no cap."""
+    distinct = sorted({primitive(w) for w in g.weights if any(w)})
+    cones = {cone_from_generators(g.m, rays=sub)
+             for size in range(len(distinct) + 1)
+             for sub in combinations(distinct, size)}
+    return tuple(sorted(cones, key=Cone.sort_key))
+
+
+def git_cone_by_orbits_ref(orbits, u) -> Cone:
+    """GIT cone of u by definition: the intersection of every orbit cone
+    in ``orbits`` that contains u."""
+    lam = None
+    for oc in orbits:
+        if oc.contains_point(u):
+            lam = oc if lam is None else intersect_cones(lam, oc)
+    return lam
+
+
 def git_fan_ref(g: GradedProjection):
     """``to_dict()`` of the GIT fan: every cell split along every wall,
-    lower-dimensional pieces dropped, one GIT cone per cell, pairwise
-    intersections checked by ``is_face_ref``."""
+    lower-dimensional pieces dropped, one GIT cone per cell from the orbit
+    cones, pairwise intersections checked by ``is_face_ref``."""
     wc = weight_cone(g)
+    orbits = orbit_cones_ref(g)
     cells = {wc}
     for nrm in _wall_normals(g):
         neg = tuple(-x for x in nrm)
@@ -401,11 +426,10 @@ def git_fan_ref(g: GradedProjection):
     for cell in sorted(cells, key=Cone.sort_key):
         sample = tuple(sum(col) for col in zip(*cell.rays)) if cell.rays \
             else (0,) * g.m
-        chambers.add(git_cone_ref(g, sample))
+        chambers.add(git_cone_by_orbits_ref(orbits, sample))
     fan = fan_from_cones(g.m, chambers)
     verified = support(fan) == wc and is_fan_ref(fan.maximal_cones)
     return {"weight_cone": wc.to_dict(),
-            "orbit_cones": [c.to_dict() for c in orbit_cones(g)],
             "git_cones": [c.to_dict() for c in fan.maximal_cones],
             "fan_verified": verified}
 
@@ -620,3 +644,14 @@ def located_multiple_search_ref(q1: Polyhedron, q2: Polyhedron,
     rep = _multiple_sweep(k_max, s_max, step)
     return LocationReport(rep.verdict, rep.witness,
                           {**rep.checked, "refines": ok})
+
+
+def refinement_iff_interior_ref(q1: Polyhedron,
+                                q2: Polyhedron) -> CrossCheckReport:
+    """refinement_iff_interior with the fan side from both normal fans."""
+    rp = realize_pair(q1, q2)
+    fan_side = refines(normal_fan(rp.q1), normal_fan(rp.q2))
+    lam = git_cone(rp.projection, rp.u1)
+    git_side = (relative_interior_contains(lam, rp.u1)
+                and lam.contains_point(rp.u2))
+    return CrossCheckReport(fan_side, git_side, fan_side == git_side, rp)

@@ -10,17 +10,16 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import oracle_points, oracle_sums, oracle_vertices, \
-    random_polytope
+from conftest import git_cone_by_orbits_ref, oracle_points, oracle_sums, \
+    oracle_vertices, orbit_cones_ref, random_polytope
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.fans import (common_refinement, cone_from_generators,
-                          dual_cone, intersect_cones, normal_fan, support)
+                          dual_cone, normal_fan, support)
 from normloc.gitfan import (fiber, fiber_sum_exact, git_cone,
                             graded_projection, is_generating_candidate,
                             located_multiple_search,
-                            multiple_making_sums_exact, orbit_cones,
-                            realize_pair, refinement_iff_interior,
-                            weight_cone)
+                            multiple_making_sums_exact, realize_pair,
+                            refinement_iff_interior, weight_cone)
 from normloc.latpoints import (decompose, enumerate_points, is_normal,
                                normally_located)
 from normloc.polyhedra import (HRep, VRep, from_h, from_v, minkowski_sum,
@@ -142,15 +141,12 @@ def test_criterion_7_sum_condition_vs_git_cones():
         for ws in family:
             g = graded_projection(ws)
             wc = weight_cone(g)
-            orb = orbit_cones(g)
+            orb = orbit_cones_ref(g)
             box = [u for u in itertools.product(range(-4, 5), repeat=2)
                    if wc.contains_point(u)]
             for u1, u2 in itertools.combinations_with_replacement(box, 2):
                 u12 = (u1[0] + u2[0], u1[1] + u2[1])
-                lam = None
-                for oc in orb:
-                    if oc.contains_point(u12):
-                        lam = oc if lam is None else intersect_cones(lam, oc)
+                lam = git_cone_by_orbits_ref(orb, u12)
                 indep = lam.contains_point(u1) and lam.contains_point(u2)
                 assert fiber_sum_exact(g, u1, u2) == indep, (ws, u1, u2)
                 total += 1

@@ -69,6 +69,11 @@ def test_normal_fan_and_refine(files, capsys):
     assert code == 0 and rep["refines"] is True
     code, rep = run(capsys, "refine-check", "--input", sq, "--input", both)
     assert code == 1 and rep["refines"] is False
+    quad = files("quad.json", QUADRANT)
+    assert main(["refine-check", "--input", sq, "--input", quad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fans have different supports\n"
 
 
 def test_gitfan_and_fiber(files, capsys):
@@ -228,12 +233,12 @@ def test_unreadable_json_exits_2(tmp_path, capsys, raw):
     assert captured.err.count("\n") == 1
 
 
-def test_gitfan_over_the_subset_cap_exits_2(files, capsys):
-    # the fan itself is computed; the report's orbit cones are not
+def test_gitfan_of_wide_grading_exits_0(files, capsys):
+    # 22 weights, 2^22 weight subsets: the report reads no orbit cone
     wide = files("wide.json",
                  {"weights": [[1, i] for i in range(21)] + [[21, 1]]})
-    assert main(["gitfan", "--input", wide]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    code, rep = run(capsys, "gitfan", "--input", wide)
+    assert code == 0
+    assert len(rep["git_cones"]) == 21 and rep["fan_verified"] is True
+    assert sorted(rep) == ["command", "fan_verified", "git_cones",
+                           "weight_cone"]

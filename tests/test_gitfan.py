@@ -7,12 +7,12 @@ import pytest
 
 from conftest import (fiber_from_h_ref, fiber_point_sum_exact_ref,
                       git_cone_ref, git_fan_ref, located_multiple_search_ref,
-                      random_polytope)
-from normloc import gitfan
+                      orbit_cones_ref, random_polytope,
+                      refinement_iff_interior_ref)
+from normloc import fans, gitfan
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
-                            NotFullDimensional,
-                            NotLattice, RealizationError, SubsetCapExceeded,
+                            NotFullDimensional, NotLattice, RealizationError,
                             SupportMismatch, TailConeMismatch, Unbounded,
                             WeightOutsideCone)
 from normloc.fans import (common_refinement, cone_from_generators,
@@ -21,7 +21,7 @@ from normloc.gitfan import (GradedProjection, fiber, fiber_point_sum_exact,
                             fiber_sum_exact, git_cone, git_fan,
                             graded_projection, graded_projection_from_dict,
                             is_generating_candidate, located_multiple_search,
-                            multiple_making_sums_exact, orbit_cones,
+                            multiple_making_sums_exact, normal_fan_refines,
                             realize_pair, refinement_iff_interior,
                             weight_cone)
 from normloc.latpoints import enumerate_points
@@ -47,7 +47,7 @@ def test_graded_projection_validation():
         fiber(g, (4.5, 2))                      # non-integral degree
 
 
-# 22 weights: over the subset cap, yet its GIT fan needs no orbit cones
+# 22 weights: 2^22 weight subsets, none of which its GIT fan enumerates
 WIDE = graded_projection(tuple((1, i) for i in range(21)) + ((21, 1),))
 
 
@@ -55,23 +55,21 @@ def test_weight_cone_and_orbit_cones():
     g, _, _ = boundary_grading()
     wc = weight_cone(g)
     assert wc.rays == ((1, 3), (4, 1))
-    orb = orbit_cones(g)
+    orb = orbit_cones_ref(g)
     assert len(orb) == 11
     assert any(c.rays == () for c in orb)       # zero cone from empty subset
     assert wc in orb
     for c in orb:
         assert all(wc.contains_point(r) for r in c.rays)
-    with pytest.raises(SubsetCapExceeded):
-        orbit_cones(WIDE)
 
 
-def test_git_fan_of_wide_grading_defers_orbit_cones():
+def test_git_fan_of_wide_grading_reports_no_orbit_cones():
     gf = git_fan(WIDE)
     assert gf.fan_verified
     assert gf.weight_cone.rays == ((1, 0), (1, 20))
-    assert len(gf.git_cones) == 21     # one between neighbouring weight rays
-    with pytest.raises(SubsetCapExceeded):
-        gf.orbit_cones
+    d = gf.to_dict()
+    assert len(d["git_cones"]) == 21   # one between neighbouring weight rays
+    assert "orbit_cones" not in d
 
 
 def test_fiber_polytopes():
@@ -195,8 +193,8 @@ def test_git_fan_chambers():
     assert [c.rays for c in gf.git_cones] == [
         ((1, 2), (1, 3)), ((1, 2), (2, 1)), ((2, 1), (4, 1))]
     assert gf.weight_cone.rays == ((1, 3), (4, 1))
-    assert len(gf.orbit_cones) == 11
     d = gf.to_dict()
+    assert sorted(d) == ["fan_verified", "git_cones", "weight_cone"]
     assert d["fan_verified"] is True
     assert len(d["git_cones"]) == 3
 
@@ -407,16 +405,17 @@ def test_realize_pair_functionals_are_the_refined_fan_rays():
 
 
 def test_pair_readers_build_no_normal_fan(monkeypatch):
-    # realize_pair and located_multiple_search read the Minkowski sum;
-    # only the fan side of refinement_iff_interior builds normal fans
+    # realize_pair, located_multiple_search and both sides of
+    # refinement_iff_interior read Minkowski sums and GIT cones only
+    assert not hasattr(gitfan, "normal_fan")
     calls = []
-    plain = gitfan.normal_fan
+    plain = fans.normal_fan
 
     def counted(q):
         calls.append(q.dim)
         return plain(q)
 
-    monkeypatch.setattr(gitfan, "normal_fan", counted)
+    monkeypatch.setattr(fans, "normal_fan", counted)
     sq = from_v(VRep(((0, 0), (1, 0), (0, 1), (1, 1)), ()))
     tri = from_v(VRep(((0, 0), (1, 0), (0, 1)), ()))
     quad = from_v(VRep(((0, 0),), ((1, 0), (0, 1))))
@@ -426,9 +425,9 @@ def test_pair_readers_build_no_normal_fan(monkeypatch):
     located_multiple_search(minkowski_sum(sq, tri), tri, k_max=1, s_max=1)
     with pytest.raises(SupportMismatch):
         located_multiple_search(tri, quad, k_max=1, s_max=1)
-    assert calls == []
     refinement_iff_interior(sq, tri)
-    assert calls == [2, 2]
+    refinement_iff_interior(minkowski_sum(sq, tri), tri)
+    assert calls == []
 
 
 def test_realize_pair_reads_the_tail_off_the_rays():
@@ -486,6 +485,87 @@ def test_refinement_iff_interior_random_pairs():
         assert refinement_iff_interior(q1, q2).agree
         # sums refine their summands, exercising the positive branch
         assert refinement_iff_interior(minkowski_sum(q1, q2), q2).agree
+
+
+def _refine_outcome(decide, q1, q2):
+    try:
+        return decide(q1, q2)
+    except NormlocError as exc:
+        return type(exc), str(exc)
+
+
+def test_normal_fan_refines_matches_both_normal_fans():
+    # vertex counts against refines(normal_fan(q1), normal_fan(q2)) on
+    # bounded pairs in 1-3 dimensions (refining Q1 = Q2 + R and unrelated),
+    # flat pairs, pairs with a common tail, with different tails, and
+    # pairs in different dimensions
+    rng = random.Random(131)
+    tails = (((1, 0),), ((0, 1),), ((1, 1),), ((1, 0), (0, 1)),
+             ((1, 0), (1, 2)), ((-1, 1),), ((0, 1), (3, 1)))
+    kinds = []
+    for _ in range(60):
+        d = rng.choice((1, 2, 2, 3))
+        q2 = random_polytope(rng, d, 3, full_dim=False)
+        r = random_polytope(rng, d, 2, full_dim=False)
+        kinds.append(("sum", minkowski_sum(q2, r), q2))
+        kinds.append(("bounded", random_polytope(rng, d, 3, full_dim=False),
+                      q2))
+    for _ in range(50):
+        d = rng.choice((2, 3))
+        flat = [random_polytope(rng, d, 3, npoints=rng.randint(1, d),
+                                full_dim=False) for _ in range(2)]
+        kinds.append(("flat", *flat))
+        kinds.append(("flat", minkowski_sum(*flat), flat[1]))
+    for _ in range(40):
+        tail = rng.choice(tails)
+        q1, q2 = (from_v(VRep(random_polytope(rng, 2, 3).v.vertices, tail))
+                  for _ in range(2))
+        kinds.append(("tail", q1, q2))
+        kinds.append(("tail", minkowski_sum(q1, q2), q2))
+    for _ in range(25):
+        t1, t2 = rng.sample(tails, 2)
+        kinds.append(("tails", *(from_v(VRep(random_polytope(rng, 2, 3)
+                                             .v.vertices, t))
+                                 for t in (t1, t2))))
+        d1, d2 = rng.sample((1, 2, 3), 2)
+        kinds.append(("dims", random_polytope(rng, d1, 2),
+                      random_polytope(rng, d2, 2)))
+    seen = {}
+    for kind, q1, q2 in kinds:
+        got = _refine_outcome(normal_fan_refines, q1, q2)
+        want = _refine_outcome(lambda a, b: refines(normal_fan(a),
+                                                    normal_fan(b)), q1, q2)
+        assert got == want, (kind, q1, q2)
+        seen.setdefault(kind, set()).add(got if isinstance(got, bool)
+                                         else got[0])
+    assert len(kinds) >= 300
+    both = {False, True}
+    assert seen == {"sum": {True}, "bounded": both, "flat": both,
+                    "tail": both, "tails": {SupportMismatch},
+                    "dims": {SupportMismatch}}
+
+
+def test_refinement_iff_interior_matches_normal_fan_copy():
+    rng = random.Random(137)
+    tails = (((1, 0),), ((0, 1),), ((1, 1),), ((1, 0), (0, 1)))
+    pairs = []
+    for _ in range(10):
+        q1, q2 = random_polytope(rng, 2, 3), random_polytope(rng, 2, 3)
+        pairs += [(q1, q2), (minkowski_sum(q1, q2), q2)]
+    for _ in range(4):
+        q1, q2 = random_polytope(rng, 3, 2), random_polytope(rng, 3, 2)
+        pairs += [(q1, q2), (minkowski_sum(q1, q2), q2)]
+    for _ in range(6):
+        tail = rng.choice(tails)
+        pairs.append(tuple(from_v(VRep(random_polytope(rng, 2, 3).v.vertices,
+                                       tail)) for _ in range(2)))
+    refining = set()
+    for q1, q2 in pairs:
+        got = refinement_iff_interior(q1, q2).to_dict()
+        assert got == refinement_iff_interior_ref(q1, q2).to_dict(), (q1, q2)
+        assert got["agree"]
+        refining.add(got["refines_normal_fans"])
+    assert refining == {False, True}
 
 
 def test_located_multiple_search():

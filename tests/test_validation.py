@@ -5,9 +5,11 @@ import pytest
 from normloc.errors import DimensionMismatch, NormlocError, SupportMismatch
 from normloc.fans import (Fan, common_refinement, cone_from_generators,
                           intersect_cones, is_fan, normal_fan)
-from normloc.latpoints import decompose, normally_located
+from normloc.gitfan import (graded_projection, located_multiple_search,
+                            multiple_making_sums_exact)
+from normloc.latpoints import decompose, is_normal, normally_located
 from normloc.polyhedra import (HRep, VRep, from_h, from_v, minkowski_sum,
-                               translate)
+                               scale, translate)
 
 SQUARE = from_v(VRep(((0, 0), (1, 0), (0, 1), (1, 1)), ()))
 SEGMENT = from_v(VRep(((0,), (1,)), ()))
@@ -50,3 +52,27 @@ def test_malformed_library_input_raises(name):
     with pytest.raises(exc, match=message) as info:
         call()
     assert info.type is exc
+
+
+
+@pytest.mark.parametrize("bad", [True, False, 0, -1, 2.0, "2", None])
+def test_scales_and_sweep_bounds_must_be_positive_ints(bad):
+    # a bool is no bound (is_normal(p, True) used to report verified_up_to
+    # with s_max True), and a float sweep bound used to escape as a bare
+    # TypeError
+    g = graded_projection(((1, 0), (0, 1), (1, 1)))
+    calls = [
+        ("scale factor", lambda: scale(SQUARE, bad)),
+        ("s_max", lambda: is_normal(SQUARE, bad)),
+        ("k_max", lambda: located_multiple_search(SQUARE, SQUARE, bad, 1)),
+        ("s_max", lambda: located_multiple_search(SQUARE, SQUARE, 1, bad)),
+        ("k_max", lambda: multiple_making_sums_exact(g, (1, 1), (1, 0),
+                                                     bad, 1)),
+        ("s_max", lambda: multiple_making_sums_exact(g, (1, 1), (1, 0),
+                                                     1, bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(NormlocError) as info:
+            call()
+        assert info.type is NormlocError
+        assert str(info.value) == f"{name} must be a positive integer: {bad}"
