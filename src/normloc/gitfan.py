@@ -33,13 +33,12 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
 from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
                     identity_matrix, kernel_lattice_basis, positive_int,
                     primitive, transpose)
-from .fans import (Cone, cone_contains, cone_from_generators, cone_from_h,
-                   fan_from_cones, is_fan, relative_interior_contains,
-                   support)
-from .latpoints import (LocationReport, VERDICT_LOCATED, VERDICT_NOT_LOCATED,
+from .fans import (Cone, Fan, cone_contains, cone_from_generators,
+                   cone_from_h, is_fan, relative_interior_contains, support)
+from .latpoints import (LocationReport, VERDICT_NOT_LOCATED,
                         VERDICT_VERIFIED_UP_TO, _located_over)
-from .polyhedra import (HRep, Polyhedron, VRep, _from_canonical_v, _h_to_v,
-                        from_v, minkowski_sum, scale, translate)
+from .polyhedra import (HRep, Polyhedron, _from_canonical_v, _h_to_v,
+                        minkowski_sum, scale, translate)
 from .reps import NOT_IN_SUM, Witness
 
 VERDICT_EXHAUSTED = "exhausted"
@@ -234,9 +233,10 @@ def git_fan(g: GradedProjection) -> GitFan:
     m-1 weights that crosses them; orbit cones are bounded by such
     hyperplanes, so each cell lies in a single GIT cone, namely the one of
     any of its interior points, and a cell inside a chamber already found
-    is skipped.  The result is cross-checked (pairwise intersections are
-    faces, union has the right conic hull) and the outcome recorded in
-    fan_verified rather than trusted.
+    is skipped, so every chamber is new and they are only sorted.  The
+    result is cross-checked (pairwise intersections are faces, union has
+    the right conic hull; nested chambers fail it) and the outcome
+    recorded in fan_verified rather than trusted.
     """
     wc = weight_cone(g)
     cells = {wc}
@@ -258,7 +258,7 @@ def git_fan(g: GradedProjection) -> GitFan:
         sample = tuple(sum(col) for col in zip(*cell.rays)) if cell.rays \
             else (0,) * g.m
         chambers.append(git_cone(g, sample))
-    fan = fan_from_cones(g.m, chambers)
+    fan = Fan(g.m, tuple(sorted(chambers, key=Cone.sort_key)))
     verified = support(fan) == wc and is_fan(fan)
     return GitFan(g, wc, fan.maximal_cones, verified)
 
@@ -299,25 +299,22 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
     return LocationReport(report.verdict, witness, checked)
 
 
-def _multiple_sweep(k_max: int, s_max: int, step):
-    """Search k <= k_max with step(k, s) located for every s <= s_max."""
+def _multiple_sweep(k_max: int, s_max: int, sets):
+    """Search k <= k_max with every lattice point of R splitting over
+    (P, Q) for (R, P, Q) = sets(s * k) and every s <= s_max.  No step has
+    a window, so each is located or not_located (or raises Unbounded)."""
     positive_int(k_max, "k_max")
     positive_int(s_max, "s_max")
     failures = []
     for k in range(1, k_max + 1):
-        hit = None
         for s in range(1, s_max + 1):
-            rep = step(k, s)
+            rep = _located_over(*sets(s * k))
             if rep.verdict == VERDICT_NOT_LOCATED:
-                hit = (k, s, rep.witness)
+                failures.append([k, s, list(rep.witness.point)])
                 break
-            if rep.verdict != VERDICT_LOCATED:
-                raise NormlocError("sweep needs complete checks; got "
-                                   f"verdict {rep.verdict!r} at k={k} s={s}")
-        if hit is None:
+        else:
             return LocationReport(VERDICT_VERIFIED_UP_TO, None,
                                   {"k": k, "k_max": k_max, "s_max": s_max})
-        failures.append([hit[0], hit[1], list(hit[2].point)])
     return LocationReport(VERDICT_EXHAUSTED, None,
                           {"k_max": k_max, "s_max": s_max,
                            "failures": failures})
@@ -334,13 +331,9 @@ def multiple_making_sums_exact(g: GradedProjection, u1, u2,
     """
     u1 = _require_in_cone(g, u1)
     u2 = _require_in_cone(g, u2)
-
-    def step(k, s):
-        w1 = tuple(s * k * x for x in u1)
-        w2 = tuple(s * k * x for x in u2)
-        return fiber_point_sum_exact(g, w1, w2)
-
-    return _multiple_sweep(k_max, s_max, step)
+    u12 = tuple(a + b for a, b in zip(u1, u2))
+    return _multiple_sweep(k_max, s_max, lambda m: tuple(
+        fiber(g, tuple(m * x for x in u)) for u in (u12, u1, u2)))
 
 
 def is_generating_candidate(g: GradedProjection, u1, u2) -> str:
@@ -389,14 +382,6 @@ class RealizedPair:
                 "translation": list(self.translation)}
 
 
-def _project_front(fib, d: int) -> Polyhedron:
-    """Image of a fiber, given as its cached ``(vertices, rays)``, under
-    the projection onto the first d coordinates."""
-    verts, rays = fib
-    return from_v(VRep(tuple(v[:d] for v in verts),
-                       tuple(r[:d] for r in rays if any(r[:d]))))
-
-
 def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
     """Embed lattice polyhedra Q1, Q2 with a common tail as two fibers.
 
@@ -407,8 +392,18 @@ def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
     the shifted Q1, Q2, the grading on Z^(d+m) has weights (columns of
     the functional matrix, then unit vectors) and the fibers
     over u1 = a and u2 = b project isomorphically onto the shifted Q1, Q2.
-    The construction verifies this, and the sum identity, before returning.
+    The construction verifies this, and the sum identity, on vertex lists
+    before returning.
     """
+    return _realize(q1, q2)[0]
+
+
+def _realize(q1: Polyhedron, q2: Polyhedron):
+    """The pair and whether N(Q1') refines N(Q2'), off one sum Q1' + Q2'.
+
+    On a fiber y = u - F x, so cutting its canonical vertex and ray lists
+    to x keeps their order and primitivity (gcd(r, F r) = gcd(r)): they
+    must be the target's lists exactly."""
     if q1.dim != q2.dim:
         raise DimensionMismatch("polyhedra live in different dimensions")
     d = q1.dim
@@ -428,7 +423,7 @@ def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
     shift = tuple(max(0, 1 - int(x)) for x in lo)
     q1t = translate(q1, shift)
     q2t = translate(q2, shift)
-    total = minkowski_sum(q1t, q2t)
+    total, refining = _refining_sum(q1t, q2t)
     funcs = sorted({n for n, _ in total.h.inequalities}, reverse=True)
     m = len(funcs)
     u1 = tuple(max(dot(f, v) for v in q1t.v.vertices) for f in funcs)
@@ -438,13 +433,14 @@ def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
     g = graded_projection(cols + units)
     for u, target in ((u1, q1t), (u2, q2t),
                       (tuple(a + b for a, b in zip(u1, u2)), total)):
-        fib = _fiber_cached(g, _require_in_cone(g, u))
-        if _project_front(fib, d) != target:
+        verts, rays = _fiber_cached(g, _require_in_cone(g, u))
+        if (tuple(v[:d] for v in verts) != target.v.vertices
+                or tuple(r[:d] for r in rays) != target.v.rays):
             raise RealizationError(f"fiber over {u} does not project onto "
                                    "its polyhedron")
     return RealizedPair(g, tuple(int(x) for x in u1),
                         tuple(int(x) for x in u2),
-                        tuple(funcs), shift, q1t, q2t)
+                        tuple(funcs), shift, q1t, q2t), refining
 
 
 @dataclass(frozen=True)
@@ -490,12 +486,11 @@ def refinement_iff_interior(q1: Polyhedron, q2: Polyhedron)\
     N(Q1) refines N(Q2) exactly when some GIT cone of the realization has
     u1 in its relative interior and contains u2 (that cone can only be the
     GIT cone of u1).  The fan side is ``normal_fan_refines`` on the realized
-    copies, the vertex counts of Q1 + Q2 and Q1; the GIT side reads the
-    grading alone.  Disagreement indicates a defect and is reported, not
-    hidden.
+    copies, the vertex counts of Q1 + Q2 and Q1, read off the sum the
+    realization builds anyway; the GIT side reads the grading alone.
+    Disagreement indicates a defect and is reported, not hidden.
     """
-    rp = realize_pair(q1, q2)
-    fan_side = normal_fan_refines(rp.q1, rp.q2)
+    rp, fan_side = _realize(q1, q2)
     lam = git_cone(rp.projection, rp.u1)
     git_side = (relative_interior_contains(lam, rp.u1)
                 and lam.contains_point(rp.u2))
@@ -514,11 +509,7 @@ def located_multiple_search(q1: Polyhedron, q2: Polyhedron,
     cones (normal fans with different supports) raise SupportMismatch.
     """
     total, ok = _refining_sum(q1, q2)
-
-    def step(k, s):
-        return _located_over(scale(total, s * k), scale(q1, s * k),
-                             scale(q2, s * k))
-
-    rep = _multiple_sweep(k_max, s_max, step)
+    rep = _multiple_sweep(k_max, s_max, lambda m: (
+        scale(total, m), scale(q1, m), scale(q2, m)))
     return LocationReport(rep.verdict, rep.witness,
                           {**rep.checked, "refines": ok})

@@ -322,12 +322,13 @@ def _decompose_unbounded_guard(p: Polyhedron, q: Polyhedron):
                         "tail(P) meets -tail(Q) outside the origin")
 
 
-def _split_points(p: Polyhedron, q: Polyhedron, lo, hi):
+def _split_points(p: Polyhedron, q: Polyhedron, box):
     """Point lists whose hulls hold z' and z'' of every split
-    z = z' + z'' of a point z in the box [lo, hi].
+    z = z' + z'' of a point z in the box (lo, hi).
 
-    Bounded summands give their vertices.  Otherwise the points are the
-    halves of the vertices of the joint region
+    Bounded summands give their vertices, and the box is not read: it is
+    None when the set to split is bounded, and then so are its summands.
+    Otherwise the points are the halves of the vertices of the joint region
     {(z', z'') in P x Q : lo <= z' + z'' <= hi}, which the pointedness
     guard keeps bounded; one H-to-V pass gives them (the region's facets
     are never read).  An empty region gives empty lists, so no z in the
@@ -336,6 +337,7 @@ def _split_points(p: Polyhedron, q: Polyhedron, lo, hi):
     if not p.v.rays and not q.v.rays:
         return p.v.vertices, q.v.vertices
     _decompose_unbounded_guard(p, q)
+    lo, hi = box
     d = p.dim
     zero = (0,) * d
     ineqs = [(n + zero, b) for n, b in p.h.inequalities]
@@ -371,7 +373,7 @@ def decompose(z, p: Polyhedron, q: Polyhedron):
     z = tuple(as_int(x) for x in z)
     if len(z) != p.dim:
         raise DimensionMismatch("point has wrong length")
-    pverts, qverts = _split_points(p, q, z, z)
+    pverts, qverts = _split_points(p, q, (z, z))
     frame = _frame(tuple(n for n, _ in p.h.equalities + q.h.equalities),
                    p.dim)
     origin = frame.origin(tuple(b for _, b in p.h.equalities)
@@ -414,19 +416,18 @@ def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
         if not bounded:
             raise Unbounded("point set to split is unbounded; "
                             "pass a window box")
-        rlo, rhi = vertex_box(r)
         box = None
         full = True
         checked = {"window": None}
     else:
         lo, hi = _window(r, *window)
-        rlo, rhi = box = _clip_box(r, lo, hi)
+        box = _clip_box(r, lo, hi)
         # a window that still covers the whole vertex box loses nothing;
         # otherwise report the caller's window, since the clipped box has
         # lo > hi when the window misses the set
-        full = bounded and (rlo, rhi) == vertex_box(r)
+        full = bounded and box == vertex_box(r)
         checked = {"window": None if full else [list(lo), list(hi)]}
-    pverts, qverts = _split_points(p, q, rlo, rhi)
+    pverts, qverts = _split_points(p, q, box)
     frame = _frame_of(r)
     origin = frame.origin_of(r)
     y = None

@@ -195,12 +195,12 @@ def scale(p: Polyhedron, k: int) -> Polyhedron:
 
 def translate(p: Polyhedron, t) -> Polyhedron:
     """The translate P + t, each entry of t taken exactly (a float as its
-    binary value; NormlocError if not a finite number).  The shift keeps
-    the vertices' lex order and the rays, so only the facets are recomputed.
+    binary value; NormlocError for a bool or a non-finite number).  Only
+    the facets are recomputed: the shift keeps the vertex order and rays.
     """
     if len(t) != p.dim:
         raise DimensionMismatch("translation vector has wrong length")
-    if not all(isinstance(s, Real) for s in t):
+    if not all(isinstance(s, Real) and not isinstance(s, bool) for s in t):
         raise NormlocError(f"translation entries must be numbers: {list(t)}")
     try:
         t = tuple(Fraction(s) for s in t)
@@ -236,28 +236,32 @@ def polyhedron_to_dict(p: Polyhedron):
             "rays": [list(r) for r in p.v.rays]}
 
 
+def _number(x) -> Fraction:
+    """x exactly; NormlocError for a bool (JSON true), as in ``as_int``."""
+    if isinstance(x, bool):
+        raise NormlocError(f"not a number: {x!r}")
+    return Fraction(x)
+
+
 def polyhedron_from_dict(data) -> Polyhedron:
     """Accepts either the vertex form or the halfspace form.
 
     Raises NormlocError when ``data`` is neither: not an object, missing
-    keys, or entries that do not parse as numbers.
+    keys, or entries that do not parse as numbers (bools included).
     """
     if not isinstance(data, dict):
         raise NormlocError("a polyhedron must be a JSON object, got "
                            f"{type(data).__name__}")
     try:
         if "vertices" in data:
-            verts = [tuple(Fraction(x) for x in v) for v in data["vertices"]]
+            verts = [tuple(_number(x) for x in v) for v in data["vertices"]]
             rays = [tuple(as_int(x) for x in r) for r in data.get("rays", [])]
             rep = VRep(tuple(verts), tuple(rays))
         else:
-            ineqs = [(tuple(as_int(x) for x in row["normal"]),
-                      Fraction(row["rhs"]))
-                     for row in data.get("inequalities", [])]
-            eqs = [(tuple(as_int(x) for x in row["normal"]),
-                    Fraction(row["rhs"]))
-                   for row in data.get("equalities", [])]
-            rep = HRep(tuple(ineqs), tuple(eqs))
+            rep = HRep(*(tuple((tuple(as_int(x) for x in row["normal"]),
+                                _number(row["rhs"]))
+                               for row in data.get(key, []))
+                         for key in ("inequalities", "equalities")))
     except (KeyError, OverflowError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise NormlocError(f"malformed polyhedron: {exc!r}") from None

@@ -28,6 +28,10 @@ versions that scale a sum once and normalize each row once.
 ``located_multiple_search_ref`` and ``refinement_iff_interior_ref`` decide
 refinement by building both normal fans and running ``refines``: the
 reference for ``gitfan.normal_fan_refines``, which counts vertices.
+Both sweep references run their own (k, s) loop (``_sweep_ref``), and
+``multiple_making_sums_exact_ref`` checks each step with one
+``fiber_point_sum_exact`` of the two degrees, where the package passes the
+three fibers at the multiple s*k to the location engine directly.
 ``scale_ref`` and ``translate_ref`` rebuild the mapped vertices through
 ``from_v`` (both DD directions), ``fiber_point_sum_exact_ref`` relabels a
 witness by membership in the Minkowski sum of the fibers, and
@@ -61,11 +65,13 @@ from normloc.fans import (Cone, cone_contains, cone_from_generators,
                           normal_fan, refines, relative_interior_contains,
                           support)
 from normloc.gitfan import (CrossCheckReport, GradedProjection,
-                            _multiple_sweep, _require_in_cone, _wall_normals,
-                            fiber, git_cone, realize_pair, weight_cone)
+                            VERDICT_EXHAUSTED, _require_in_cone,
+                            _wall_normals, fiber, fiber_point_sum_exact,
+                            git_cone, realize_pair, weight_cone)
 from normloc.latpoints import (LatticePointSet, LocationReport,
-                               VERDICT_NOT_LOCATED, VERDICT_VERIFIED_UP_TO,
-                               _located_over, normally_located)
+                               VERDICT_LOCATED, VERDICT_NOT_LOCATED,
+                               VERDICT_VERIFIED_UP_TO, _located_over,
+                               normally_located)
 from normloc.polyhedra import (HRep, Polyhedron, VRep, _h_to_v, _v_to_h,
                                from_h, from_v, integer_constraint_rows,
                                minkowski_sum, scale, vrep)
@@ -632,6 +638,28 @@ def is_normal_ref(p: Polyhedron, s_max: int) -> LocationReport:
     return LocationReport(VERDICT_VERIFIED_UP_TO, None, {"s_max": s_max})
 
 
+def _sweep_ref(k_max: int, s_max: int, step) -> LocationReport:
+    """The (k, s) loop of both sweeps, with step(k, s) a LocationReport:
+    the first k whose every s is located, or each k's first failure."""
+    for name, x in (("k_max", k_max), ("s_max", s_max)):
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise NormlocError(f"{name} must be a positive integer: {x}")
+    failures = []
+    for k in range(1, k_max + 1):
+        for s in range(1, s_max + 1):
+            rep = step(k, s)
+            if rep.verdict != VERDICT_LOCATED:
+                assert rep.verdict == VERDICT_NOT_LOCATED, rep
+                failures.append([k, s, list(rep.witness.point)])
+                break
+        else:
+            return LocationReport(VERDICT_VERIFIED_UP_TO, None,
+                                  {"k": k, "k_max": k_max, "s_max": s_max})
+    return LocationReport(VERDICT_EXHAUSTED, None,
+                          {"k_max": k_max, "s_max": s_max,
+                           "failures": failures})
+
+
 def located_multiple_search_ref(q1: Polyhedron, q2: Polyhedron,
                                 k_max: int, s_max: int) -> LocationReport:
     """located_multiple_search with each step a fresh normally_located of
@@ -641,9 +669,23 @@ def located_multiple_search_ref(q1: Polyhedron, q2: Polyhedron,
     def step(k, s):
         return normally_located(scale(q1, s * k), scale(q2, s * k))
 
-    rep = _multiple_sweep(k_max, s_max, step)
+    rep = _sweep_ref(k_max, s_max, step)
     return LocationReport(rep.verdict, rep.witness,
                           {**rep.checked, "refines": ok})
+
+
+def multiple_making_sums_exact_ref(g: GradedProjection, u1, u2,
+                                   k_max: int, s_max: int) -> LocationReport:
+    """multiple_making_sums_exact with each step one fiber_point_sum_exact
+    of the degrees s*k*u1 and s*k*u2."""
+    u1 = _require_in_cone(g, u1)
+    u2 = _require_in_cone(g, u2)
+
+    def step(k, s):
+        return fiber_point_sum_exact(g, tuple(s * k * x for x in u1),
+                                     tuple(s * k * x for x in u2))
+
+    return _sweep_ref(k_max, s_max, step)
 
 
 def refinement_iff_interior_ref(q1: Polyhedron,

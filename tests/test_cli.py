@@ -200,10 +200,22 @@ def test_error_exits(files, capsys, tmp_path):
     ("normal-check", {"inequalities": [{"normal": [1, 0], "rhs": 1},
                                        {"normal": [-1], "rhs": 0}]}, ()),
     ("normal-fan", {"vertices": []}, ()),
+    # JSON true is no coordinate (Fraction(True) would read it as 1)
+    ("normal-check", {"vertices": [[True, 0], [0, 1], [0, 0]]}, ()),
+    ("located-check", {"inequalities": [{"normal": [-1, 0], "rhs": 0},
+                                        {"normal": [0, -1], "rhs": 0},
+                                        {"normal": [1, 1], "rhs": True}]},
+     ()),
+    ("normal-check", {"inequalities": [{"normal": [-1, 0], "rhs": 0},
+                                       {"normal": [0, -1], "rhs": 0},
+                                       {"normal": [1, 1], "rhs": 2}],
+                      "equalities": [{"normal": [1, -1], "rhs": False}]},
+     ()),
 ], ids=["json-list", "zero-denominator", "bad-vector", "bad-window",
         "inverted-window", "grading-list", "float-weight", "float-ray",
         "inf-vertex", "inf-rhs", "spanning-rays", "empty-vertex",
-        "zero-normal", "short-window", "mixed-normals", "no-vertex"])
+        "zero-normal", "short-window", "mixed-normals", "no-vertex",
+        "bool-vertex", "bool-rhs", "bool-equality-rhs"])
 def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     path = files("in.json", poly)
     inputs = ("--input", path) * (2 if command == "located-check" else 1)

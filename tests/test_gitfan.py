@@ -7,9 +7,9 @@ import pytest
 
 from conftest import (fiber_from_h_ref, fiber_point_sum_exact_ref,
                       git_cone_ref, git_fan_ref, located_multiple_search_ref,
-                      orbit_cones_ref, random_polytope,
-                      refinement_iff_interior_ref)
-from normloc import fans, gitfan
+                      multiple_making_sums_exact_ref, orbit_cones_ref,
+                      random_polytope, refinement_iff_interior_ref)
+from normloc import exact, fans, gitfan, latpoints, polyhedra
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                             NotFullDimensional, NotLattice, RealizationError,
@@ -24,7 +24,7 @@ from normloc.gitfan import (GradedProjection, fiber, fiber_point_sum_exact,
                             multiple_making_sums_exact, normal_fan_refines,
                             realize_pair, refinement_iff_interior,
                             weight_cone)
-from normloc.latpoints import enumerate_points
+from normloc.latpoints import enumerate_points, is_normal, normally_located
 from normloc.polyhedra import (VRep, from_v, minkowski_sum, scale, translate)
 
 
@@ -302,6 +302,23 @@ def test_multiple_making_sums_sweep():
         multiple_making_sums_exact(g, u1, u2, k_max=0, s_max=1)
 
 
+def test_multiple_making_sums_matches_fiber_point_sum_sweep():
+    # the three fibers at the multiple s*k against one fiber_point_sum_exact
+    # per (k, s): 160 seeded four-weight gradings in Z^2 and the boundary
+    # grading's full 6 x 4 sweep
+    rng = random.Random(79)
+    g, u1, u2 = boundary_grading()
+    cases = [(g, u1, u2, 6, 4)]
+    cases += [_degree_pair(rng) + (rng.randint(1, 3), rng.randint(1, 3))
+              for _ in range(160)]
+    verdicts = {"verified_up_to": 0, "exhausted": 0}
+    for case in cases:
+        got = multiple_making_sums_exact(*case).to_dict()
+        assert got == multiple_making_sums_exact_ref(*case).to_dict(), case
+        verdicts[got["verdict"]] += 1
+    assert min(verdicts.values()) >= 30, verdicts
+
+
 def test_is_generating_candidate_trichotomy():
     g, u1, u2 = boundary_grading()
     assert is_generating_candidate(g, (3, 3), (3, 3)) == \
@@ -428,6 +445,56 @@ def test_pair_readers_build_no_normal_fan(monkeypatch):
     refinement_iff_interior(sq, tri)
     refinement_iff_interior(minkowski_sum(sq, tri), tri)
     assert calls == []
+
+
+def test_pair_readers_rebuild_nothing(monkeypatch):
+    # with every cache cold: realize_pair and refinement_iff_interior build
+    # the shifted sum once and no other polyhedron from vertices, bounded
+    # location checks and sweeps take no vertex box, and git_fan sorts its
+    # chambers without the containment filter of fan_from_cones
+    for mod in (exact, gitfan, latpoints):
+        for val in vars(mod).values():
+            if callable(getattr(val, "cache_clear", None)):
+                val.cache_clear()
+    calls = []
+
+    def count(name, plain):
+        def counted(*args):
+            calls.append(name)
+            return plain(*args)
+        for mod in (polyhedra, fans, latpoints, gitfan):
+            if getattr(mod, name, None) is plain:
+                monkeypatch.setattr(mod, name, counted)
+
+    for name in ("minkowski_sum", "from_v"):
+        count(name, getattr(polyhedra, name))
+    count("vertex_box", polyhedra.vertex_box)
+    count("fan_from_cones", fans.fan_from_cones)
+    rng = random.Random(97)
+    seg = from_v(VRep(((0,), (1,)), ()))
+    quad = from_v(VRep(((0, 0),), ((1, 0), (0, 1))))
+    pairs = [(seg, scale(seg, 2)), (translate(quad, (1, 0)), quad)]
+    for d, bound in ((2, 3), (2, 3), (3, 1)):
+        q2 = random_polytope(rng, d, bound)
+        pairs.append((minkowski_sum(q2, random_polytope(rng, d, bound)), q2))
+        pairs.append((random_polytope(rng, d, bound), q2))
+    for q1, q2 in pairs:
+        for reader in (realize_pair, refinement_iff_interior):
+            calls.clear()
+            reader(q1, q2)
+            assert calls == ["minkowski_sum", "from_v"], (reader, q1, q2)
+    calls.clear()
+    g, u1, u2 = boundary_grading()
+    for q1, q2 in pairs[2:]:
+        normally_located(q1, q2)
+        located_multiple_search(q1, q2, 1, 2)
+    is_normal(pairs[2][0], 3)
+    multiple_making_sums_exact(g, u1, u2, 2, 2)
+    assert "vertex_box" not in calls
+    grads = [g] + [_random_grading(rng) for _ in range(20)]
+    fans_got = [git_fan(h).to_dict() for h in grads]
+    assert "fan_from_cones" not in calls
+    assert fans_got == [git_fan_ref(h) for h in grads]
 
 
 def test_realize_pair_reads_the_tail_off_the_rays():

@@ -9,7 +9,7 @@ from normloc.gitfan import (graded_projection, located_multiple_search,
                             multiple_making_sums_exact)
 from normloc.latpoints import decompose, is_normal, normally_located
 from normloc.polyhedra import (HRep, VRep, from_h, from_v, minkowski_sum,
-                               scale, translate)
+                               polyhedron_from_dict, scale, translate)
 
 SQUARE = from_v(VRep(((0, 0), (1, 0), (0, 1), (1, 1)), ()))
 SEGMENT = from_v(VRep(((0,), (1,)), ()))
@@ -53,6 +53,29 @@ def test_malformed_library_input_raises(name):
         call()
     assert info.type is exc
 
+
+def test_bools_are_not_coordinates():
+    # Fraction(True) is 1: a bool entry used to shift or place a vertex
+    triangle = [[0, 0], [0, 1], [1, 0]]
+    bad = [{"vertices": [[True, 0], [0, 1], [0, 0]]},
+           {"vertices": triangle, "rays": [[False, 1]]},
+           {"inequalities": [{"normal": [-1, 0], "rhs": False},
+                             {"normal": [0, -1], "rhs": 0},
+                             {"normal": [1, 1], "rhs": 1}]},
+           {"inequalities": [{"normal": [-1, 0], "rhs": 0},
+                             {"normal": [0, -1], "rhs": 0},
+                             {"normal": [1, 1], "rhs": 2}],
+            "equalities": [{"normal": [1, -1], "rhs": True}]}]
+    for data in bad:
+        with pytest.raises(NormlocError) as info:
+            polyhedron_from_dict(data)
+        assert info.type is NormlocError, data
+    for t in ((True, 0), (0, False)):
+        with pytest.raises(NormlocError, match="must be numbers") as info:
+            translate(SQUARE, t)
+        assert info.type is NormlocError
+    assert polyhedron_from_dict({"vertices": triangle}) == \
+        from_v(VRep(tuple(map(tuple, triangle)), ()))
 
 
 @pytest.mark.parametrize("bad", [True, False, 0, -1, 2.0, "2", None])
