@@ -92,6 +92,8 @@ def graded_projection_from_dict(data) -> GradedProjection:
     """Grading of ``{"weights": [[...], ...]}``; NormlocError otherwise."""
     try:
         weights = [[as_int(x) for x in w] for w in data["weights"]]
+    except NormlocError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise NormlocError(f"malformed grading: {exc!r}") from None
     return graded_projection(weights)

@@ -29,8 +29,10 @@ integer point of aff(P) + lin(R), and Q gets o - o_P, so a split
 z = z' + z'' in x is y = y' + y'' in y and the split scan runs unchanged.
 Equalities of P or Q that R lacks become rows in y.  A hull without an
 integer point has no lattice point to scan.  Box bounds in y come from the
-images of the vertices.  A window stays a box in x: its y-box bounds each
-y_t, and in a frame other than the identity each axis enters as two rows.
+images of the vertices.  A window W is one more polyhedron: the scan runs
+over S = R cap W, still in R's frame, with S's rows and the y-box of S's
+vertices; where W flattens R, S's extra equalities become rows in y like
+those of P and Q.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
 from .exact import (as_int, dot, identity_matrix, integer_solution,
                     positive_int, solution_lattice)
 from .fans import cone_from_generators
-from .polyhedra import (HRep, Polyhedron, _h_to_v, integer_constraint_rows,
-                        minkowski_sum, scale, vertex_box)
+from .polyhedra import (HRep, Polyhedron, _h_to_v, from_h,
+                        integer_constraint_rows, minkowski_sum, scale,
+                        vertex_box)
 from .reps import NO_DECOMPOSITION, NORMALITY_FAILURE, Witness
 
 VERDICT_LOCATED = "located"
@@ -98,10 +101,11 @@ class _Frame:
     x = o + sum_t y_t b_t for an integer point o of the lattice, its
     origin.  Back-substitution along the pivots inverts the map: with
     x_P the pivot coordinates of x, y_t = dual_t @ (x_P - o_P) / scale for
-    integer rows ``dual``.  A W of full column rank leaves one point per
-    c: the frame then has one zero axis pinned at 0 (no pivot, an empty
-    dual row), so every scan keeps a last axis.  No W at all gives the
-    identity frame, where y = x - o.
+    integer rows ``dual``, which ``box`` reads to bound y over a set's
+    vertices.  A W of full column rank leaves one point per c: the frame
+    then has one zero axis pinned at 0 (no pivot, an empty dual row), so
+    every scan keeps a last axis.  No W at all gives the identity frame,
+    where y = x - o.
     """
 
     normals: tuple
@@ -181,34 +185,6 @@ class _Frame:
             return (1,) * k, (0,) * k
         return tuple(lo), tuple(hi)
 
-    def window(self, lo, hi, origin):
-        """Rows and y-box for the x-box lo <= x <= hi: (coeffs, rhs, ylo,
-        yhi).
-
-        The y-box is the range of each y_t over the x-box.  In the
-        identity frame it is the x-box itself; otherwise every axis gets its
-        two x-bounds as rows.
-        """
-        if any(a > b for a, b in zip(lo, hi)):
-            k = len(self.basis)
-            return (), (), (1,) * k, (0,) * k
-        ylo, yhi = [], []
-        span = [(lo[c] - origin[c], hi[c] - origin[c]) for c in self.pivots]
-        for lam in self.dual:
-            a = sum(min(c * l, c * h) for c, (l, h) in zip(lam, span))
-            b = sum(max(c * l, c * h) for c, (l, h) in zip(lam, span))
-            ylo.append(-(-a // self.scale))
-            yhi.append(b // self.scale)
-        coeffs, rhs = [], []
-        for j in range(len(lo) if self.normals else 0):
-            col = tuple(row[j] for row in self.basis)
-            neg = tuple(-x for x in col)
-            for a, b in ((col, hi[j] - origin[j]), (neg, origin[j] - lo[j])):
-                if b < 0 or any(a):
-                    coeffs.append(a)
-                    rhs.append(b)
-        return tuple(coeffs), tuple(rhs), tuple(ylo), tuple(yhi)
-
     def points(self, ys, origin):
         """The x = origin + y B of the scanned y's (origin 0 if no W)."""
         if not self.normals:
@@ -256,15 +232,10 @@ def _frame_of(p: Polyhedron) -> _Frame:
     return _frame(tuple(n for n, _ in p.h.equalities), p.dim)
 
 
-def _system(frame: _Frame, p: Polyhedron, origin, window=None):
+def _system(frame: _Frame, p: Polyhedron, origin):
     """P's lattice points as a kernel system in y, (coeffs, rhs, lo, hi):
-    the frame's rows of P, and the y-box of P's vertices, or of the x-box
-    ``window`` given as (lo, hi), whose bounds then become rows too."""
-    coeffs, rhs = frame.rows(p, origin)
-    if window is None:
-        return (coeffs, rhs) + frame.box(p.v.vertices, origin)
-    wc, wb, lo, hi = frame.window(*window, origin)
-    return coeffs + wc, rhs + wb, lo, hi
+    the frame's rows of P and the y-box of P's vertices."""
+    return frame.rows(p, origin) + frame.box(p.v.vertices, origin)
 
 
 def _window(p: Polyhedron, lo, hi):
@@ -282,21 +253,28 @@ def _window(p: Polyhedron, lo, hi):
     return lo, hi
 
 
-def _clip_box(p: Polyhedron, lo, hi):
-    """Intersect an int window box with the vertex box when P is bounded."""
-    if not p.v.rays:
-        plo, phi = vertex_box(p)
-        lo = tuple(max(a, b) for a, b in zip(lo, plo))
-        hi = tuple(min(a, b) for a, b in zip(hi, phi))
-    return lo, hi
+def _clip(p: Polyhedron, lo, hi):
+    """The polyhedron P cap {lo <= x <= hi}, or None when it is empty.
+
+    An axis with lo = hi, or a box face that only touches P, flattens the
+    result; scanned in the frame of a set whose hull holds it, its new
+    equalities become rows there.
+    """
+    rows = []
+    for j, e in enumerate(identity_matrix(p.dim)):
+        rows += [(e, hi[j]), (tuple(-x for x in e), -lo[j])]
+    try:
+        return from_h(HRep(p.h.inequalities + tuple(rows), p.h.equalities))
+    except EmptyPolyhedron:
+        return None
 
 
-def _enumerate(p: Polyhedron, window=None) -> LatticePointSet:
+def _enumerate(p: Polyhedron) -> LatticePointSet:
     frame = _frame_of(p)
     origin = frame.origin_of(p)
     if origin is None:
         return LatticePointSet(p.dim, ())
-    ys = kernels.scan_points(*_system(frame, p, origin, window))
+    ys = kernels.scan_points(*_system(frame, p, origin))
     return LatticePointSet(p.dim, frame.points(ys, origin))
 
 
@@ -309,7 +287,8 @@ def enumerate_points(p: Polyhedron) -> LatticePointSet:
 
 def enumerate_windowed(p: Polyhedron, lo, hi) -> LatticePointSet:
     """Lattice points of P inside the box lo <= x <= hi (any P)."""
-    return _enumerate(p, _clip_box(p, *_window(p, lo, hi)))
+    s = _clip(p, *_window(p, lo, hi))
+    return LatticePointSet(p.dim, ()) if s is None else _enumerate(s)
 
 
 def _decompose_unbounded_guard(p: Polyhedron, q: Polyhedron):
@@ -403,36 +382,39 @@ def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
     R is the ambient set whose points must split: P + Q for the
     normal-location check, or a larger set; either way aff(P) + aff(Q)
     lies in aff(R).  A witness is reported as no_decomposition.  Bounded
-    or not, the check is one kernel scan over R's points in the window,
-    with the split boxes of P and Q taken once for the whole window.
+    or not, the check is one kernel scan over the lattice points of
+    S = R cap W, W the window, with the split boxes of P and Q taken once
+    for all of S.
 
-    The scan runs in R's frame.  With origins o for R and o_P for P, Q
-    gets o - o_P, so z = z' + z'' in x is y = y' + y'' in y.  No integer
-    point in aff(R) leaves nothing to split; none in aff(P) + lin(R) makes
-    R's first lattice point the witness.
+    The scan runs in R's frame, as P and Q are scanned in it too.  With
+    origins o for R and o_P for P, Q gets o - o_P, so z = z' + z'' in x is
+    y = y' + y'' in y.  No integer point in aff(R) leaves nothing to split;
+    none in aff(P) + lin(R) makes S's first lattice point the witness.
     """
     bounded = not r.v.rays
+    s = r
     if window is None:
         if not bounded:
             raise Unbounded("point set to split is unbounded; "
                             "pass a window box")
-        box = None
         full = True
-        checked = {"window": None}
     else:
         lo, hi = _window(r, *window)
-        box = _clip_box(r, lo, hi)
-        # a window that still covers the whole vertex box loses nothing;
-        # otherwise report the caller's window, since the clipped box has
-        # lo > hi when the window misses the set
-        full = bounded and box == vertex_box(r)
-        checked = {"window": None if full else [list(lo), list(hi)]}
-    pverts, qverts = _split_points(p, q, box)
+        # a window that covers the integer vertex box loses no point;
+        # otherwise the scan runs over R cap W, and the caller's window is
+        # reported as passed
+        full = bounded and all(a <= c and d <= b for a, b, c, d
+                               in zip(lo, hi, *vertex_box(r)))
+        if not full:
+            s = _clip(r, lo, hi)
+    checked = {"window": None if full else [list(lo), list(hi)]}
     frame = _frame_of(r)
     origin = frame.origin_of(r)
     y = None
-    if origin is not None:
-        rsys = _system(frame, r, origin, box)
+    if s is not None and origin is not None:
+        pverts, qverts = _split_points(p, q, None if bounded
+                                       else vertex_box(s))
+        rsys = _system(frame, s, origin)
         po = frame.origin_of(p)
         if po is None:
             y = kernels.scan_first(*rsys)

@@ -262,6 +262,8 @@ def polyhedron_from_dict(data) -> Polyhedron:
                                 _number(row["rhs"]))
                                for row in data.get(key, []))
                          for key in ("inequalities", "equalities")))
+    except NormlocError:
+        raise
     except (KeyError, OverflowError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise NormlocError(f"malformed polyhedron: {exc!r}") from None

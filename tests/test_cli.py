@@ -211,11 +211,14 @@ def test_error_exits(files, capsys, tmp_path):
                                        {"normal": [1, 1], "rhs": 2}],
                       "equalities": [{"normal": [1, -1], "rhs": False}]},
      ()),
+    ("gitfan", {"weights": [[1.5, 1], [2, 1], [1, 2]]}, ()),
+    ("gitfan", {"weights": [[True, 1], [2, 1], [1, 2]]}, ()),
 ], ids=["json-list", "zero-denominator", "bad-vector", "bad-window",
         "inverted-window", "grading-list", "float-weight", "float-ray",
         "inf-vertex", "inf-rhs", "spanning-rays", "empty-vertex",
         "zero-normal", "short-window", "mixed-normals", "no-vertex",
-        "bool-vertex", "bool-rhs", "bool-equality-rhs"])
+        "bool-vertex", "bool-rhs", "bool-equality-rhs",
+        "gitfan-float-weight", "gitfan-bool-weight"])
 def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     path = files("in.json", poly)
     inputs = ("--input", path) * (2 if command == "located-check" else 1)
@@ -225,6 +228,8 @@ def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    # the package's own errors read as themselves, not as a wrapped repr
+    assert "NormlocError(" not in captured.err
 
 
 @pytest.mark.parametrize("raw", [

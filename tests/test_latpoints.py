@@ -295,6 +295,101 @@ def test_windows_missing_the_set():
     assert decompose((6, 6), far, far) == ((3, 3), (3, 3))
 
 
+def _windowed_pair(rng, d, kind):
+    """P and Q of one kind: bounded lattice, flat with half-integral
+    vertices on a hyperplane x_d = c or x_1 + ... + x_d = c, or lattice
+    with a common tail."""
+    rays = ()
+    if kind == "unbounded":
+        rays = tuple(sorted(rng.sample(TAIL_RAYS[d], rng.randint(1, d - 1))))
+    oblique = rng.random() < 0.5
+    # both planes hold lattice points, or neither does
+    half = rng.randint(0, 1)
+
+    def summand():
+        n = rng.randint(1, d + 1)
+        if kind == "flat":
+            c = Fraction(rng.choice((0, 2)) + half, 2)
+            pts = set()
+            for _ in range(n):
+                f = tuple(Fraction(rng.randint(0, 6), 2)
+                          for _ in range(d - 1))
+                pts.add(f + (c - sum(f) if oblique else c,))
+        else:
+            pts = {tuple(rng.randint(0, 4) for _ in range(d))
+                   for _ in range(n)}
+        return from_v(VRep(tuple(sorted(pts)), rays))
+
+    return summand(), summand()
+
+
+def _window_for(rng, r, mode):
+    """A window near R's least corner: partial, with lo_j = hi_j on one
+    axis, or missing R below its least x_j."""
+    base, _ = box_of(r)
+    lo = [b + rng.randint(-1, 2) for b in base]
+    hi = [a + rng.randint(1, 3) for a in lo]
+    j = rng.randrange(r.dim)
+    if mode == "flat":
+        lo[j] = hi[j] = rng.randint(lo[j], hi[j])
+    elif mode == "missing":
+        lo[j], hi[j] = base[j] - 3, base[j] - 1
+    return tuple(lo), tuple(hi)
+
+
+def test_windowed_checks_match_oracles():
+    # the scan runs over R cap W in R's frame.  Here R lies on the plane
+    # x1 + x2 + x3 = 0 and W bounds x3, which is no frame axis: (1, 1, -2)
+    # does not split but lies outside W, so W must cut the scan
+    p = from_v(VRep(((0, 0, 0), (1, 2, -3)), ()))
+    q = from_v(VRep(((0, 0, 0), (2, 1, -3)), ()))
+    lo, hi = (0, 0, -4), (3, 3, -3)
+    assert normally_located(p, q).witness.point == (1, 1, -2)
+    assert normally_located(p, q, window=(lo, hi)).witness.point == (2, 2, -4)
+    assert _oracle_first_unsplit(minkowski_sum(p, q), p, q,
+                                 lo, hi) == (2, 2, -4)
+    # seeded: partial windows on bounded R, windows that flatten R or miss
+    # it, on lattice, half-integral flat and unbounded pairs
+    rng = random.Random(18)
+    seen = {}
+    for trial in range(216):
+        d = 2 + trial % 2
+        kind = ("bounded", "flat", "unbounded")[trial // 2 % 3]
+        mode = ("partial", "flat", "missing")[trial // 6 % 3]
+        p, q = _windowed_pair(rng, d, kind)
+        r = minkowski_sum(p, q)
+        lo, hi = _window_for(rng, r, mode)
+        points = oracle_window_points(r, lo, hi)
+        assert enumerate_windowed(r, lo, hi).points == tuple(points)
+        assert enumerate_windowed(p, lo, hi).points == tuple(
+            oracle_window_points(p, lo, hi))
+        rep = normally_located(p, q, window=(lo, hi))
+        missing = _oracle_first_unsplit(r, p, q, lo, hi)
+        vlo, vhi = box_of(r)
+        covers = not r.v.rays and all(a <= c and e <= b for a, b, c, e
+                                      in zip(lo, hi, vlo, vhi))
+        assert rep.checked == {"window": None if covers
+                               else [list(lo), list(hi)]}
+        if missing is None:
+            assert rep.witness is None
+            assert rep.verdict == ("located" if covers
+                                   else "verified_up_to")
+        else:
+            assert rep.verdict == "not_located"
+            assert rep.witness.point == missing
+        key = (kind, mode, rep.verdict, bool(points))
+        seen[key] = seen.get(key, 0) + 1
+    # the seed gives witnesses under partial and flattening windows, and
+    # windows with points on every kind
+    for kind in ("bounded", "flat"):
+        for mode in ("partial", "flat"):
+            assert seen.get((kind, mode, "not_located", True)), seen
+    for kind in ("bounded", "flat", "unbounded"):
+        assert any(n for (k, m, _, pts), n in seen.items()
+                   if k == kind and m != "missing" and pts), seen
+    assert all(not pts for (_, m, _, pts) in seen if m == "missing")
+
+
 def test_fiber_with_rays_matches_split_oracle():
     # P(u) = {x >= 0 : x1 - x2 = u1, x3 = u2}: every fiber is a half-line
     # along (1, 1, 0), so the check needs a window
