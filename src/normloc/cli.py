@@ -84,7 +84,7 @@ def _report_exit(report):
 
 def _cmd_normal_check(args):
     p = _load_poly(_inputs(args, 1)[0])
-    report = is_normal(p, args.s_max)
+    report = is_normal(p) if args.s_max is None else is_normal(p, args.s_max)
     _emit({"command": "normal-check", **report.to_dict()})
     return _report_exit(report)
 
@@ -190,8 +190,12 @@ def _build_parser():
             cmd.add_argument("--input", action="append", metavar="FILE",
                              help="input JSON file (repeatable)")
         for key, default in ints.items():
+            doc = _INT_HELP[key]
+            if default is None:
+                doc += (" (default: every scale, exact by the "
+                        "Bruns-Gubeladze-Trung bound)")
             cmd.add_argument("--" + key.replace("_", "-"), type=int,
-                             default=default, help=_INT_HELP[key])
+                             default=default, help=doc)
         if window:
             cmd.add_argument("--window", metavar="LO..HI,...", default=None,
                              help="box per axis, e.g. 0..10,0..10")
@@ -199,7 +203,8 @@ def _build_parser():
             cmd.add_argument(name2, type=str, required=True, help=kind)
 
     add("normal-check", _cmd_normal_check,
-        "check normality of a lattice polytope up to --s-max", s_max=5)
+        "check normality of a lattice polytope (up to --s-max when given)",
+        s_max=None)
     add("located-check", _cmd_located_check,
         "check that the pair (P, Q) is normally located", window=True)
     add("normal-fan", _cmd_normal_fan,

@@ -304,13 +304,19 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
 def _multiple_sweep(k_max: int, s_max: int, sets):
     """Search k <= k_max with every lattice point of R splitting over
     (P, Q) for (R, P, Q) = sets(s * k) and every s <= s_max.  No step has
-    a window, so each is located or not_located (or raises Unbounded)."""
+    a window, so each is located or not_located (or raises Unbounded).
+    A step depends on (k, s) only through m = s * k, so each m is checked
+    once and its report reused, as for (1, 2) and (2, 1)."""
     positive_int(k_max, "k_max")
     positive_int(s_max, "s_max")
+    reports = {}
     failures = []
     for k in range(1, k_max + 1):
         for s in range(1, s_max + 1):
-            rep = _located_over(*sets(s * k))
+            m = s * k
+            if m not in reports:
+                reports[m] = _located_over(*sets(m))
+            rep = reports[m]
             if rep.verdict == VERDICT_NOT_LOCATED:
                 failures.append([k, s, list(rep.witness.point)])
                 break

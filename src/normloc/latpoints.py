@@ -4,7 +4,7 @@ A pair (P, Q) of polyhedra with a common ambient dimension is *normally
 located* when every lattice point z of P + Q splits as z = z' + z'' with
 z' a lattice point of P and z'' one of Q.  A lattice polytope P is *normal
 up to s_max* when for every s <= s_max each lattice point of s*P is a sum
-of s lattice points of P.
+of s lattice points of P, and *normal* when that holds for every s.
 
 Verdicts are three-valued: "located" and "not_located" are exact answers,
 "verified_up_to" means the search space was truncated (a window, or a scale
@@ -445,8 +445,13 @@ def normally_located(p: Polyhedron, q: Polyhedron,
     return _located_over(minkowski_sum(p, q), p, q, window)
 
 
-def is_normal(p: Polyhedron, s_max: int) -> LocationReport:
-    """Check normality of a bounded lattice polytope for scales 2..s_max.
+# is_normal's default bound: every scale.  Not None, so an explicit None
+# stays bad input like any other non-int bound.
+_EVERY_SCALE = object()
+
+
+def is_normal(p: Polyhedron, s_max: int = _EVERY_SCALE) -> LocationReport:
+    """Check normality of a bounded lattice polytope.
 
     Scale s holds when ((s-1)P, P) is normally located.  For the smallest
     failing s the two notions coincide: scales below s hold, so a splitting
@@ -454,17 +459,37 @@ def is_normal(p: Polyhedron, s_max: int) -> LocationReport:
     split over (s-1)P and P by grouping, and conversely.  The witness is
     therefore a genuine normality failure at its scale.  As P is convex,
     R = (s-1)P + P is sP, one scale of P; step s reuses step s-1's R.
+
+    Bruns, Gubeladze and Trung ("Normal polytopes, triangulations, and
+    Koszul algebras", 1997, Thm 1.3.3) prove that
+    ((c+1)P) cap Z^n = (cP cap Z^n) + (P cap Z^n) for every c >= dim P - 1,
+    flat P included.  So every scale s >= dim P holds, and only
+    s = 2..min(s_max, dim P - 1) are scanned: none for points, segments and
+    polygons.  With no s_max the answer is exact ("located" when P is
+    normal, and checked["s_max"] is None); with one, a positive answer
+    stays "verified_up_to".  A positive answer lists the scanned s in
+    checked["scales_scanned"], and checked["all_scales"] says whether they
+    cover 2..dim P - 1.
     """
-    positive_int(s_max, "s_max")
+    exact = s_max is _EVERY_SCALE
+    if exact:
+        s_max = None
+    else:
+        positive_int(s_max, "s_max")
     if p.v.rays:
         raise Unbounded("normality is checked for bounded polytopes")
     if not p.is_lattice():
         raise NotLattice("normality needs integral vertices")
+    top = p.affine_dimension() - 1
+    scanned = list(range(2, (top if exact else min(s_max, top)) + 1))
     r = p
-    for s in range(2, s_max + 1):
+    for s in scanned:
         prev, r = r, scale(p, s)
         step = _located_over(r, prev, p)
         if step.verdict == VERDICT_NOT_LOCATED:
             w = Witness(step.witness.point, NORMALITY_FAILURE, scale=s)
             return LocationReport(VERDICT_NOT_LOCATED, w, {"scale": s})
-    return LocationReport(VERDICT_VERIFIED_UP_TO, None, {"s_max": s_max})
+    verdict = VERDICT_LOCATED if exact else VERDICT_VERIFIED_UP_TO
+    return LocationReport(verdict, None,
+                          {"s_max": s_max, "scales_scanned": scanned,
+                           "all_scales": exact or s_max >= top})

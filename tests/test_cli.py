@@ -35,7 +35,13 @@ def test_normal_check(files, capsys):
     assert code == 0
     assert rep["command"] == "normal-check"
     assert rep["verdict"] == "verified_up_to"
-    assert rep["checked"] == {"s_max": 3}
+    assert rep["checked"] == {"s_max": 3, "scales_scanned": [],
+                              "all_scales": True}
+    code, rep = run(capsys, "normal-check", "--input", sq)
+    assert code == 0
+    assert rep["verdict"] == "located"
+    assert rep["checked"] == {"s_max": None, "scales_scanned": [],
+                              "all_scales": True}
     reeve = files("reeve.json", REEVE)
     code, rep = run(capsys, "normal-check", "--input", reeve)
     assert code == 1

@@ -302,6 +302,26 @@ def test_multiple_making_sums_sweep():
         multiple_making_sums_exact(g, u1, u2, k_max=0, s_max=1)
 
 
+def test_multiple_sweep_checks_each_multiple_once(monkeypatch):
+    # steps depend on (k, s) only through m = s*k: the 6 x 4 sweep steps
+    # (1, 1), (1, 2), then (k, 1) for k = 2..6, and (1, 2) and (2, 1) share
+    # m = 2, so 7 steps take 6 location checks
+    g, u1, u2 = boundary_grading()
+    calls = []
+    real = gitfan._located_over
+    monkeypatch.setattr(gitfan, "_located_over",
+                        lambda *args: calls.append(args) or real(*args))
+    rep = multiple_making_sums_exact(g, u1, u2, k_max=6, s_max=4)
+    failures = rep.checked["failures"]
+    assert failures == [
+        [1, 2, [1, 0, 1, 1]], [2, 1, [1, 0, 1, 1]], [3, 1, [1, 1, 2, 1]],
+        [4, 1, [1, 2, 3, 1]], [5, 1, [1, 3, 4, 1]], [6, 1, [1, 4, 5, 1]]]
+    steps = [(k, t) for k, s, _ in failures for t in range(1, s + 1)]
+    assert len(steps) == 7
+    assert len(calls) == len({k * t for k, t in steps}) == 6
+    assert len(set(calls)) == 6
+
+
 def test_multiple_making_sums_matches_fiber_point_sum_sweep():
     # the three fibers at the multiple s*k against one fiber_point_sum_exact
     # per (k, s): 160 seeded four-weight gradings in Z^2 and the boundary

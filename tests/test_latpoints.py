@@ -7,6 +7,7 @@ from conftest import (box_of, decompose_unbounded_guard_ref, is_normal_ref,
                       lattice_sum, oracle_points, oracle_split, oracle_sums,
                       oracle_window_points, random_polytope,
                       scan_undecomposed_ref, x_system)
+from normloc import latpoints
 from normloc.cases import boundary_grading
 from normloc.errors import NotLattice, NormlocError, Unbounded
 from normloc.gitfan import fiber, fiber_point_sum_exact, graded_projection
@@ -416,7 +417,12 @@ def test_is_normal_small_polygons():
     sq = from_v(VRep(((0, 0), (1, 0), (0, 1), (1, 1)), ()))
     rep = is_normal(sq, 5)
     assert rep.verdict == "verified_up_to"
-    assert rep.checked == {"s_max": 5}
+    assert rep.checked == {"s_max": 5, "scales_scanned": [],
+                           "all_scales": True}
+    rep = is_normal(sq)
+    assert rep.verdict == "located"
+    assert rep.checked == {"s_max": None, "scales_scanned": [],
+                           "all_scales": True}
 
 
 def test_is_normal_reeve_simplex():
@@ -496,9 +502,76 @@ def test_is_normal_matches_scaled_sum_reference():
     for p in cases:
         s_max = rng.randint(2, 4 if p.dim == 2 else 3)
         rep = is_normal(p, s_max)
-        assert rep.to_dict() == is_normal_ref(p, s_max).to_dict(), p
+        ref = is_normal_ref(p, s_max)
+        assert (rep.verdict, rep.witness) == (ref.verdict, ref.witness), p
+        top = p.affine_dimension() - 1
+        if rep.witness:
+            assert rep.checked == ref.checked
+        else:
+            assert rep.checked == {
+                "s_max": s_max,
+                "scales_scanned": list(range(2, min(s_max, top) + 1)),
+                "all_scales": s_max >= top}
         verdicts[rep.verdict] += 1
     assert min(verdicts.values()) >= 5, verdicts
+
+
+def _reeve(r):
+    return from_v(VRep(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)), ()))
+
+
+def _lifted(rng, poly):
+    """A polygon lifted to a random plane z = a x + b y + c in 3-space."""
+    a, b, c = (rng.randint(-2, 2) for _ in range(3))
+    return from_v(VRep(tuple((x, y, a * x + b * y + c)
+                             for x, y in poly.v.vertices), ()))
+
+
+def test_capped_normality_matches_full_scan():
+    # scales s >= dim P hold by the Bruns-Gubeladze-Trung bound, so the scan
+    # that stops at dim P - 1 agrees with the oracle that scans 2..4
+    rng = random.Random(61)
+    cases = [random_polytope(rng, 2, 4) for _ in range(10)]
+    cases += [random_polytope(rng, 3, 3) for _ in range(30)]
+    cases += [random_polytope(rng, 4, 2) for _ in range(12)]
+    for _ in range(6):
+        cases.append(random_polytope(rng, 3, 3, npoints=2, full_dim=False))
+        cases.append(_lifted(rng, random_polytope(rng, 2, 3)))
+    cases += [_reeve(r) for r in range(2, 7)]
+    failed = {2: 0, 3: 0, 4: 0}
+    for p in cases:
+        rep, ref = is_normal(p, 4), is_normal_ref(p, 4)
+        assert (rep.verdict, rep.witness) == (ref.verdict, ref.witness), p
+        if rep.witness:
+            failed[p.affine_dimension()] += 1
+    assert failed[2] == 0 and failed[3] >= 10 and failed[4] >= 5, failed
+    assert all(is_normal(_reeve(r), 4).witness.scale == 2
+               for r in range(2, 7))
+
+
+def test_is_normal_scans_only_unproved_scales(monkeypatch):
+    calls = []
+    real = latpoints._located_over
+    monkeypatch.setattr(latpoints, "_located_over",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(67)
+    flat = [p for p in (random_polytope(rng, 3, 3, npoints=3, full_dim=False)
+                        for _ in range(20)) if p.affine_dimension() == 2]
+    assert len(flat) >= 5
+    for p in [random_polytope(rng, 2, 6) for _ in range(5)] + flat:
+        assert is_normal(p, 4).checked["scales_scanned"] == []
+        assert is_normal(p).verdict == "located"
+    assert calls == []
+    cube = from_v(VRep(tuple((a, b, c) for a in (0, 1) for b in (0, 1)
+                             for c in (0, 1)), ()))
+    for p, verdict in ((cube, "verified_up_to"), (_reeve(3), "not_located")):
+        calls.clear()
+        assert is_normal(p, 3).verdict == verdict
+        assert len(calls) == 1
+    assert is_normal(cube, 3).checked == {"s_max": 3, "scales_scanned": [2],
+                                          "all_scales": True}
+    assert is_normal(cube, 1).checked == {"s_max": 1, "scales_scanned": [],
+                                          "all_scales": False}
 
 
 def _fiber_cases(rng, count):
