@@ -93,7 +93,13 @@ def _insert(lines, rays, a, is_eq, bit, prev_mask):
 
 
 def generators_from_constraints(dim: int, eqs, ineqs) -> tuple[IMat, IMat]:
-    """Generators (lines, rays) of the cone cut out by eqs and ineqs."""
+    """Generators (lines, rays) of the cone cut out by eqs and ineqs.
+
+    By polarity this is also the V-to-H direction: y is a valid inequality
+    normal of lin(lines) + cone(rays) iff y @ g <= 0 for every generator, so
+    on (lines, rays) it returns the equality and facet normals, irredundant
+    as the polar's extreme rays.  Positive scaling of a row changes nothing.
+    """
     lines = list(identity_matrix(dim))
     rays: list = []
     for e in eqs:
@@ -110,17 +116,3 @@ def generators_from_constraints(dim: int, eqs, ineqs) -> tuple[IMat, IMat]:
     out_lines = tuple(sorted(canonical_sign(ln) for ln in lines))
     out_rays = tuple(sorted(set(r for r, _ in rays)))
     return out_lines, out_rays
-
-
-def constraints_from_generators(dim: int, lines, rays) -> tuple[IMat, IMat]:
-    """Equality and inequality normals of lin(lines) + cone(rays).
-
-    Polarity: y is a valid inequality normal iff y @ g <= 0 for every
-    generator, so the normal cone is cut out by the generators acting as
-    constraints, and its own generators are the normals we want.  Extreme
-    rays of the polar are exactly the facets, so the output is irredundant.
-    """
-    eqs = [primitive(ln) for ln in lines]
-    ineqs = [primitive(r) for r in rays]
-    normal_lines, normal_rays = generators_from_constraints(dim, eqs, ineqs)
-    return normal_lines, normal_rays

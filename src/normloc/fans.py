@@ -77,7 +77,7 @@ def cone_from_generators(dim: int, rays=(), lines=()) -> Cone:
     """The cone lin(lines) + cone(rays).  Zero generators are dropped."""
     rays0 = _clean(dim, rays)
     lines0 = _clean(dim, lines)
-    eqs, ineqs = dd.constraints_from_generators(dim, lines0, rays0)
+    eqs, ineqs = dd.generators_from_constraints(dim, lines0, rays0)
     glines, grays = dd.generators_from_constraints(dim, eqs, ineqs)
     return _assemble(dim, glines, grays, eqs, ineqs)
 
@@ -87,7 +87,7 @@ def cone_from_h(dim: int, ineqs=(), eqs=()) -> Cone:
     ineqs0 = _clean(dim, ineqs)
     eqs0 = _clean(dim, eqs)
     lines, rays = dd.generators_from_constraints(dim, eqs0, ineqs0)
-    ceqs, cineqs = dd.constraints_from_generators(dim, lines, rays)
+    ceqs, cineqs = dd.generators_from_constraints(dim, lines, rays)
     return _assemble(dim, lines, rays, ceqs, cineqs)
 
 
@@ -149,7 +149,8 @@ def normal_fan(q) -> Fan:
     """Fan of maximizer cones of a polyhedron, one per vertex.
 
     The cone at vertex v is generated by the outer normals of the facets
-    active at v, plus the span of the equality normals.
+    active at v, plus the span of the equality normals.  Distinct vertices
+    have distinct cones, none inside another, so they are only sorted.
     """
     eq_normals = [n for n, _ in q.h.equalities]
     cones = []
@@ -157,7 +158,7 @@ def normal_fan(q) -> Fan:
         active = [n for n, rhs in q.h.inequalities if dot(n, v) == rhs]
         cones.append(cone_from_generators(q.dim, rays=active,
                                           lines=eq_normals))
-    return fan_from_cones(q.dim, cones)
+    return Fan(q.dim, tuple(sorted(cones, key=Cone.sort_key)))
 
 
 def support(f: Fan) -> Cone:

@@ -30,9 +30,8 @@ from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotFullDimensional, NotLattice, RealizationError,
                      SupportMismatch, TailConeMismatch, WeightOutsideCone)
-from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
-                    identity_matrix, kernel_lattice_basis, positive_int,
-                    primitive, transpose)
+from .exact import (as_int, dot, hermite_normal_form, identity_matrix,
+                    kernel_lattice_basis, positive_int, primitive, transpose)
 from .fans import (Cone, Fan, cone_contains, cone_from_generators,
                    cone_from_h, is_fan, relative_interior_contains, support)
 from .latpoints import (LocationReport, VERDICT_NOT_LOCATED,
@@ -110,7 +109,7 @@ def _degree(g: GradedProjection, u):
 @lru_cache(maxsize=256)
 def weight_cone(g: GradedProjection) -> Cone:
     """Cone spanned by all weights; every fiber degree must lie in it."""
-    return cone_from_generators(g.m, rays=[w for w in g.weights if any(w)])
+    return cone_from_generators(g.m, rays=g.weights)
 
 
 def _require_in_cone(g: GradedProjection, u):
@@ -132,9 +131,10 @@ def _require_in_cone(g: GradedProjection, u):
 
 
 def fiber(g: GradedProjection, u) -> Polyhedron:
-    """The fiber polyhedron P(u) = {x >= 0 : pi(x) = u} in Q^n."""
+    """The fiber polyhedron P(u) = {x >= 0 : pi(x) = u} in Q^n, as
+    ``from_h`` gives it; each call computes its facets off cached vertices."""
     u = _require_in_cone(g, u)
-    return _fiber_record(g, u)
+    return _from_canonical_v(g.n, *_fiber_cached(g, u))
 
 
 @lru_cache(maxsize=4096)
@@ -146,31 +146,24 @@ def _fiber_cached(g: GradedProjection, u):
     this is c times the entry of u / c: scaling keeps the vertices' lex
     order and the rays.  Readers of the vertices alone (the weight-cone
     check, GIT cones, the projection checks of ``realize_pair``) stop here;
-    no facet is computed.
+    no facet is computed.  Records are not cached: ``fiber`` builds one
+    from these lists on each call.
     """
     c = gcd(*u)
     if c > 1:
         verts, rays = _fiber_cached(g, tuple(x // c for x in u))
         return tuple(tuple(c * x for x in v) for v in verts), rays
     eqs = [(row, u_j) for row, u_j in zip(g.matrix, u)]
-    ineqs = [(tuple(-int(i == j) for j in range(g.n)), 0)
-             for i in range(g.n)]
+    ineqs = [(tuple(-x for x in e), 0) for e in identity_matrix(g.n)]
     verts, rays = _h_to_v(g.n, HRep(tuple(ineqs), tuple(eqs)))
     return tuple(verts), tuple(rays)
-
-
-@lru_cache(maxsize=256)
-def _fiber_record(g: GradedProjection, u) -> Polyhedron:
-    """The record of P(u), the one ``from_h`` gives: only the V-to-H pass
-    runs here, on the cached vertices."""
-    return _from_canonical_v(g.n, *_fiber_cached(g, u))
 
 
 @lru_cache(maxsize=4096)
 def _support_rows(g: GradedProjection, sup):
     """(eqs, ineqs) of the cone spanned by the weights indexed by sup, one
-    V-to-H DD pass; chambers of one grading share most supports."""
-    eqs, ineqs = dd.constraints_from_generators(g.m, (),
+    polar DD pass; chambers of one grading share most supports."""
+    eqs, ineqs = dd.generators_from_constraints(g.m, (),
                                                 [g.weights[i] for i in sup])
     return tuple(eqs), tuple(ineqs)
 
@@ -224,7 +217,7 @@ def _wall_normals(g: GradedProjection):
     for sub in combinations(distinct, g.m - 1):
         ker = kernel_lattice_basis(sub)
         if len(ker) == 1:
-            normals.add(canonical_sign(primitive(ker[0])))
+            normals.add(ker[0])  # saturated HNF: primitive, lead > 0
     return sorted(normals)
 
 
@@ -433,12 +426,9 @@ def _realize(q1: Polyhedron, q2: Polyhedron):
     q2t = translate(q2, shift)
     total, refining = _refining_sum(q1t, q2t)
     funcs = sorted({n for n, _ in total.h.inequalities}, reverse=True)
-    m = len(funcs)
     u1 = tuple(max(dot(f, v) for v in q1t.v.vertices) for f in funcs)
     u2 = tuple(max(dot(f, v) for v in q2t.v.vertices) for f in funcs)
-    cols = [tuple(f[j] for f in funcs) for j in range(d)]
-    units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-    g = graded_projection(cols + units)
+    g = graded_projection(transpose(funcs) + identity_matrix(len(funcs)))
     for u, target in ((u1, q1t), (u2, q2t),
                       (tuple(a + b for a, b in zip(u1, u2)), total)):
         verts, rays = _fiber_cached(g, _require_in_cone(g, u))

@@ -45,13 +45,11 @@ from operator import mul
 
 from . import kernels
 from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
-                     NormlocError, Unbounded)
+                     NormlocError, NotPointed, Unbounded)
 from .exact import (as_int, dot, identity_matrix, integer_solution,
                     positive_int, solution_lattice)
-from .fans import cone_from_generators
-from .polyhedra import (HRep, Polyhedron, _h_to_v, from_h,
-                        integer_constraint_rows, minkowski_sum, scale,
-                        vertex_box)
+from .polyhedra import (HRep, Polyhedron, VRep, _h_to_v, from_h, from_v,
+                        minkowski_sum, scale, vertex_box)
 from .reps import NO_DECOMPOSITION, NORMALITY_FAILURE, Witness
 
 VERDICT_LOCATED = "located"
@@ -131,14 +129,14 @@ class _Frame:
     def rows(self, p: Polyhedron, origin):
         """P's constraints as integer rows a @ y <= b for x = origin + y B.
 
-        P's equalities enter as opposing pairs.  A row that vanishes on
-        the frame is dropped when origin meets it, and kept (0 <= b < 0,
-        so the system is empty) when not.
+        P's equalities, integer HNF rows, enter as opposing pairs.  A row
+        that vanishes on the frame is dropped when origin meets it, and
+        kept (0 <= b < 0, so the system is empty) when not.
         """
-        rows = integer_constraint_rows(p)
+        rows = [(tuple(b.denominator * x for x in n), b.numerator)
+                for n, b in p.h.inequalities]
         for n, b in p.h.equalities:
-            nn = tuple(b.denominator * x for x in n)
-            rows += [(nn, b.numerator), (tuple(-x for x in nn), -b.numerator)]
+            rows += [(n, b.numerator), (tuple(-x for x in n), -b.numerator)]
         shifted = any(origin)
         coeffs, rhs = [], []
         for a, b in rows:
@@ -295,10 +293,13 @@ def _decompose_unbounded_guard(p: Polyhedron, q: Polyhedron):
     # z' ranges over P cap (z - Q); its recession cone tail(P) cap -tail(Q)
     # does not depend on z, so one pointedness check covers every z.  With
     # both tails pointed, that meet is nonzero exactly when
-    # tail(P) + tail(Q) contains a line.
-    if cone_from_generators(p.dim, rays=p.v.rays + q.v.rays).lines:
+    # tail(P) + tail(Q) contains a line: when the origin with the rays of P
+    # and Q is not a pointed polyhedron.
+    try:
+        from_v(VRep(((0,) * p.dim,), p.v.rays + q.v.rays))
+    except NotPointed:
         raise Unbounded("decomposition search region is unbounded: "
-                        "tail(P) meets -tail(Q) outside the origin")
+                        "tail(P) meets -tail(Q) outside the origin") from None
 
 
 def _split_points(p: Polyhedron, q: Polyhedron, box):
@@ -323,8 +324,8 @@ def _split_points(p: Polyhedron, q: Polyhedron, box):
     ineqs += [(zero + n, b) for n, b in q.h.inequalities]
     eqs = [(n + zero, b) for n, b in p.h.equalities]
     eqs += [(zero + n, b) for n, b in q.h.equalities]
-    for j in range(d):
-        e = tuple(int(i == j) for i in range(d)) * 2
+    for j, e in enumerate(identity_matrix(d)):
+        e *= 2  # e_j in both halves: the sum z' + z''
         if lo[j] == hi[j]:
             # one equality instead of two opposing inequalities: the DD
             # removes a dimension up front (decompose passes lo = hi = z)

@@ -220,16 +220,6 @@ def vertex_box(p: Polyhedron):
     return lo, hi
 
 
-def integer_constraint_rows(p: Polyhedron):
-    """The inequalities as integer rows (a, b) meaning a @ x <= b.
-
-    The rows cut out P within aff(P); the lattice scan works in the lattice
-    coordinates of aff(P), where the equalities hold by construction.
-    """
-    return [(tuple(b.denominator * x for x in n), b.numerator)
-            for n, b in p.h.inequalities]
-
-
 def polyhedron_to_dict(p: Polyhedron):
     return {"dim": p.dim,
             "vertices": [[str(x) for x in v] for v in p.v.vertices],

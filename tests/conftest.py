@@ -73,8 +73,7 @@ from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_VERIFIED_UP_TO, _located_over,
                                normally_located)
 from normloc.polyhedra import (HRep, Polyhedron, VRep, _h_to_v, _v_to_h,
-                               from_h, from_v, integer_constraint_rows,
-                               minkowski_sum, scale, vrep)
+                               from_h, from_v, minkowski_sum, scale, vrep)
 from normloc.reps import NORMALITY_FAILURE, NOT_IN_SUM, Witness
 
 
@@ -252,7 +251,8 @@ def box_of(p: Polyhedron):
 def x_system(p: Polyhedron):
     """P's kernel system in x: its inequality rows, each equality as an
     opposing pair of rows, and its vertex box (P bounded)."""
-    rows = integer_constraint_rows(p)
+    rows = [(tuple(b.denominator * x for x in n), b.numerator)
+            for n, b in p.h.inequalities]
     for n, b in p.h.equalities:
         nn = tuple(b.denominator * x for x in n)
         rows += [(nn, b.numerator), (tuple(-x for x in nn), -b.numerator)]

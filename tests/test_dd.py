@@ -57,3 +57,50 @@ def test_generators_depend_only_on_the_cone():
         assert dd.generators_from_constraints(n, eqs2, ineqs2) == want, \
             (eqs, ineqs, eqs2, ineqs2)
     assert both >= 400, both
+
+
+def _generator_family(rng):
+    """Lines and rays in up to 5 dimensions: rays often nonprimitive,
+    repeated or zero, and lines present about half the time."""
+    n = rng.randint(1, 5)
+    rays = [tuple(rng.randint(-3, 3) for _ in range(n))
+            for _ in range(rng.randint(0, n + 2))]
+    rays += rng.sample(rays, min(len(rays), rng.randint(0, 2)))
+    lines = [tuple(rng.randint(-2, 2) for _ in range(n))
+             for _ in range(rng.choice((0, 0, 1, 2)))]
+    return n, lines, rays
+
+
+def _rescaled(rng, rows):
+    """Each row times a positive integer, then up to two rows repeated
+    (rescaled again) at the end."""
+    def times(r, c):
+        return tuple(c * x for x in r)
+
+    out = [times(r, rng.randint(1, 4)) for r in rows]
+    return out + [times(r, rng.randint(1, 3))
+                  for r in rng.sample(rows, min(len(rows), 2))]
+
+
+def test_output_ignores_positive_scaling_and_repeats():
+    # both directions run through generators_from_constraints: a family
+    # read as constraints (eqs, ineqs) and, by polarity, as generators
+    # (lines, rays); the output cannot depend on row scale or multiplicity
+    rng = random.Random(2718)
+    seen = {"constraints": 0, "generators": 0}
+    for i in range(800):
+        role = "constraints" if i % 2 else "generators"
+        if role == "constraints":
+            n, eqs, ineqs = _system(rng)
+        else:
+            n, eqs, ineqs = _generator_family(rng)
+        want = dd.generators_from_constraints(n, eqs, ineqs)
+        got = dd.generators_from_constraints(n, _rescaled(rng, eqs),
+                                             _rescaled(rng, ineqs))
+        assert got == want, (role, eqs, ineqs)
+        # the output family in the other role: its polar, rescaled
+        back = dd.generators_from_constraints(n, *want)
+        assert dd.generators_from_constraints(
+            n, _rescaled(rng, want[0]), _rescaled(rng, want[1])) == back
+        seen[role] += bool(want[1]) and bool(ineqs)
+    assert min(seen.values()) >= 150, seen

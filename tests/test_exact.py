@@ -131,6 +131,9 @@ def test_kernel_lattice_basis_spans_and_saturates():
         ker = kernel_lattice_basis(m)
         for v in ker:
             assert all(dot(row, v) == 0 for row in m)
+            # a saturated Hermite row: primitive, positive lead entry
+            assert gcd(*v) == 1
+            assert next(x for x in v if x) > 0
         # membership: integer combinations land back in the row lattice
         for _ in range(5):
             coeffs = [rng.randint(-3, 3) for _ in ker]

@@ -114,7 +114,6 @@ def test_scaled_fibers_match_fresh_from_h(monkeypatch):
         for c in (2, 3, 6):
             cu = tuple(c * x for x in u)
             gitfan._fiber_cached.cache_clear()
-            gitfan._fiber_record.cache_clear()
             calls.clear()
             try:
                 expect = fiber_from_h_ref(g, cu)

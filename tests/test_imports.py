@@ -2,8 +2,10 @@
 
 Every name a module imports must be used in it (``__init__.py`` imports
 only to re-export), and the layers import downward only: ``polyhedra``
-knows nothing of cones, fans, lattice scans or gradings, and ``fans``
-knows nothing of polyhedra, lattice scans or gradings.
+knows nothing of cones, fans, lattice scans or gradings, ``fans`` knows
+nothing of polyhedra, lattice scans or gradings, ``latpoints`` nothing of
+cones or gradings, and the scan kernels import no other module of the
+package.
 """
 
 import ast
@@ -17,6 +19,8 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 FORBIDDEN = {
     "polyhedra": {"fans", "latpoints", "gitfan"},
     "fans": {"polyhedra", "latpoints", "gitfan"},
+    "latpoints": {"fans", "gitfan"},
+    "kernels": {p.stem for p in MODULES} - {"kernels"},
 }
 
 

@@ -8,6 +8,7 @@ from conftest import (from_h_ref, from_v_ref, oracle_vertices,
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                             NotPointed, Unbounded, ZeroVector)
 from normloc.exact import dot
+from normloc.gitfan import fiber, graded_projection
 from normloc.polyhedra import (HRep, VRep, from_h, from_v, minkowski_sum,
                                polyhedron_from_dict, polyhedron_to_dict,
                                scale, translate, vertex_box)
@@ -383,3 +384,44 @@ def test_from_h_matches_rescaling_reference():
         assert got == expect and repr(got) == repr(expect)
         kinds["ok"] += 1
     assert min(kinds.values()) >= 40, kinds
+
+
+def test_equality_right_hand_sides_are_integers():
+    # the lattice scan takes canonical equalities as integer rows as they
+    # stand: each is an integer HNF row (n, b) of the homogenized hull
+    rng = random.Random(211)
+    flat = 0
+    for _ in range(300):
+        rep = _random_vrep(rng)
+        try:
+            p = from_v(rep)
+        except NormlocError:
+            continue
+        # a second summand: P's first two points, each shifted by halves
+        q = from_v(VRep(tuple(tuple(x + Fraction(rng.randint(-3, 3), 2)
+                                    for x in v) for v in rep.vertices[:2]),
+                        ()))
+        shift = tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                      for _ in range(p.dim))
+        for r in (p, from_h(p.h), scale(p, rng.randint(2, 4)),
+                  translate(p, shift), minkowski_sum(p, q)):
+            assert all(b.denominator == 1 for _, b in r.h.equalities), r
+            flat += bool(r.h.equalities)
+    assert flat >= 300, flat
+    fibers = 0
+    for _ in range(80):
+        m = rng.randint(1, 3)
+        try:
+            g = graded_projection([[rng.randint(0, 3) for _ in range(m)]
+                                   for _ in range(rng.randint(m, m + 3))])
+        except NormlocError:
+            continue
+        for _ in range(3):
+            coef = [rng.randint(0, 3) for _ in g.weights]
+            u = [sum(c * w[j] for c, w in zip(coef, g.weights))
+                 for j in range(m)]
+            f = fiber(g, u)
+            assert f.h.equalities
+            assert all(b.denominator == 1 for _, b in f.h.equalities), f
+            fibers += 1
+    assert fibers >= 100, fibers
