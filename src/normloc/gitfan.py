@@ -29,15 +29,17 @@ from math import gcd
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotFullDimensional, NotLattice, RealizationError,
-                     SupportMismatch, TailConeMismatch, WeightOutsideCone)
+                     SupportMismatch, TailConeMismatch, Unbounded,
+                     WeightOutsideCone)
 from .exact import (as_int, dot, hermite_normal_form, identity_matrix,
                     kernel_lattice_basis, positive_int, primitive, transpose)
 from .fans import (Cone, Fan, cone_contains, cone_from_generators,
                    cone_from_h, is_fan, relative_interior_contains, support)
 from .latpoints import (LocationReport, VERDICT_NOT_LOCATED,
-                        VERDICT_VERIFIED_UP_TO, _located_over)
-from .polyhedra import (HRep, Polyhedron, _from_canonical_v, _h_to_v,
-                        minkowski_sum, scale, translate)
+                        VERDICT_VERIFIED_UP_TO, _located_over, _scaled,
+                        _ScanSet)
+from .polyhedra import (HRep, Polyhedron, VRep, _from_canonical_v, _h_to_v,
+                        minkowski_sum, translate)
 from .reps import NOT_IN_SUM, Witness
 
 VERDICT_EXHAUSTED = "exhausted"
@@ -145,18 +147,38 @@ def _fiber_cached(g: GradedProjection, u):
     EmptyPolyhedron when u lies outside the weight cone.  For c = gcd(u) > 1
     this is c times the entry of u / c: scaling keeps the vertices' lex
     order and the rays.  Readers of the vertices alone (the weight-cone
-    check, GIT cones, the projection checks of ``realize_pair``) stop here;
-    no facet is computed.  Records are not cached: ``fiber`` builds one
-    from these lists on each call.
+    check, GIT cones, the projection checks of ``realize_pair``) and the
+    scans (through ``_fiber_set``) stop here; no facet is computed.
+    Records are not cached: ``fiber`` builds one from these lists on each
+    call.
     """
     c = gcd(*u)
     if c > 1:
         verts, rays = _fiber_cached(g, tuple(x // c for x in u))
         return tuple(tuple(c * x for x in v) for v in verts), rays
-    eqs = [(row, u_j) for row, u_j in zip(g.matrix, u)]
-    ineqs = [(tuple(-x for x in e), 0) for e in identity_matrix(g.n)]
-    verts, rays = _h_to_v(g.n, HRep(tuple(ineqs), tuple(eqs)))
+    verts, rays = _h_to_v(g.n, _fiber_rows(g, u))
     return tuple(verts), tuple(rays)
+
+
+def _fiber_rows(g: GradedProjection, u) -> HRep:
+    """The rows -x_i <= 0 and A x = u that define P(u), A = ``g.matrix``."""
+    return HRep(tuple((tuple(-x for x in e), 0)
+                      for e in identity_matrix(g.n)),
+                tuple(zip(g.matrix, u)))
+
+
+def _fiber_set(g: GradedProjection, u) -> _ScanSet:
+    """P(u) as a ``latpoints._ScanSet``: its defining rows with the vertices
+    and rays of ``_fiber_cached``, so no facet is computed.
+
+    The equality normals are A's rows, so every fiber of the grading is
+    scanned in the one frame of ker A.  Where some x_i = 0 is implied on
+    P(u), ker A is larger than the direction of aff(P(u)), but the lattice
+    points of P(u) are the same in either frame, and the Hermite basis of
+    ker A keeps lex order, so a witness is still the lex-least one.  u must
+    lie in the weight cone.
+    """
+    return _ScanSet(g.n, _fiber_rows(g, u), VRep(*_fiber_cached(g, u)))
 
 
 @lru_cache(maxsize=4096)
@@ -280,8 +302,9 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
     u1 = _require_in_cone(g, u1)
     u2 = _require_in_cone(g, u2)
     u12 = tuple(a + b for a, b in zip(u1, u2))
-    f1 = fiber(g, u1)
-    report = _located_over(fiber(g, u12), f1, fiber(g, u2), window)
+    f1 = _fiber_set(g, u1)
+    report = _located_over(_fiber_set(g, u12), f1, _fiber_set(g, u2),
+                           window)
     witness = report.witness
     if witness:
         caps = tuple(zip(identity_matrix(g.n), witness.point))
@@ -296,13 +319,20 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
 
 def _multiple_sweep(k_max: int, s_max: int, sets):
     """Search k <= k_max with every lattice point of R splitting over
-    (P, Q) for (R, P, Q) = sets(s * k) and every s <= s_max.  No step has
-    a window, so each is located or not_located (or raises Unbounded).
-    A step depends on (k, s) only through m = s * k, so each m is checked
-    once and its report reused, as for (1, 2) and (2, 1)."""
+    (P, Q) for (R, P, Q) = sets(s * k) and every s <= s_max.  sets(m)
+    returns scan sets (``latpoints._ScanSet``) built with no DD pass.
+
+    No step has a window, so each is located or not_located; an R with
+    rays raises Unbounded once, before the first step (every m gives R the
+    same rays).  A step depends on (k, s) only through m = s * k, so each
+    m is checked once and its report reused, as for (1, 2) and (2, 1)."""
     positive_int(k_max, "k_max")
     positive_int(s_max, "s_max")
-    reports = {}
+    first = sets(1)
+    if first[0].v.rays:
+        raise Unbounded("the multiple sweep checks bounded sets only, "
+                        "and the set to split has rays")
+    reports = {1: _located_over(*first)}
     failures = []
     for k in range(1, k_max + 1):
         for s in range(1, s_max + 1):
@@ -328,13 +358,17 @@ def multiple_making_sums_exact(g: GradedProjection, u1, u2,
 
     Verdict "verified_up_to" reports the first such k (in checked["k"]);
     "exhausted" means every k failed, with the first failing scale and
-    witness per k recorded in checked["failures"].
+    witness per k recorded in checked["failures"].  The fibers at each
+    multiple m are scan sets (``_fiber_set``): m times the cached vertices
+    of the primitive degree, so the sweep runs one H-to-V pass per
+    primitive degree however many multiples it checks.  Fibers with rays
+    raise Unbounded.
     """
     u1 = _require_in_cone(g, u1)
     u2 = _require_in_cone(g, u2)
     u12 = tuple(a + b for a, b in zip(u1, u2))
     return _multiple_sweep(k_max, s_max, lambda m: tuple(
-        fiber(g, tuple(m * x for x in u)) for u in (u12, u1, u2)))
+        _fiber_set(g, tuple(m * x for x in u)) for u in (u12, u1, u2)))
 
 
 def is_generating_candidate(g: GradedProjection, u1, u2) -> str:
@@ -504,10 +538,12 @@ def located_multiple_search(q1: Polyhedron, q2: Polyhedron,
     says nothing when it does not, so the sweep runs either way and records
     the refinement in checked["refines"], decided as ``normal_fan_refines``
     does on the Q1 + Q2 the sweep scales.  Different dimensions or tail
-    cones (normal fans with different supports) raise SupportMismatch.
+    cones (normal fans with different supports) raise SupportMismatch, and
+    pairs with rays raise Unbounded.  The three sets at each multiple are
+    scan sets (``latpoints._scaled``), so the DD runs only for the sum.
     """
     total, ok = _refining_sum(q1, q2)
     rep = _multiple_sweep(k_max, s_max, lambda m: (
-        scale(total, m), scale(q1, m), scale(q2, m)))
+        _scaled(total, m), _scaled(q1, m), _scaled(q2, m)))
     return LocationReport(rep.verdict, rep.witness,
                           {**rep.checked, "refines": ok})

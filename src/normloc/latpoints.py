@@ -33,6 +33,23 @@ images of the vertices.  A window W is one more polyhedron: the scan runs
 over S = R cap W, still in R's frame, with S's rows and the y-box of S's
 vertices; where W flattens R, S's extra equalities become rows in y like
 those of P and Q.
+
+The location engine reads its sets as *scan sets* (``_ScanSet``): a
+dimension, rows and canonical generators, with no facet computed.  A
+``Polyhedron`` record is one as it is; the multiple sweeps build theirs
+from rows they already know, with no DD pass: m*P has rows (n, m*b)
+(``_scaled``), and a fiber P(u) of a grading with matrix A has rows
+x >= 0 and A x = u (``gitfan._fiber_set``).  The contract: rows may be
+redundant, equalities are integer rows with integer right-hand sides, the
+generators are canonical (lex-sorted vertices, sorted primitive rays), and
+the equality normals W cut out an affine lattice that holds every lattice
+point of the set.  The frame is W's, so it may be larger than the hull's:
+every fiber of a grading is scanned in the frame of ker A, also where some
+x_i = 0 is implied and aff(P(u)) is smaller.  That is safe.  The lattice
+points of P(u) are the same in either lattice, P(u)'s rows cut them out in
+y as they do in x, and the Hermite basis of ker A keeps lex order, so the
+scan finds the same points and the same lex-least witness.  A scan set
+never reaches a caller, since ``Polyhedron`` equality compares records.
 """
 
 from __future__ import annotations
@@ -49,7 +66,7 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
 from .exact import (as_int, dot, identity_matrix, integer_solution,
                     positive_int, solution_lattice)
 from .polyhedra import (HRep, Polyhedron, VRep, _h_to_v, from_h, from_v,
-                        minkowski_sum, scale, vertex_box)
+                        minkowski_sum, vertex_box)
 from .reps import NO_DECOMPOSITION, NORMALITY_FAILURE, Witness
 
 VERDICT_LOCATED = "located"
@@ -88,6 +105,48 @@ class LocationReport:
         return {"verdict": self.verdict,
                 "witness": self.witness.to_dict() if self.witness else None,
                 "checked": dict(self.checked)}
+
+
+@dataclass(frozen=True)
+class _ScanSet:
+    """A set as the scan reads it: ``dim``, rows ``h`` and generators ``v``.
+
+    ``_located_over``, ``_clip``, ``_split_points`` and ``vertex_box`` read
+    only these three fields, so a ``Polyhedron`` record passes as a scan set
+    as it is.  The contract a scan set keeps:
+
+    * rows may be redundant (a scan reads which points satisfy them, and
+      ``_clip`` and ``_split_points`` hand them to a DD pass that drops
+      redundant rows);
+    * equalities are integer rows with integer right-hand sides;
+    * ``v`` is canonical: lex-sorted vertices, sorted primitive rays;
+    * the equality normals W cut out an affine lattice
+      {x in Z^n : W x = W v} that holds every lattice point of the set.
+      W may have fewer rows than aff(set) needs; the frame of W is then
+      larger than the hull's, with the same lattice points in it.
+
+    Builders read rows the caller already knows, with no DD pass:
+    ``_scaled`` here, ``gitfan._fiber_set`` for fibers.  A scan set never
+    reaches a caller: ``Polyhedron`` equality compares records, and a scan
+    set's rows are not canonical.
+    """
+
+    dim: int
+    h: HRep
+    v: VRep
+
+
+def _scaled(p: Polyhedron, m: int) -> _ScanSet:
+    """m * P as a scan set: rows (n, m * b) and vertices m * v, no DD pass.
+
+    A positive m keeps the vertices' lex order and the rays, and P's
+    canonical equalities stay integer rows with integer right-hand sides.
+    """
+    return _ScanSet(p.dim,
+                    HRep(tuple((n, m * b) for n, b in p.h.inequalities),
+                         tuple((n, m * b) for n, b in p.h.equalities)),
+                    VRep(tuple(tuple(m * x for x in v)
+                               for v in p.v.vertices), p.v.rays))
 
 
 @dataclass(frozen=True)
@@ -376,7 +435,7 @@ def decompose(z, p: Polyhedron, q: Polyhedron):
     return first, tuple(a - b for a, b in zip(z, first))
 
 
-def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
+def _located_over(r: _ScanSet, p: _ScanSet, q: _ScanSet,
                   window=None) -> LocationReport:
     """Location engine: split every lattice point of R over (P, Q).
 
@@ -391,6 +450,12 @@ def _located_over(r: Polyhedron, p: Polyhedron, q: Polyhedron,
     origins o for R and o_P for P, Q gets o - o_P, so z = z' + z'' in x is
     y = y' + y'' in y.  No integer point in aff(R) leaves nothing to split;
     none in aff(P) + lin(R) makes S's first lattice point the witness.
+
+    R, P and Q are scan sets (``_ScanSet``, a record or rows known a
+    priori): only their rows and generators are read, redundant rows scan
+    the same points, and R's frame is that of R's equality normals, which
+    may cut out a larger lattice than aff(R) (ker A for a fiber) with the
+    same lattice points of R in it.  A window's S is a canonical record.
     """
     bounded = not r.v.rays
     s = r
@@ -459,7 +524,8 @@ def is_normal(p: Polyhedron, s_max: int = _EVERY_SCALE) -> LocationReport:
     of a point of sP into s lattice points of P would in particular give a
     split over (s-1)P and P by grouping, and conversely.  The witness is
     therefore a genuine normality failure at its scale.  As P is convex,
-    R = (s-1)P + P is sP, one scale of P; step s reuses step s-1's R.
+    R = (s-1)P + P is sP, one scale of P, scanned off P's rows scaled by s
+    (``_scaled``, no DD pass); step s reuses step s-1's R.
 
     Bruns, Gubeladze and Trung ("Normal polytopes, triangulations, and
     Koszul algebras", 1997, Thm 1.3.3) prove that
@@ -485,7 +551,7 @@ def is_normal(p: Polyhedron, s_max: int = _EVERY_SCALE) -> LocationReport:
     scanned = list(range(2, (top if exact else min(s_max, top)) + 1))
     r = p
     for s in scanned:
-        prev, r = r, scale(p, s)
+        prev, r = r, _scaled(p, s)
         step = _located_over(r, prev, p)
         if step.verdict == VERDICT_NOT_LOCATED:
             w = Witness(step.witness.point, NORMALITY_FAILURE, scale=s)

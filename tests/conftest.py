@@ -30,8 +30,9 @@ refinement by building both normal fans and running ``refines``: the
 reference for ``gitfan.normal_fan_refines``, which counts vertices.
 Both sweep references run their own (k, s) loop (``_sweep_ref``), and
 ``multiple_making_sums_exact_ref`` checks each step with one
-``fiber_point_sum_exact`` of the two degrees, where the package passes the
-three fibers at the multiple s*k to the location engine directly.
+``fiber_point_sum_exact_ref`` of the two degrees, on the fibers' canonical
+records, where the package passes the three fibers at the multiple s*k to
+the location engine directly, as scan sets of their defining rows.
 ``scale_ref`` and ``translate_ref`` rebuild the mapped vertices through
 ``from_v`` (both DD directions), ``fiber_point_sum_exact_ref`` relabels a
 witness by membership in the Minkowski sum of the fibers, and
@@ -66,8 +67,8 @@ from normloc.fans import (Cone, cone_contains, cone_from_generators,
                           support)
 from normloc.gitfan import (CrossCheckReport, GradedProjection,
                             VERDICT_EXHAUSTED, _require_in_cone,
-                            _wall_normals, fiber, fiber_point_sum_exact,
-                            git_cone, realize_pair, weight_cone)
+                            _wall_normals, fiber, git_cone, realize_pair,
+                            weight_cone)
 from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                                VERDICT_VERIFIED_UP_TO, _located_over,
@@ -676,14 +677,15 @@ def located_multiple_search_ref(q1: Polyhedron, q2: Polyhedron,
 
 def multiple_making_sums_exact_ref(g: GradedProjection, u1, u2,
                                    k_max: int, s_max: int) -> LocationReport:
-    """multiple_making_sums_exact with each step one fiber_point_sum_exact
-    of the degrees s*k*u1 and s*k*u2."""
+    """multiple_making_sums_exact with each step one
+    ``fiber_point_sum_exact_ref`` of the degrees s*k*u1 and s*k*u2, on the
+    fibers' canonical records."""
     u1 = _require_in_cone(g, u1)
     u2 = _require_in_cone(g, u2)
 
     def step(k, s):
-        return fiber_point_sum_exact(g, tuple(s * k * x for x in u1),
-                                     tuple(s * k * x for x in u2))
+        return fiber_point_sum_exact_ref(g, tuple(s * k * x for x in u1),
+                                         tuple(s * k * x for x in u2))
 
     return _sweep_ref(k_max, s_max, step)
 

@@ -8,8 +8,9 @@ import pytest
 from conftest import (fiber_from_h_ref, fiber_point_sum_exact_ref,
                       git_cone_ref, git_fan_ref, located_multiple_search_ref,
                       multiple_making_sums_exact_ref, orbit_cones_ref,
-                      random_polytope, refinement_iff_interior_ref)
-from normloc import exact, fans, gitfan, latpoints, polyhedra
+                      random_polytope, refinement_iff_interior_ref,
+                      scale_ref)
+from normloc import dd, exact, fans, gitfan, latpoints, polyhedra
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                             NotFullDimensional, NotLattice, RealizationError,
@@ -336,6 +337,186 @@ def test_multiple_making_sums_matches_fiber_point_sum_sweep():
         assert got == multiple_making_sums_exact_ref(*case).to_dict(), case
         verdicts[got["verdict"]] += 1
     assert min(verdicts.values()) >= 30, verdicts
+
+
+def _cold_caches():
+    for mod in (exact, fans, gitfan, latpoints, polyhedra):
+        for val in vars(mod).values():
+            if callable(getattr(val, "cache_clear", None)):
+                val.cache_clear()
+
+
+def _primitive_degree(u):
+    c = math.gcd(*u)
+    return tuple(x // c for x in u) if c else tuple(u)
+
+
+def test_sweeps_run_no_dd_pass_per_multiple(monkeypatch):
+    # with every cache cold, multiple_making_sums_exact runs one H-to-V
+    # pass per primitive degree among u1, u2 and u1 + u2, and
+    # located_multiple_search only the passes that build Q1 + Q2, whatever
+    # k_max * s_max is: the sets at each multiple are scan sets of rows
+    # known a priori, and bounded summands split over their vertex boxes
+    calls = []
+    plain = dd.generators_from_constraints
+    monkeypatch.setattr(dd, "generators_from_constraints",
+                        lambda *args: calls.append(args[0]) or plain(*args))
+    rng = random.Random(83)
+    g, u1, u2 = boundary_grading()
+    cases = [(g, u1, u2, k, s) for k, s in ((1, 1), (2, 3), (6, 4))]
+    cases += [(g, (2, 6), (1, 3), 2, 2), (g, (3, 3), (3, 3), 2, 3)]
+    cases += [_degree_pair(rng) + (rng.randint(2, 3), rng.randint(2, 3))
+              for _ in range(20)]
+    shared = 0
+    for g, a, b, k_max, s_max in cases:
+        a, b = tuple(a), tuple(b)
+        degrees = {_primitive_degree(u)
+                   for u in (a, b, tuple(x + y for x, y in zip(a, b)))}
+        shared += len(degrees) < 3
+        _cold_caches()
+        calls.clear()
+        multiple_making_sums_exact(g, a, b, k_max, s_max)
+        assert len(calls) == len(degrees), (g, a, b, k_max, s_max)
+    assert shared >= 3, shared
+    pairs = []
+    for d, bound in ((2, 3), (2, 3), (3, 1)):
+        for _ in range(3):
+            q2 = random_polytope(rng, d, bound)
+            pairs.append((minkowski_sum(q2, random_polytope(rng, d, bound)),
+                          q2))
+            pairs.append((random_polytope(rng, d, bound), q2))
+    seg = from_v(VRep(((0, 1), (2, 0)), ()))
+    pairs.append((seg, scale(seg, 2)))
+    for q1, q2 in pairs:
+        _cold_caches()
+        calls.clear()
+        gitfan._refining_sum(q1, q2)
+        want = len(calls)
+        for k_max, s_max in ((1, 1), (2, 2), (3, 2)):
+            _cold_caches()
+            calls.clear()
+            located_multiple_search(q1, q2, k_max, s_max)
+            assert len(calls) == want, (q1, q2, k_max, s_max)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).to_dict()
+    except NormlocError as exc:
+        return type(exc)
+
+
+def _face_degree_case(rng):
+    """A grading whose weight cone has the face {x_m = 0} (weights on it and
+    off it, all in the nonnegative orthant, a zero weight now and then),
+    mapped by a random unimodular matrix, and two degrees: the first on
+    the face, the second on it three times in four.  Fibers over the face
+    have x_i = 0 for every weight off it."""
+    while True:
+        m = rng.choice((2, 3))
+        on = [tuple(rng.randint(0, 3) for _ in range(m - 1)) + (0,)
+              for _ in range(rng.randint(1, 2 if m == 2 else 3))]
+        off = [tuple(rng.randint(0, 2) for _ in range(m - 1))
+               + (rng.randint(1, 2),) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.15:
+            off.append((0,) * m)
+        ws = on + off
+        rng.shuffle(ws)
+        unimodular = [list(e) for e in exact.identity_matrix(m)]
+        for _ in range(3):
+            i, j = rng.sample(range(m), 2)
+            c = rng.randint(-1, 1)
+            unimodular[i] = [a + c * b for a, b in
+                             zip(unimodular[i], unimodular[j])]
+        try:
+            g = graded_projection(
+                [tuple(sum(a * x for a, x in zip(row, w))
+                       for row in unimodular) for w in ws])
+        except NormlocError:
+            continue
+        on_face = [g.weights[ws.index(w)] for w in on]
+        if not any(any(w) for w in on_face):
+            continue
+        u1, u2 = (tuple(sum(c * w[j] for c, w in coefs)
+                        for j in range(m))
+                  for coefs in ([(rng.randint(0, 2), w) for w in pick]
+                                for pick in (on_face,
+                                             on_face if rng.random() < 0.75
+                                             else g.weights)))
+        if any(u1) and any(u2):
+            return g, u1, u2
+
+
+def test_fiber_sweeps_match_reference_on_face_degrees():
+    # the fiber scan sets keep the frame of ker A, which is larger than
+    # aff(P(u)) where some x_i = 0 holds on P(u): the sweep, the point sum
+    # (with and without windows) and the public fiber records agree with
+    # the references on degrees in a face of the weight cone
+    rng = random.Random(89)
+    implied = rays = windowed = 0
+    verdicts = {"verified_up_to": 0, "exhausted": 0}
+    for _ in range(120):
+        g, u1, u2 = _face_degree_case(rng)
+        u12 = tuple(a + b for a, b in zip(u1, u2))
+        for u in (u1, u2, u12, tuple(2 * x for x in u12)):
+            got = fiber(g, u)
+            assert got == fiber_from_h_ref(g, u), (g, u)
+        top = fiber(g, u12)
+        implied += top.affine_dimension() < g.n - g.m
+        rays += bool(top.v.rays)
+        k_max, s_max = rng.randint(1, 2), rng.randint(1, 3)
+        got = _outcome(multiple_making_sums_exact, g, u1, u2, k_max, s_max)
+        assert got == _outcome(multiple_making_sums_exact_ref, g, u1, u2,
+                               k_max, s_max), (g, u1, u2, k_max, s_max)
+        if isinstance(got, dict):
+            verdicts[got["verdict"]] += 1
+        else:
+            assert got is Unbounded and top.v.rays
+        assert _outcome(fiber_point_sum_exact, g, u1, u2) == \
+            _outcome(fiber_point_sum_exact_ref, g, u1, u2), (g, u1, u2)
+        for _ in range(2):
+            lo = tuple(rng.randint(-1, 1) for _ in range(g.n))
+            window = lo, tuple(x + rng.randint(0, 3) for x in lo)
+            got = fiber_point_sum_exact(g, u1, u2, window)
+            assert got == fiber_point_sum_exact_ref(g, u1, u2, window), \
+                (g, u1, u2, window)
+            windowed += got.verdict != "located"
+    assert implied >= 30 and rays >= 5 and windowed >= 30, \
+        (implied, rays, windowed)
+    assert min(verdicts.values()) >= 5, verdicts
+
+
+def test_located_multiple_search_on_flat_and_rational_summands():
+    # scan sets of flat summands carry their canonical equalities scaled
+    # by m, and rational ones Fraction rows: the sweep agrees with fresh
+    # normally_located checks of scaled records, and scale still returns
+    # the record from_v gives
+    rng = random.Random(91)
+    kinds = {"flat": 0, "rational": 0}
+    verdicts = {"verified_up_to": 0, "exhausted": 0}
+    for _ in range(40):
+        d = rng.choice((2, 3))
+        q2 = random_polytope(rng, d, 2, npoints=rng.randint(2, d + 1),
+                             full_dim=False)
+        r = random_polytope(rng, d, 2, npoints=rng.randint(2, d + 2),
+                            full_dim=False)
+        if rng.random() < 0.5:
+            den = rng.randint(2, 3)
+            q2 = from_v(VRep(tuple(tuple(Fraction(x, den) for x in v)
+                                   for v in q2.v.vertices), ()))
+        q1 = minkowski_sum(q2, r) if rng.random() < 0.5 else r
+        kinds["flat"] += min(q1.affine_dimension(),
+                             q2.affine_dimension()) < d
+        kinds["rational"] += not q2.is_lattice()
+        k_max, s_max = rng.randint(1, 2), rng.randint(1, 3)
+        got = _outcome(located_multiple_search, q1, q2, k_max, s_max)
+        assert got == _outcome(located_multiple_search_ref, q1, q2, k_max,
+                               s_max), (q1, q2, k_max, s_max)
+        verdicts[got["verdict"]] += 1
+        for m in (2, 3):
+            assert scale(q2, m) == scale_ref(q2, m)
+    assert min(kinds.values()) >= 10, kinds
+    assert min(verdicts.values()) >= 5, verdicts
 
 
 def test_is_generating_candidate_trichotomy():
@@ -691,13 +872,6 @@ def test_located_multiple_search_k_sweep():
                            "failures": [[1, 1, [1, 383]]], "refines": False}
 
 
-def _search_outcome(search, q1, q2, k_max, s_max):
-    try:
-        return search(q1, q2, k_max, s_max).to_dict()
-    except NormlocError as exc:
-        return type(exc)
-
-
 def test_located_multiple_search_matches_reference():
     # refining pairs Q1 = Q2 + R, unrelated pairs, crossing lattice segments
     # (never located at any multiple: exhausted), Reeve pairs, and a pair
@@ -734,9 +908,9 @@ def test_located_multiple_search_matches_reference():
     for q1, q2 in pairs:
         k_max = rng.randint(1, 2)
         s_max = rng.randint(1, 3 if q1.dim == 2 else 2)
-        got = _search_outcome(located_multiple_search, q1, q2, k_max, s_max)
-        assert got == _search_outcome(located_multiple_search_ref, q1, q2,
-                                      k_max, s_max), (q1, q2)
+        got = _outcome(located_multiple_search, q1, q2, k_max, s_max)
+        assert got == _outcome(located_multiple_search_ref, q1, q2,
+                               k_max, s_max), (q1, q2)
         outcomes.append(got)
         if isinstance(got, dict):
             verdicts[got["verdict"]] += 1

@@ -7,7 +7,7 @@ from conftest import (box_of, decompose_unbounded_guard_ref, is_normal_ref,
                       lattice_sum, oracle_points, oracle_split, oracle_sums,
                       oracle_window_points, random_polytope,
                       scan_undecomposed_ref, x_system)
-from normloc import latpoints
+from normloc import latpoints, polyhedra
 from normloc.cases import boundary_grading
 from normloc.errors import NotLattice, NormlocError, Unbounded
 from normloc.gitfan import fiber, fiber_point_sum_exact, graded_projection
@@ -572,6 +572,34 @@ def test_is_normal_scans_only_unproved_scales(monkeypatch):
                                           "all_scales": True}
     assert is_normal(cube, 1).checked == {"s_max": 1, "scales_scanned": [],
                                           "all_scales": False}
+
+
+def test_is_normal_scans_scales_without_facets(monkeypatch):
+    # each scanned s P is a scan set of P's rows scaled by s: no V-to-H pass
+    # runs, and verdicts and witnesses on 3- and 4-polytopes, flat ones in
+    # 4-space included, are those of the scaled-sum reference
+    rng = random.Random(71)
+    cases = [random_polytope(rng, 3, 2) for _ in range(8)]
+    cases += [random_polytope(rng, 4, 1, npoints=rng.randint(5, 7))
+              for _ in range(8)]
+    cases += [from_v(VRep(tuple(v + (v[0] + v[1] - v[2],)
+                                for v in p.v.vertices), ()))
+              for p in cases[:4]]
+    cases += [_reeve(r) for r in (1, 2, 3)]
+    refs = [is_normal_ref(p, 3) for p in cases]
+    calls = []
+    plain = polyhedra._v_to_h
+    monkeypatch.setattr(polyhedra, "_v_to_h",
+                        lambda *args: calls.append(args[0]) or plain(*args))
+    dims = {3: 0, 4: 0}
+    failed = 0
+    for p, ref in zip(cases, refs):
+        rep = is_normal(p, 3)   # scans s = 2, and s = 3 in dimension 4
+        assert (rep.verdict, rep.witness) == (ref.verdict, ref.witness), p
+        failed += bool(rep.witness)
+        dims[p.affine_dimension()] += 1
+    assert calls == []
+    assert min(dims.values()) >= 8 and failed >= 3, (dims, failed)
 
 
 def _fiber_cases(rng, count):
