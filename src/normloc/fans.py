@@ -209,6 +209,70 @@ def is_fan(f: Fan) -> bool:
     return True
 
 
+def _tiles(w: Cone, cones) -> bool:
+    """Whether full-dimensional pointed cones form a fan with support w, a
+    full-dimensional cone; read off rays and facet normals, with no DD.
+
+    False unless w and every cone span the space and the cones are pointed
+    (so a cone's facet is the cone of its tight rays and the sum of its rays
+    is interior), and these hold:
+
+    (a) every ray of every cone lies in w, so every cone lies in w;
+    (b) every facet whose normal n is not a facet normal of w is matched:
+        some other cone has a facet with normal -n and the same tight rays;
+    (c) no (normal, tight rays) pair occurs twice, so the match is unique;
+    (d) the ray sum x0 of the first cone lies in no other cone.
+
+    Proof.  Call x generic if it lies in int w and on no facet hyperplane
+    of any cone, and let N(x) count the cones containing x.  Join two
+    generic points by a segment in int w that misses every meet of two
+    distinct facet hyperplanes.  Where it crosses a boundary, at q, each
+    cone with q on its boundary has q in the relative interior of a facet
+    in one hyperplane H.  That facet's normal is not a facet normal of w,
+    whose facet hyperplanes miss int w, so by (b) and (c) these cones pair
+    off through shared facets, one cone of each pair on either side of H:
+    N is the same just before and just after q.  So N is constant, and it
+    is 1 by (d): x0 is interior to the first cone (so in int w) and has a
+    neighbourhood that meets no other cone.  Hence the interiors are
+    disjoint and, with (a), the cones cover w, the closure of int w.
+
+    Face to face: let p lie in a cone C, F be the face of C with p in its
+    relative interior, and S the cones reached from C by crossing matched
+    facets that contain F; F is a face of each of them.  Near p the cones
+    of S meet only along such facets or lie against facets of w through p,
+    so the same count on their tangent cones at p shows that S covers w
+    near p.  A cone C' through p has interior points near p, which lie in
+    a cone of S, so N = 1 puts C' in S and F is a face of C' as well.
+    Taking p in the relative interior of G = C cap C', G lies in F (the
+    smallest face of C through p) and F lies in both cones, so G = F, a
+    face of each.
+
+    Conversely a fan of such cones with support w passes (a)-(d).  This is
+    the interior-facet characterization of triangulations (De Loera,
+    Rambau and Santos, *Triangulations*, 2010, section 4.5), which the
+    argument extends from simplices to pointed cones.
+    """
+    if w.eq_normals or not cones:
+        return False
+    boundary = set(w.ineq_normals)
+    facets = set()
+    for c in cones:
+        if c.dim != w.dim or c.lines or c.eq_normals:
+            return False
+        if not all(w.contains_point(r) for r in c.rays):
+            return False
+        for n in c.ineq_normals:
+            key = (n, tuple(r for r in c.rays if dot(n, r) == 0))
+            if key in facets:
+                return False
+            facets.add(key)
+    for n, tight in facets:
+        if n not in boundary and (tuple(-x for x in n), tight) not in facets:
+            return False
+    x0 = tuple(sum(col) for col in zip(*cones[0].rays))
+    return not any(c.contains_point(x0) for c in cones[1:])
+
+
 def refines(f1: Fan, f2: Fan) -> bool:
     """Whether every maximal cone of f1 sits inside some cone of f2."""
     if support(f1) != support(f2):

@@ -33,8 +33,8 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      WeightOutsideCone)
 from .exact import (as_int, dot, hermite_normal_form, identity_matrix,
                     kernel_lattice_basis, positive_int, primitive, transpose)
-from .fans import (Cone, Fan, cone_contains, cone_from_generators,
-                   cone_from_h, is_fan, relative_interior_contains, support)
+from .fans import (Cone, _tiles, cone_contains, cone_from_generators,
+                   cone_from_h, relative_interior_contains)
 from .latpoints import (LocationReport, VERDICT_NOT_LOCATED,
                         VERDICT_VERIFIED_UP_TO, _located_over, _scaled,
                         _ScanSet)
@@ -251,9 +251,13 @@ def git_fan(g: GradedProjection) -> GitFan:
     hyperplanes, so each cell lies in a single GIT cone, namely the one of
     any of its interior points, and a cell inside a chamber already found
     is skipped, so every chamber is new and they are only sorted.  The
-    result is cross-checked (pairwise intersections are faces, union has
-    the right conic hull; nested chambers fail it) and the outcome
-    recorded in fan_verified rather than trusted.
+    result is cross-checked and the outcome recorded in fan_verified
+    rather than trusted: ``fans._tiles`` matches the chambers' facets,
+    with no DD pass, and passes only if the chambers meet face to face
+    and cover the weight cone exactly once (a gap, an overlap or a nested
+    chamber fails it).  The surjective grading makes the weight cone
+    full-dimensional, and chambers are GIT cones of interior cell points,
+    full-dimensional and pointed, as the check needs.
     """
     wc = weight_cone(g)
     cells = {wc}
@@ -275,9 +279,8 @@ def git_fan(g: GradedProjection) -> GitFan:
         sample = tuple(sum(col) for col in zip(*cell.rays)) if cell.rays \
             else (0,) * g.m
         chambers.append(git_cone(g, sample))
-    fan = Fan(g.m, tuple(sorted(chambers, key=Cone.sort_key)))
-    verified = support(fan) == wc and is_fan(fan)
-    return GitFan(g, wc, fan.maximal_cones, verified)
+    chambers.sort(key=Cone.sort_key)
+    return GitFan(g, wc, tuple(chambers), _tiles(wc, chambers))
 
 
 def fiber_sum_exact(g: GradedProjection, u1, u2) -> bool:
@@ -460,8 +463,9 @@ def _realize(q1: Polyhedron, q2: Polyhedron):
     q2t = translate(q2, shift)
     total, refining = _refining_sum(q1t, q2t)
     funcs = sorted({n for n, _ in total.h.inequalities}, reverse=True)
-    u1 = tuple(max(dot(f, v) for v in q1t.v.vertices) for f in funcs)
-    u2 = tuple(max(dot(f, v) for v in q2t.v.vertices) for f in funcs)
+    # lattice vertices (checked above), so the support values are int dots
+    ivs = [[tuple(map(int, v)) for v in q.v.vertices] for q in (q1t, q2t)]
+    u1, u2 = (tuple(max(dot(f, v) for v in vs) for f in funcs) for vs in ivs)
     g = graded_projection(transpose(funcs) + identity_matrix(len(funcs)))
     for u, target in ((u1, q1t), (u2, q2t),
                       (tuple(a + b for a, b in zip(u1, u2)), total)):
@@ -470,9 +474,7 @@ def _realize(q1: Polyhedron, q2: Polyhedron):
                 or tuple(r[:d] for r in rays) != target.v.rays):
             raise RealizationError(f"fiber over {u} does not project onto "
                                    "its polyhedron")
-    return RealizedPair(g, tuple(int(x) for x in u1),
-                        tuple(int(x) for x in u2),
-                        tuple(funcs), shift, q1t, q2t), refining
+    return RealizedPair(g, u1, u2, tuple(funcs), shift, q1t, q2t), refining
 
 
 @dataclass(frozen=True)

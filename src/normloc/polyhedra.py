@@ -61,11 +61,14 @@ def vrep(vertices, rays=()) -> VRep:
 
 def _homogenize_h(d, h: HRep):
     """Rows for the cone {(x, t) : t >= 0, x/t in P}: one primitive(n, -b)
-    per row (n, b), which no positive rescaling of the row changes."""
+    per row (n, b), which no positive rescaling of the row changes.  An int
+    b stays an int, so all-integer rows take ``primitive``'s one gcd; any
+    other b is read exactly as ``Fraction(b)``."""
     def row(n, b):
         if not any(n):
             raise ZeroVector("constraint with zero normal")
-        return primitive(tuple(n) + (-Fraction(b),))
+        return primitive(tuple(n) + (-(b if isinstance(b, int)
+                                       else Fraction(b)),))
 
     ineqs = [row(n, b) for n, b in h.inequalities]
     eqs = [row(n, b) for n, b in h.equalities]

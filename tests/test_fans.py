@@ -1,14 +1,18 @@
 import random
+from itertools import product
 
 import pytest
 
 from conftest import is_face_ref, is_fan_ref, random_polytope
-from normloc.errors import DimensionMismatch, SupportMismatch
-from normloc.fans import (Cone, Fan, common_refinement, cone_contains,
-                          cone_from_generators, cone_from_h, dual_cone,
-                          fan_from_cones, intersect_cones,
+from normloc import dd
+from normloc.errors import DimensionMismatch, NormlocError, SupportMismatch
+from normloc.exact import dot
+from normloc.fans import (Cone, Fan, _tiles, common_refinement,
+                          cone_contains, cone_from_generators, cone_from_h,
+                          dual_cone, fan_from_cones, intersect_cones,
                           is_face, is_fan, normal_fan, refines,
                           relative_interior_contains, support)
+from normloc.gitfan import git_fan, graded_projection
 from normloc.polyhedra import VRep, from_v, minkowski_sum
 
 
@@ -246,3 +250,219 @@ def test_generators_of_wrong_length_raise_dimension_mismatch():
         cone_from_h(2, ineqs=[(1, 0, 0)])
     with pytest.raises(DimensionMismatch):
         cone_from_h(2, eqs=[(1,)])
+
+
+def _covers_box(w, cones, bound):
+    """Brute-force coverage: every lattice point of w in [-bound, bound]^m
+    lies in some cone.  The points go by lines along the last axis: on a
+    line, each cone (and w) holds the integers of one interval, read off
+    its facet normals, and the cones' intervals must cover w's."""
+    def interval(c, head):
+        lo, hi = -bound, bound
+        for n in c.ineq_normals:     # n[:-1] . head + n[-1] * t <= 0
+            a, b = n[-1], -dot(n[:-1], head)
+            if a > 0:
+                hi = min(hi, b // a)
+            elif a < 0:
+                lo = max(lo, -(b // -a))
+            elif b < 0:
+                return None
+        return (lo, hi) if lo <= hi else None
+
+    for head in product(range(-bound, bound + 1), repeat=w.dim - 1):
+        span = interval(w, head)
+        if span is None:
+            continue
+        t = span[0]
+        for lo, hi in sorted(filter(None, (interval(c, head)
+                                           for c in cones))):
+            if lo > t:
+                break
+            t = max(t, hi + 1)
+        if t <= span[1]:
+            return False
+    return True
+
+
+def _tiles_oracle(w, cones, bound):
+    """Distinct cones inside w that form a fan (``is_fan``) and cover the
+    lattice points of w in a box."""
+    return (len(set(cones)) == len(cones)
+            and all(w.contains_point(r) for c in cones for r in c.rays)
+            and is_fan(Fan(w.dim, tuple(cones)))
+            and _covers_box(w, cones, bound))
+
+
+def _random_full_cone(rng, w):
+    """A pointed full-dimensional cone on random small vectors of w."""
+    while True:
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(w.dim))
+                for _ in range(rng.randint(w.dim, w.dim + 2))]
+        c = cone_from_generators(w.dim, rays=[v for v in vecs
+                                              if w.contains_point(v)])
+        if c.is_pointed() and c.span_dim == w.dim and c.rays:
+            return c
+
+
+def _ray_sum(rays):
+    return tuple(sum(col) for col in zip(*rays))
+
+
+def _perturb(rng, w, cones):
+    """One edit of a cone list: keep it, drop a cone (a gap), duplicate or
+    add a cone (overlap), nest a subcone, subdivide a cone at an interior
+    point (a fan again) or at a point of one facet (a facet cut in two),
+    merge two cones into the cone over their rays, or, when w is the whole
+    space, add a second complete fan (every point covered twice)."""
+    cones = list(cones)
+    kind = rng.choice(("keep", "drop", "dup", "add", "nest", "star",
+                       "star_facet", "merge", "twice"))
+    i = rng.randrange(len(cones))
+    c = cones[i]
+    if kind == "drop" and len(cones) > 1:
+        del cones[i]
+    elif kind == "dup":
+        cones.append(c)
+    elif kind == "add":
+        cones.append(_random_full_cone(rng, w))
+    elif kind == "nest":
+        sub = cone_from_generators(w.dim, rays=[tuple(2 * x + y for x, y in
+                                                      zip(r, _ray_sum(c.rays)))
+                                                for r in c.rays])
+        cones.insert(rng.randrange(len(cones) + 1), sub)
+    elif kind in ("star", "star_facet") and w.dim > 1:
+        if kind == "star":
+            y = _ray_sum(c.rays)
+        else:
+            n = rng.choice(c.ineq_normals)
+            y = _ray_sum([r for r in c.rays if dot(n, r) == 0])
+        pieces = []
+        for n in c.ineq_normals:
+            tight = [r for r in c.rays if dot(n, r) == 0]
+            if dot(n, y) < 0:
+                pieces.append(cone_from_generators(w.dim, rays=tight + [y]))
+        cones[i:i + 1] = pieces
+    elif kind == "twice" and not w.ineq_normals:
+        cones += normal_fan(random_polytope(rng, w.dim, 3)).maximal_cones
+    elif kind == "merge" and len(cones) > 1:
+        j = rng.choice([j for j in range(len(cones)) if j != i])
+        merged = cone_from_generators(w.dim,
+                                      rays=cones[i].rays + cones[j].rays)
+        if merged.is_pointed():
+            cones = [d for k, d in enumerate(cones) if k not in (i, j)]
+            cones.insert(rng.randrange(len(cones) + 1), merged)
+    return cones
+
+
+def _seeded_collection(rng):
+    """(w, cones) from a GIT fan of a random grading (m = 1-3, weight cones
+    with lines too) or the normal fan of a random 2- or 3-polytope (w the
+    whole space, or at times a half-space that the fan spills out of),
+    with one or two edits; redrawn until no ray entry exceeds 12, which
+    keeps the oracle's box small."""
+    while True:
+        if rng.random() < 0.5:
+            m = rng.choice((1, 2, 2, 3))
+            lo = rng.choice((0, -1, -2))
+            ws = tuple(tuple(rng.randint(lo, 3) for _ in range(m))
+                       for _ in range(rng.randint(m, m + 3)))
+            try:
+                gf = git_fan(graded_projection(ws))
+            except NormlocError:
+                continue
+            w, cones = gf.weight_cone, list(gf.git_cones)
+        else:
+            d = rng.choice((2, 3))
+            w = cone_from_h(d) if rng.random() < 0.8 else cone_from_h(
+                d, ineqs=[tuple(rng.randint(-1, 1) for _ in range(d))])
+            cones = list(normal_fan(random_polytope(rng, d, 3)).maximal_cones)
+        rng.shuffle(cones)
+        for _ in range(rng.choice((1, 1, 2))):
+            cones = _perturb(rng, w, cones)
+        if max(abs(x) for c in cones for r in c.rays for x in r) <= 12:
+            return w, cones
+
+
+def test_tiles_matches_fan_and_coverage_oracle():
+    # the box is twice the largest ray entry; on these collections it finds
+    # a lattice point in every gap, where the largest entry alone missed two
+    rng = random.Random(22)
+    seen = {"dim1": 0, "dim2": 0, "dim3": 0, "lines": 0, "fan": 0,
+            "gap": 0, "overlap": 0, "outside": 0, "x0_again": 0}
+    for _ in range(700):
+        w, cones = _seeded_collection(rng)
+        bound = 2 * max(abs(x) for c in cones for r in c.rays for x in r)
+        got = _tiles(w, cones)
+        assert got == _tiles_oracle(w, cones, bound), (w, cones)
+        seen[f"dim{w.dim}"] += 1
+        seen["lines"] += bool(w.lines)
+        # a box of the origin alone leaves only the coverage test out
+        fan_in_w = _tiles_oracle(w, cones, 0)
+        seen["fan" if got else "gap" if fan_in_w else "overlap"] += 1
+        seen["outside"] += not all(w.contains_point(r)
+                                   for c in cones for r in c.rays)
+        seen["x0_again"] += len(cones) > 1 and any(
+            c.contains_point(_ray_sum(cones[0].rays)) for c in cones[1:])
+    assert min(seen.values()) >= 60, seen
+
+
+def test_tiles_rejects_the_quadrant_gap_the_support_rule_accepts():
+    quad = cone_from_generators(2, rays=((1, 0), (0, 1)))
+    low = cone_from_generators(2, rays=((1, 0), (2, 1)))
+    high = cone_from_generators(2, rays=((1, 2), (0, 1)))
+    gap = Fan(2, (low, high))
+    # the rule git_fan used: (1, 1) lies in neither cone, yet it passes
+    assert support(gap) == quad and is_fan(gap)
+    assert not any(c.contains_point((1, 1)) for c in gap.maximal_cones)
+    assert _tiles(quad, [low, high]) is False
+    middle = cone_from_generators(2, rays=((2, 1), (1, 2)))
+    assert _tiles(quad, [low, middle, high]) is True
+    assert _tiles(quad, [high, low, middle]) is True
+    across = cone_from_generators(2, rays=((3, 1), (1, 3)))
+    assert cone_contains(across, middle)
+    assert _tiles(quad, [low, high, across]) is False
+    assert is_fan(Fan(2, (low, high, across))) is False
+
+
+def test_tiles_runs_no_dd(monkeypatch):
+    g = graded_projection(((4, 1), (2, 1), (1, 2), (1, 3)))
+    gfs = [git_fan(g), git_fan(graded_projection(
+        tuple((1, i) for i in range(21)) + ((21, 1),)))]
+    quad = cone_from_generators(2, rays=((1, 0), (0, 1)))
+    gap = [cone_from_generators(2, rays=((1, 0), (2, 1))),
+           cone_from_generators(2, rays=((1, 2), (0, 1)))]
+    cube = normal_fan(from_v(VRep(tuple(product((0, 1), repeat=3)), ())))
+    whole = cone_from_h(3)
+
+    def boom(*args):
+        raise AssertionError("DD pass in the facet-matching check")
+
+    monkeypatch.setattr(dd, "generators_from_constraints", boom)
+    assert all(_tiles(gf.weight_cone, gf.git_cones) for gf in gfs)
+    assert _tiles(whole, cube.maximal_cones)
+    assert not _tiles(whole, cube.maximal_cones[1:])
+    assert not _tiles(quad, gap)
+
+
+def test_tiles_needs_every_condition():
+    plane = cone_from_h(2)
+    signs = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+    quadrants = [cone_from_generators(2, rays=((a, 0), (0, b)))
+                 for a, b in signs]
+    turned = [cone_from_generators(2, rays=((a, b), (-b, a)))
+              for a, b in signs]
+    assert _tiles(plane, quadrants) and _tiles(plane, turned)
+    # every facet matched once, yet every point covered twice: only the
+    # ray-sum test sees it
+    assert _tiles(plane, quadrants + turned) is False
+    # a complete fan on a half-plane: matched facets, but rays outside w
+    upper = cone_from_h(2, ineqs=((0, -1),))
+    spill = [cone_from_generators(2, rays=r) for r in
+             (((1, -1), (0, 1)), ((0, 1), (-1, -1)), ((-1, -1), (1, -1)))]
+    assert _tiles(plane, spill) and _tiles(upper, spill) is False
+    # lines or flat cones fall outside the check's domain
+    half = cone_from_generators(2, rays=((0, 1),), lines=((1, 0),))
+    assert _tiles(upper, [half]) is False
+    assert _tiles(cone_from_generators(2, rays=((1, 0),)),
+                  [cone_from_generators(2, rays=((1, 0),))]) is False
+    assert _tiles(plane, []) is False
