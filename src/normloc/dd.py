@@ -92,6 +92,34 @@ def _insert(lines, rays, a, is_eq, bit, prev_mask):
     return lines, new_rays
 
 
+def _state(dim: int, eqs, ineqs):
+    """The DD state ``(lines, rays, mask, bit)`` of the cone cut out by eqs
+    and ineqs: rays carry their zero masks, ``mask`` covers the inserted
+    inequalities and ``bit`` is the next one's.  ``_cut`` continues it one
+    inequality at a time; zero rows are skipped."""
+    lines = list(identity_matrix(dim))
+    rays: list = []
+    for e in eqs:
+        if any(e):
+            lines, rays = _insert(lines, rays, tuple(e), True, 0, 0)
+    state = (lines, rays, 0, 1)
+    for a in ineqs:
+        if any(a):
+            state = _cut(state, a)
+    return state
+
+
+def _cut(state, a):
+    """The state after one more inequality a @ x <= 0, a nonzero.
+
+    Earlier rows stay in the zero masks even where they have become
+    redundant; the combinatorial adjacency test is exact on such rows, so
+    cutting a state by a gives the generators of its rows plus a."""
+    lines, rays, mask, bit = state
+    lines, rays = _insert(lines, rays, tuple(a), False, bit, mask)
+    return lines, rays, mask | bit, bit << 1
+
+
 def generators_from_constraints(dim: int, eqs, ineqs) -> tuple[IMat, IMat]:
     """Generators (lines, rays) of the cone cut out by eqs and ineqs.
 
@@ -100,19 +128,7 @@ def generators_from_constraints(dim: int, eqs, ineqs) -> tuple[IMat, IMat]:
     on (lines, rays) it returns the equality and facet normals, irredundant
     as the polar's extreme rays.  Positive scaling of a row changes nothing.
     """
-    lines = list(identity_matrix(dim))
-    rays: list = []
-    for e in eqs:
-        if any(e):
-            lines, rays = _insert(lines, rays, tuple(e), True, 0, 0)
-    mask = 0
-    nbit = 1
-    for a in ineqs:
-        if not any(a):
-            continue
-        lines, rays = _insert(lines, rays, tuple(a), False, nbit, mask)
-        mask |= nbit
-        nbit <<= 1
+    lines, rays, _, _ = _state(dim, eqs, ineqs)
     out_lines = tuple(sorted(canonical_sign(ln) for ln in lines))
     out_rays = tuple(sorted(set(r for r, _ in rays)))
     return out_lines, out_rays

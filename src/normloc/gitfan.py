@@ -33,8 +33,8 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      WeightOutsideCone)
 from .exact import (as_int, dot, hermite_normal_form, identity_matrix,
                     kernel_lattice_basis, positive_int, primitive, transpose)
-from .fans import (Cone, _tiles, cone_contains, cone_from_generators,
-                   cone_from_h, relative_interior_contains)
+from .fans import (Cone, _tiles, cone_from_generators, cone_from_h,
+                   relative_interior_contains)
 from .latpoints import (LocationReport, VERDICT_NOT_LOCATED,
                         VERDICT_VERIFIED_UP_TO, _located_over, _scaled,
                         _ScanSet)
@@ -243,15 +243,40 @@ def _wall_normals(g: GradedProjection):
     return sorted(normals)
 
 
+@lru_cache(maxsize=256)
+def _bases(g: GradedProjection):
+    """The facet rows of cone(w_sup) for every basis sup (m linearly
+    independent weights), in lex order of index tuples: the ``_support_rows``
+    of the m-subsets, which have no equality exactly for a basis."""
+    rows = (_support_rows(g, sup) for sup in combinations(range(g.n), g.m))
+    return tuple(ineqs for eqs, ineqs in rows if not eqs)
+
+
 def git_fan(g: GradedProjection) -> GitFan:
     """The fan of all GIT cones, covering the weight cone.
 
-    The weight cone is cut into cells along every hyperplane spanned by
-    m-1 weights that crosses them; orbit cones are bounded by such
-    hyperplanes, so each cell lies in a single GIT cone, namely the one of
-    any of its interior points, and a cell inside a chamber already found
-    is skipped, so every chamber is new and they are only sorted.  The
-    result is cross-checked and the outcome recorded in fan_verified
+    The weight cone W is cut into cells along every hyperplane spanned by
+    m-1 weights (a wall) that crosses them; orbit cones are bounded by
+    walls, so each cell lies in a single GIT cone, namely the one of any of
+    its interior points.  A cell is a live double-description state
+    (``dd._state`` of W's rows, then ``dd._cut``): a wall n crossing it is
+    inserted once as n and once as -n, one insertion per half.  Final
+    cells are pointed: a line in a final cell lies in every wall, and for
+    m >= 2 the walls meet only at 0 (m = 1 has the one wall {0}).  So a
+    final cell's rays are its canonical rays, and their sum u is interior.
+
+    The chamber of a cell is the GIT cone of u, read off the bases.  Being
+    interior, u lies on no wall, and then the vertex supports of the fiber
+    P(u) are exactly the bases sigma (m independent weights) with u in
+    cone(w_sigma): a vertex support is independent, with fewer than m
+    weights it would put u in the span of m-1 weights, a wall, and each
+    such sigma has the basic solution x_sigma > 0, a vertex.  So the
+    chamber is ``git_cone(g, u)``, the ``cone_from_h`` of the same
+    ``_support_rows`` in the same order, found with one dot-product test
+    per basis (``_bases``) and no fiber.  Cells with the same bases share
+    their chamber, which is built once, so the chambers are only sorted.
+
+    The result is cross-checked and the outcome recorded in fan_verified
     rather than trusted: ``fans._tiles`` matches the chambers' facets,
     with no DD pass, and passes only if the chambers meet face to face
     and cover the weight cone exactly once (a gap, an overlap or a nested
@@ -260,27 +285,29 @@ def git_fan(g: GradedProjection) -> GitFan:
     full-dimensional and pointed, as the check needs.
     """
     wc = weight_cone(g)
-    cells = {wc}
+    cells = [dd._state(g.m, wc.eq_normals, wc.ineq_normals)]
     for nrm in _wall_normals(g):
-        nxt = set()
+        nxt = []
         for cell in cells:
-            signs = {dot(nrm, r) > 0 for r in cell.rays if dot(nrm, r)}
-            if len(signs) < 2 and not any(dot(nrm, ln) for ln in cell.lines):
-                nxt.add(cell)
+            lines, rays, _, _ = cell
+            signs = {s > 0 for s in (dot(nrm, r) for r, _ in rays) if s}
+            if len(signs) < 2 and not any(dot(nrm, ln) for ln in lines):
+                nxt.append(cell)
                 continue
-            for side in (nrm, tuple(-x for x in nrm)):
-                nxt.add(cone_from_h(g.m, ineqs=cell.ineq_normals + (side,),
-                                    eqs=cell.eq_normals))
+            nxt.append(dd._cut(cell, nrm))
+            nxt.append(dd._cut(cell, tuple(-x for x in nrm)))
         cells = nxt
-    chambers = []
-    for cell in sorted(cells, key=Cone.sort_key):
-        if any(cone_contains(ch, cell) for ch in chambers):
-            continue
-        sample = tuple(sum(col) for col in zip(*cell.rays)) if cell.rays \
-            else (0,) * g.m
-        chambers.append(git_cone(g, sample))
-    chambers.sort(key=Cone.sort_key)
-    return GitFan(g, wc, tuple(chambers), _tiles(wc, chambers))
+    bases = _bases(g)
+    chambers = {}
+    for _, rays, _, _ in cells:
+        u = tuple(sum(col) for col in zip(*(r for r, _ in rays)))
+        sups = tuple(i for i, ineqs in enumerate(bases)
+                     if all(dot(n, u) <= 0 for n in ineqs))
+        if sups not in chambers:
+            chambers[sups] = cone_from_h(
+                g.m, ineqs=[n for i in sups for n in bases[i]])
+    found = sorted(chambers.values(), key=Cone.sort_key)
+    return GitFan(g, wc, tuple(found), _tiles(wc, found))
 
 
 def fiber_sum_exact(g: GradedProjection, u1, u2) -> bool:

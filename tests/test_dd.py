@@ -1,6 +1,7 @@
 import random
 
 from normloc import dd
+from normloc.exact import canonical_sign
 
 
 def _system(rng):
@@ -57,6 +58,34 @@ def test_generators_depend_only_on_the_cone():
         assert dd.generators_from_constraints(n, eqs2, ineqs2) == want, \
             (eqs, ineqs, eqs2, ineqs2)
     assert both >= 400, both
+
+
+def test_cutting_a_state_matches_a_fresh_pass():
+    # git_fan splits a cell by cutting its live DD state with a and with -a,
+    # after earlier cuts that may have made rows redundant: each half must
+    # have the generators of a fresh pass over all its rows
+    rng = random.Random(1729)
+    crossed = 0
+    for _ in range(500):
+        n, eqs, ineqs = _system(rng)
+        cuts = [tuple(rng.randint(-2, 2) for _ in range(n))
+                for _ in range(rng.randint(0, 2))]
+        cuts = [c for c in cuts if any(c)]
+        a = tuple(rng.randint(-2, 2) for _ in range(n))
+        if not any(a):
+            continue
+        state = dd._state(n, eqs, ineqs)
+        for c in cuts:
+            state = dd._cut(state, c)
+        crossed += any(sum(x * y for x, y in zip(a, ln)) for ln in state[0])
+        for side in (a, tuple(-x for x in a)):
+            lines, rays, _, _ = dd._cut(state, side)
+            want = dd.generators_from_constraints(n, eqs,
+                                                  ineqs + cuts + [side])
+            assert {canonical_sign(ln) for ln in lines} == set(want[0])
+            assert {r for r, _ in rays} == set(want[1]), (eqs, ineqs, cuts,
+                                                          side)
+    assert crossed >= 150, crossed
 
 
 def _generator_family(rng):

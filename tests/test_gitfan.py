@@ -133,8 +133,8 @@ def test_scaled_fibers_match_fresh_from_h(monkeypatch):
 
 
 def test_vertex_readers_build_no_fiber_facets(monkeypatch):
-    # git_fan, git_cone and realize_pair read only the fibers' vertices:
-    # with every cache cold, no V-to-H pass runs on any fiber
+    # git_fan reads no fiber, git_cone and realize_pair only the fibers'
+    # vertices: with every cache cold, no V-to-H pass runs on any fiber
     calls = []
     plain = gitfan._from_canonical_v
 
@@ -213,18 +213,79 @@ def _random_grading(rng):
             continue
 
 
+def _varied_grading(rng):
+    """m = 1-4 and up to m + 4 weights (m + 3 for m = 4), often negative
+    entries; one draw in five gets a zero weight, one a repeated weight and
+    one a weight parallel to another (twice it)."""
+    while True:
+        m = rng.choice((1, 2, 2, 3, 3, 4))
+        lo = rng.choice((0, 0, -1, -2))
+        ws = [tuple(rng.randint(lo, 3) for _ in range(m))
+              for _ in range(rng.randint(m, m + (4 if m < 4 else 3)))]
+        extra = rng.random()
+        if extra < 0.2:
+            ws[rng.randrange(len(ws))] = (0,) * m
+        elif extra < 0.4:
+            ws.append(rng.choice(ws))
+        elif extra < 0.6:
+            ws.append(tuple(2 * x for x in rng.choice(ws)))
+        try:
+            return graded_projection(ws)
+        except NormlocError:
+            continue
+
+
 def test_git_fan_matches_every_cell_reference():
+    # the every-cell reference where it is cheap (n <= 7, and n <= 6 for
+    # m >= 3, where one n = 7 grading takes 0.1-3 s), and on every grading
+    # the fiber path as the oracle of the bases: each chamber is the GIT
+    # cone of its ray sum
     rng = random.Random(7)
-    seen = {"m1": 0, "negative": 0, "lines": 0}
-    for _ in range(160):
-        g = _random_grading(rng)
+    seen = dict.fromkeys(("ref", "m1", "m4", "negative", "lines", "zero",
+                          "repeated", "parallel"), 0)
+    for _ in range(220):
+        g = _varied_grading(rng)
         got = git_fan(g)
-        assert json.dumps(got.to_dict()) == json.dumps(git_fan_ref(g)), g
         assert got.fan_verified
+        if g.n <= (7 if g.m <= 2 else 6):
+            assert json.dumps(got.to_dict()) == json.dumps(git_fan_ref(g)), g
+            seen["ref"] += 1
+        for c in got.git_cones:
+            assert git_cone(g, tuple(sum(col) for col in zip(*c.rays))) == c
+        nonzero = [w for w in g.weights if any(w)]
         seen["m1"] += g.m == 1
+        seen["m4"] += g.m == 4
         seen["negative"] += any(x < 0 for w in g.weights for x in w)
         seen["lines"] += bool(got.weight_cone.lines)
-    assert min(seen.values()) >= 30, seen
+        seen["zero"] += len(nonzero) < g.n
+        seen["repeated"] += len(set(nonzero)) < len(nonzero)
+        seen["parallel"] += (len({exact.primitive(w) for w in nonzero})
+                             < len(set(nonzero)))
+    assert seen["ref"] >= 160 and min(seen.values()) >= 30, seen
+
+
+def test_git_fan_runs_no_fiber_pass(monkeypatch):
+    # with every cache cold and the fiber passes patched to raise, git_fan
+    # builds every fan from its walls and bases: W's two DD passes, one per
+    # m-subset of weights (``_support_rows``) and two per chamber
+    def no_fiber(*args):
+        raise AssertionError(f"fiber pass {args!r}")
+
+    calls = []
+    plain = dd.generators_from_constraints
+    monkeypatch.setattr(dd, "generators_from_constraints",
+                        lambda *args: calls.append(args[0]) or plain(*args))
+    monkeypatch.setattr(gitfan, "_h_to_v", no_fiber)
+    monkeypatch.setattr(gitfan, "_fiber_cached", no_fiber)
+    rng = random.Random(113)
+    grads = [boundary_grading()[0], WIDE]
+    grads += [_varied_grading(rng) for _ in range(60)]
+    for g in grads:
+        _cold_caches()
+        calls.clear()
+        gf = git_fan(g)
+        assert gf.fan_verified
+        assert len(calls) <= 2 + math.comb(g.n, g.m) + 2 * len(gf.git_cones)
 
 
 def test_git_fan_m1():
