@@ -35,9 +35,8 @@ from .exact import (as_int, dot, hermite_normal_form, identity_matrix,
                     kernel_lattice_basis, positive_int, primitive, transpose)
 from .fans import (Cone, _tiles, cone_from_generators, cone_from_h,
                    relative_interior_contains)
-from .latpoints import (LocationReport, VERDICT_NOT_LOCATED,
-                        VERDICT_VERIFIED_UP_TO, _located_over, _scaled,
-                        _ScanSet)
+from .latpoints import (LocationReport, VERDICT_VERIFIED_UP_TO,
+                        _first_unsplit, _located_over, _prepared, _ScanSet)
 from .polyhedra import (HRep, Polyhedron, VRep, _from_canonical_v, _h_to_v,
                         minkowski_sum, translate)
 from .reps import NOT_IN_SUM, Witness
@@ -347,31 +346,35 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
     return LocationReport(report.verdict, witness, checked)
 
 
-def _multiple_sweep(k_max: int, s_max: int, sets):
-    """Search k <= k_max with every lattice point of R splitting over
-    (P, Q) for (R, P, Q) = sets(s * k) and every s <= s_max.  sets(m)
-    returns scan sets (``latpoints._ScanSet``) built with no DD pass.
+def _multiple_sweep(k_max: int, s_max: int, r: _ScanSet, p: _ScanSet,
+                    q: _ScanSet):
+    """Search k <= k_max with every lattice point of m * R splitting over
+    (m * P, m * Q) for m = s * k and every s <= s_max.  R, P and Q are scan
+    sets (``latpoints._ScanSet``) at m = 1.
 
-    No step has a window, so each is located or not_located; an R with
-    rays raises Unbounded once, before the first step (every m gives R the
-    same rays).  A step depends on (k, s) only through m = s * k, so each
-    m is checked once and its report reused, as for (1, 2) and (2, 1)."""
+    The three sets are prepared once in R's frame, and each multiple is
+    one ``_first_unsplit`` at scales (m, m, m): only right-hand sides,
+    origins and y-boxes change with m.  No step has a window, so each is
+    located or not; an R with rays raises Unbounded before the first step
+    (every m gives R the same rays).  A step depends on (k, s) only
+    through m, so each m is checked once and its answer reused, as for
+    (1, 2) and (2, 1)."""
     positive_int(k_max, "k_max")
     positive_int(s_max, "s_max")
-    first = sets(1)
-    if first[0].v.rays:
+    if r.v.rays:
         raise Unbounded("the multiple sweep checks bounded sets only, "
                         "and the set to split has rays")
-    reports = {1: _located_over(*first)}
+    sets = _prepared(r, p, q)
+    witnesses = {}
     failures = []
     for k in range(1, k_max + 1):
         for s in range(1, s_max + 1):
             m = s * k
-            if m not in reports:
-                reports[m] = _located_over(*sets(m))
-            rep = reports[m]
-            if rep.verdict == VERDICT_NOT_LOCATED:
-                failures.append([k, s, list(rep.witness.point)])
+            if m not in witnesses:
+                witnesses[m] = _first_unsplit(*sets, (m, m, m))
+            z = witnesses[m]
+            if z is not None:
+                failures.append([k, s, list(z)])
                 break
         else:
             return LocationReport(VERDICT_VERIFIED_UP_TO, None,
@@ -388,17 +391,16 @@ def multiple_making_sums_exact(g: GradedProjection, u1, u2,
 
     Verdict "verified_up_to" reports the first such k (in checked["k"]);
     "exhausted" means every k failed, with the first failing scale and
-    witness per k recorded in checked["failures"].  The fibers at each
-    multiple m are scan sets (``_fiber_set``): m times the cached vertices
-    of the primitive degree, so the sweep runs one H-to-V pass per
-    primitive degree however many multiples it checks.  Fibers with rays
-    raise Unbounded.
+    witness per k recorded in checked["failures"].  The fiber at m * u is
+    m * P(u), so the sweep reads the scan sets (``_fiber_set``) at
+    u1 + u2, u1 and u2 only, however many multiples it checks, and scales
+    their systems.  Fibers with rays raise Unbounded.
     """
     u1 = _require_in_cone(g, u1)
     u2 = _require_in_cone(g, u2)
     u12 = tuple(a + b for a, b in zip(u1, u2))
-    return _multiple_sweep(k_max, s_max, lambda m: tuple(
-        _fiber_set(g, tuple(m * x for x in u)) for u in (u12, u1, u2)))
+    return _multiple_sweep(k_max, s_max, *(_fiber_set(g, u)
+                                           for u in (u12, u1, u2)))
 
 
 def is_generating_candidate(g: GradedProjection, u1, u2) -> str:
@@ -568,11 +570,10 @@ def located_multiple_search(q1: Polyhedron, q2: Polyhedron,
     the refinement in checked["refines"], decided as ``normal_fan_refines``
     does on the Q1 + Q2 the sweep scales.  Different dimensions or tail
     cones (normal fans with different supports) raise SupportMismatch, and
-    pairs with rays raise Unbounded.  The three sets at each multiple are
-    scan sets (``latpoints._scaled``), so the DD runs only for the sum.
+    pairs with rays raise Unbounded.  The sweep scales the systems of
+    (Q1 + Q2, Q1, Q2), so the DD runs only for the sum.
     """
     total, ok = _refining_sum(q1, q2)
-    rep = _multiple_sweep(k_max, s_max, lambda m: (
-        _scaled(total, m), _scaled(q1, m), _scaled(q2, m)))
+    rep = _multiple_sweep(k_max, s_max, total, q1, q2)
     return LocationReport(rep.verdict, rep.witness,
                           {**rep.checked, "refines": ok})

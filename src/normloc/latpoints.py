@@ -36,10 +36,9 @@ those of P and Q.
 
 The location engine reads its sets as *scan sets* (``_ScanSet``): a
 dimension, rows and canonical generators, with no facet computed.  A
-``Polyhedron`` record is one as it is; the multiple sweeps build theirs
-from rows they already know, with no DD pass: m*P has rows (n, m*b)
-(``_scaled``), and a fiber P(u) of a grading with matrix A has rows
-x >= 0 and A x = u (``gitfan._fiber_set``).  The contract: rows may be
+``Polyhedron`` record is one as it is; a fiber P(u) of a grading with
+matrix A is one built from the rows x >= 0 and A x = u it already has,
+with no DD pass (``gitfan._fiber_set``).  The contract: rows may be
 redundant, equalities are integer rows with integer right-hand sides, the
 generators are canonical (lex-sorted vertices, sorted primitive rays), and
 the equality normals W cut out an affine lattice that holds every lattice
@@ -50,6 +49,19 @@ points of P(u) are the same in either lattice, P(u)'s rows cut them out in
 y as they do in x, and the Hermite basis of ker A keeps lex order, so the
 scan finds the same points and the same lex-least witness.  A scan set
 never reaches a caller, since ``Polyhedron`` equality compares records.
+
+The multiple sweeps and ``is_normal`` check c * X for many c, and c * X
+has X's rows with right-hand sides c * b and X's vertices times c.  So
+its system in a frame keeps X's coefficients, and only the origin, the
+right-hand sides and the y-box depend on c.  Each set is *prepared* once
+(``_Prepared``: its integer rows and their images on the basis, W v for
+one vertex v, the least and largest integer y-images of its vertices),
+and each multiple costs one origin solve and integer arithmetic
+(``_Frame.rows_at``, ``_Frame.box_at``).  The kernel floors and ceils the
+exact bound of each row, so the scaled rows scan the same points as rows
+built from c * X afresh; the least y-image of c * v over the vertices is
+c times the least one, so the y-box is the same too.  ``_Frame.rows`` and
+``_Frame.box`` are the case c = 1.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, floor, lcm
+from math import lcm
 from operator import mul
 
 from . import kernels
@@ -125,28 +137,16 @@ class _ScanSet:
       W may have fewer rows than aff(set) needs; the frame of W is then
       larger than the hull's, with the same lattice points in it.
 
-    Builders read rows the caller already knows, with no DD pass:
-    ``_scaled`` here, ``gitfan._fiber_set`` for fibers.  A scan set never
-    reaches a caller: ``Polyhedron`` equality compares records, and a scan
-    set's rows are not canonical.
+    ``gitfan._fiber_set`` builds one from rows the caller already knows,
+    with no DD pass; multiples c * X are not built at all, but scanned off
+    X's ``_Prepared`` system.  A scan set never reaches a caller:
+    ``Polyhedron`` equality compares records, and a scan set's rows are
+    not canonical.
     """
 
     dim: int
     h: HRep
     v: VRep
-
-
-def _scaled(p: Polyhedron, m: int) -> _ScanSet:
-    """m * P as a scan set: rows (n, m * b) and vertices m * v, no DD pass.
-
-    A positive m keeps the vertices' lex order and the rays, and P's
-    canonical equalities stay integer rows with integer right-hand sides.
-    """
-    return _ScanSet(p.dim,
-                    HRep(tuple((n, m * b) for n, b in p.h.inequalities),
-                         tuple((n, m * b) for n, b in p.h.equalities)),
-                    VRep(tuple(tuple(m * x for x in v)
-                               for v in p.v.vertices), p.v.rays))
 
 
 @dataclass(frozen=True)
@@ -176,71 +176,90 @@ class _Frame:
         """An integer x with W x = rhs, or None when there is none."""
         return integer_solution(self.image, rhs, len(self.basis[0]))
 
-    def origin_of(self, p: Polyhedron):
-        """An integer x with W x = W v for the points v of P, or None.
+    def row_terms(self, h: HRep):
+        """The rows of H once per set, for ``rows_at`` at every scale.
 
-        W must be constant on P, as it is on every summand of a set whose
-        equalities W are (aff(P) + aff(Q) lies in aff(P + Q)).
-        """
-        v = p.v.vertices[0]
-        return self.origin(tuple(dot(n, v) for n in self.normals))
-
-    def rows(self, p: Polyhedron, origin):
-        """P's constraints as integer rows a @ y <= b for x = origin + y B.
-
-        P's equalities, integer HNF rows, enter as opposing pairs.  A row
-        that vanishes on the frame is dropped when origin meets it, and
-        kept (0 <= b < 0, so the system is empty) when not.
+        Each inequality (n, b) becomes the integer row (den * n, num) of
+        b = num / den, and each equality, an integer row, an opposing pair.
+        Returns (x-rows, their images on the basis, right-hand sides, the
+        indices of the rows that vanish on the frame).
         """
         rows = [(tuple(b.denominator * x for x in n), b.numerator)
-                for n, b in p.h.inequalities]
-        for n, b in p.h.equalities:
+                for n, b in h.inequalities]
+        for n, b in h.equalities:
             rows += [(n, b.numerator), (tuple(-x for x in n), -b.numerator)]
-        shifted = any(origin)
-        coeffs, rhs = [], []
-        for a, b in rows:
-            if shifted:
-                b -= sum(map(mul, a, origin))
-            if self.normals:
-                a = tuple([sum(map(mul, a, row)) for row in self.basis])
-                if b >= 0 and not any(a):
-                    continue
-            coeffs.append(a)
-            rhs.append(b)
-        return tuple(coeffs), tuple(rhs)
+        xs = tuple(a for a, _ in rows)
+        rhs = tuple(b for _, b in rows)
+        if not self.normals:
+            return xs, xs, rhs, ()
+        coeffs = tuple(tuple([sum(map(mul, a, row)) for row in self.basis])
+                       for a in xs)
+        return xs, coeffs, rhs, tuple(i for i, a in enumerate(coeffs)
+                                      if not any(a))
 
-    def box(self, points, origin):
-        """Integer y-box of the hull of ``points`` (lo > hi when empty).
+    def rows_at(self, terms, c, origin):
+        """The rows of c * X as integer rows a @ y <= c * b - a @ origin
+        for x = origin + y B, off X's ``row_terms``.
 
-        In the identity frame it is the box of the points less the origin.
-        Otherwise each point's coordinates are cleared of denominators once,
-        so every y_t is an integer quotient, and ceil(min) is the min of the
-        ceils.
+        c * X has X's rows with right-hand sides c * b.  A row that
+        vanishes on the frame is dropped when origin meets it, and kept
+        (0 <= b < 0, so the system is empty) when not.
         """
-        if not self.normals and points:
-            cols = tuple(zip(*points))
-            return (tuple(ceil(min(c)) - o for c, o in zip(cols, origin)),
-                    tuple(floor(max(c)) - o for c, o in zip(cols, origin)))
-        lo = hi = None
-        base = [origin[c] for c in self.pivots]
-        for v in points:
-            v = [v[c] for c in self.pivots]
-            den = lcm(*(x.denominator for x in v))
-            w = [x.numerator * (den // x.denominator) - den * o
-                 for x, o in zip(v, base)]
-            q = den * self.scale
-            nums = [sum(map(mul, lam, w)) for lam in self.dual]
-            vlo = [-(-t // q) for t in nums]
-            vhi = [t // q for t in nums]
-            if lo is None:
-                lo, hi = vlo, vhi
-            else:
-                lo = list(map(min, lo, vlo))
-                hi = list(map(max, hi, vhi))
-        if lo is None:
+        xs, coeffs, rhs, flat = terms
+        if any(origin):
+            rhs = [c * b - sum(map(mul, a, origin)) for a, b in zip(xs, rhs)]
+        elif c != 1:
+            rhs = [c * b for b in rhs]
+        drop = {i for i in flat if rhs[i] >= 0}
+        if drop:
+            coeffs = tuple(a for i, a in enumerate(coeffs) if i not in drop)
+            rhs = [b for i, b in enumerate(rhs) if i not in drop]
+        return coeffs, tuple(rhs)
+
+    def rows(self, p: Polyhedron, origin):
+        """P's constraints as integer rows a @ y <= b for x = origin + y B:
+        ``rows_at`` at c = 1."""
+        return self.rows_at(self.row_terms(p.h), 1, origin)
+
+    def extent(self, points):
+        """The y-images of ``points`` once per set, for ``box_at`` at every
+        scale: (D, lo, hi), with D the lcm of the pivot coordinates'
+        denominators and lo, hi the per-axis min and max of the integers
+        dual @ (D * v_P); None for no points.
+        """
+        if not points:
+            return None
+        den = lcm(*(v[c].denominator for v in points for c in self.pivots))
+        ims = [[v[c].numerator * (den // v[c].denominator)
+                for c in self.pivots] for v in points]
+        if self.normals:
+            ims = [[sum(map(mul, lam, w)) for lam in self.dual] for w in ims]
+        cols = tuple(zip(*ims))
+        return den, tuple(map(min, cols)), tuple(map(max, cols))
+
+    def box_at(self, extent, c, origin):
+        """Integer y-box of c * hull(points), off the points' ``extent``
+        (lo > hi when there are none).
+
+        y_t of c * v is (c * dual_t @ (D * v_P) - dual_t @ (D * o_P)) / q
+        with q = D * scale, exact integer quotients; as c > 0 the least y_t
+        over the points is that of the least dual_t @ (D * v_P), and
+        ceil(min) is the min of the ceils.
+        """
+        if extent is None:
             k = len(self.basis)
             return (1,) * k, (0,) * k
-        return tuple(lo), tuple(hi)
+        den, tlo, thi = extent
+        q = den * self.scale
+        o = [den * origin[j] for j in self.pivots]
+        if self.normals:
+            o = [sum(map(mul, lam, o)) for lam in self.dual]
+        return (tuple(-((t - c * a) // q) for a, t in zip(tlo, o)),
+                tuple((c * b - t) // q for b, t in zip(thi, o)))
+
+    def box(self, points, origin):
+        """Integer y-box of the hull of ``points``: ``box_at`` at c = 1."""
+        return self.box_at(self.extent(points), 1, origin)
 
     def points(self, ys, origin):
         """The x = origin + y B of the scanned y's (origin 0 if no W)."""
@@ -289,10 +308,79 @@ def _frame_of(p: Polyhedron) -> _Frame:
     return _frame(tuple(n for n, _ in p.h.equalities), p.dim)
 
 
-def _system(frame: _Frame, p: Polyhedron, origin):
-    """P's lattice points as a kernel system in y, (coeffs, rhs, lo, hi):
-    the frame's rows of P and the y-box of P's vertices."""
-    return frame.rows(p, origin) + frame.box(p.v.vertices, origin)
+@dataclass(frozen=True)
+class _Prepared:
+    """A scan set X in a frame, built once for every multiple c * X.
+
+    ``level`` is W v for a point v of X, with W the frame's normals;
+    ``terms`` and ``extent`` are the frame's ``row_terms`` of X and
+    ``extent`` of the points whose hull bounds the scan (X's vertices, or
+    split points).  Only the origin, the right-hand sides and the y-box
+    depend on c.
+    """
+
+    frame: _Frame
+    level: tuple
+    terms: tuple
+    extent: tuple | None
+
+    def origin(self, c):
+        """An integer point of c * X's frame lattice, or None.  Solved for
+        each c: a hull with no integer point may gain one at c > 1."""
+        return self.frame.origin(tuple(c * x for x in self.level))
+
+    def system(self, c, origin):
+        """c * X's lattice points as a kernel system in y, (coeffs, rhs,
+        lo, hi), for x = origin + y B."""
+        return (self.frame.rows_at(self.terms, c, origin)
+                + self.frame.box_at(self.extent, c, origin))
+
+
+def _prepare(frame: _Frame, x: _ScanSet, points=None) -> _Prepared:
+    """X prepared in ``frame``, whose normals must be constant on X; the
+    y-box bounds the hull of ``points`` (X's vertices when None)."""
+    v = x.v.vertices[0]
+    den = lcm(*(a.denominator for a in v))
+    w = [a.numerator * (den // a.denominator) for a in v]
+    level = tuple(dot(n, w) for n in frame.normals)
+    if den > 1:
+        level = tuple(Fraction(t, den) for t in level)
+    return _Prepared(frame, level, frame.row_terms(x.h),
+                     frame.extent(x.v.vertices if points is None
+                                  else points))
+
+
+def _prepared(r: _ScanSet, *others):
+    """R and each of ``others`` prepared once in R's frame."""
+    frame = _frame_of(r)
+    return tuple(_prepare(frame, x) for x in (r,) + others)
+
+
+def _first_unsplit(r: _Prepared, p: _Prepared, q: _Prepared, scales):
+    """The lex-least lattice point of cr * R with no split over
+    (cp * P, cq * Q), or None, for scales (cr, cp, cq).
+
+    The three sets share R's frame.  With origins o for R and o_P for P, Q
+    gets o - o_P, so z = z' + z'' in x is y = y' + y'' in y.  No integer
+    point in aff(R) leaves nothing to split; none in aff(P) + lin(R) makes
+    R's first lattice point the answer.
+    """
+    cr, cp, cq = scales
+    origin = r.origin(cr)
+    if origin is None:
+        return None
+    rsys = r.system(cr, origin)
+    po = p.origin(cp)
+    if po is None:
+        y = kernels.scan_first(*rsys)
+    else:
+        qo = tuple(a - b for a, b in zip(origin, po))
+        y = kernels.scan_undecomposed(*rsys, *p.system(cp, po),
+                                      *q.system(cq, qo))
+    if y is None:
+        return None
+    z, = r.frame.points((y,), origin)
+    return z
 
 
 def _window(p: Polyhedron, lo, hi):
@@ -327,12 +415,12 @@ def _clip(p: Polyhedron, lo, hi):
 
 
 def _enumerate(p: Polyhedron) -> LatticePointSet:
-    frame = _frame_of(p)
-    origin = frame.origin_of(p)
+    x, = _prepared(p)
+    origin = x.origin(1)
     if origin is None:
         return LatticePointSet(p.dim, ())
-    ys = kernels.scan_points(*_system(frame, p, origin))
-    return LatticePointSet(p.dim, frame.points(ys, origin))
+    ys = kernels.scan_points(*x.system(1, origin))
+    return LatticePointSet(p.dim, x.frame.points(ys, origin))
 
 
 def enumerate_points(p: Polyhedron) -> LatticePointSet:
@@ -446,10 +534,10 @@ def _located_over(r: _ScanSet, p: _ScanSet, q: _ScanSet,
     S = R cap W, W the window, with the split boxes of P and Q taken once
     for all of S.
 
-    The scan runs in R's frame, as P and Q are scanned in it too.  With
-    origins o for R and o_P for P, Q gets o - o_P, so z = z' + z'' in x is
-    y = y' + y'' in y.  No integer point in aff(R) leaves nothing to split;
-    none in aff(P) + lin(R) makes S's first lattice point the witness.
+    The scan is ``_first_unsplit`` at c = 1, with S, P and Q prepared in
+    R's frame (R's equality normals are constant on all three), and P's
+    and Q's y-boxes taken over the split points of S (their vertices when
+    S is bounded).
 
     R, P and Q are scan sets (``_ScanSet``, a record or rows known a
     priori): only their rows and generators are read, redundant rows scan
@@ -474,25 +562,20 @@ def _located_over(r: _ScanSet, p: _ScanSet, q: _ScanSet,
         if not full:
             s = _clip(r, lo, hi)
     checked = {"window": None if full else [list(lo), list(hi)]}
-    frame = _frame_of(r)
-    origin = frame.origin_of(r)
-    y = None
-    if s is not None and origin is not None:
-        pverts, qverts = _split_points(p, q, None if bounded
-                                       else vertex_box(s))
-        rsys = _system(frame, s, origin)
-        po = frame.origin_of(p)
-        if po is None:
-            y = kernels.scan_first(*rsys)
-        else:
-            qo = tuple(a - b for a, b in zip(origin, po))
-            y = kernels.scan_undecomposed(
-                *rsys, *frame.rows(p, po), *frame.box(pverts, po),
-                *frame.rows(q, qo), *frame.box(qverts, qo))
-    if y is None:
+    z = None
+    if s is not None:
+        frame = _frame_of(r)
+        sset = _prepare(frame, s)
+        # no integer point in aff(R) leaves nothing to split: skip the
+        # split points, whose unbounded case runs a guard and a DD pass
+        if sset.origin(1) is not None:
+            pverts, qverts = _split_points(p, q, None if bounded
+                                           else vertex_box(s))
+            z = _first_unsplit(sset, _prepare(frame, p, pverts),
+                               _prepare(frame, q, qverts), (1, 1, 1))
+    if z is None:
         verdict = VERDICT_LOCATED if full else VERDICT_VERIFIED_UP_TO
         return LocationReport(verdict, None, checked)
-    z, = frame.points((y,), origin)
     return LocationReport(VERDICT_NOT_LOCATED, Witness(z, NO_DECOMPOSITION),
                           checked)
 
@@ -524,8 +607,8 @@ def is_normal(p: Polyhedron, s_max: int = _EVERY_SCALE) -> LocationReport:
     of a point of sP into s lattice points of P would in particular give a
     split over (s-1)P and P by grouping, and conversely.  The witness is
     therefore a genuine normality failure at its scale.  As P is convex,
-    R = (s-1)P + P is sP, one scale of P, scanned off P's rows scaled by s
-    (``_scaled``, no DD pass); step s reuses step s-1's R.
+    R = (s-1)P + P is sP, so step s checks (sP, (s-1)P, P), three scales
+    of one system of P prepared once (``_Prepared``, no DD pass).
 
     Bruns, Gubeladze and Trung ("Normal polytopes, triangulations, and
     Koszul algebras", 1997, Thm 1.3.3) prove that
@@ -549,12 +632,11 @@ def is_normal(p: Polyhedron, s_max: int = _EVERY_SCALE) -> LocationReport:
         raise NotLattice("normality needs integral vertices")
     top = p.affine_dimension() - 1
     scanned = list(range(2, (top if exact else min(s_max, top)) + 1))
-    r = p
+    x, = _prepared(p)
     for s in scanned:
-        prev, r = r, _scaled(p, s)
-        step = _located_over(r, prev, p)
-        if step.verdict == VERDICT_NOT_LOCATED:
-            w = Witness(step.witness.point, NORMALITY_FAILURE, scale=s)
+        z = _first_unsplit(x, x, x, (s, s - 1, 1))
+        if z is not None:
+            w = Witness(z, NORMALITY_FAILURE, scale=s)
             return LocationReport(VERDICT_NOT_LOCATED, w, {"scale": s})
     verdict = VERDICT_LOCATED if exact else VERDICT_VERIFIED_UP_TO
     return LocationReport(verdict, None,

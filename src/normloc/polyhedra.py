@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 from numbers import Real
+from operator import add
 
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
@@ -174,12 +175,23 @@ def from_v(v: VRep) -> Polyhedron:
     return Polyhedron(d, h, VRep(tuple(verts), tuple(rec)))
 
 
+def _int_vertices(vertices):
+    """Each integral vertex as a tuple of ints, the others as they are."""
+    return [tuple(map(int, v)) if all(x.denominator == 1 for x in v) else v
+            for v in vertices]
+
+
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    """Pointwise sum: pairwise vertex sums plus the union of the rays."""
+    """Pointwise sum: pairwise vertex sums plus the union of the rays.
+
+    Sums of integral vertices are added and sorted as ints; ``from_v``
+    reads them back as Fractions, so the record does not change.
+    """
     if p.dim != q.dim:
         raise DimensionMismatch("summands live in different dimensions")
-    verts = sorted({tuple(a + b for a, b in zip(vp, vq))
-                    for vp in p.v.vertices for vq in q.v.vertices})
+    verts = sorted({tuple(map(add, vp, vq))
+                    for vp in _int_vertices(p.v.vertices)
+                    for vq in _int_vertices(q.v.vertices)})
     rays = sorted(set(p.v.rays) | set(q.v.rays))
     return from_v(VRep(tuple(verts), tuple(rays)))
 

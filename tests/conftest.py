@@ -33,6 +33,12 @@ Both sweep references run their own (k, s) loop (``_sweep_ref``), and
 ``fiber_point_sum_exact_ref`` of the two degrees, on the fibers' canonical
 records, where the package passes the three fibers at the multiple s*k to
 the location engine directly, as scan sets of their defining rows.
+``scaled_scan_set_ref`` builds m * P as a scan set of Fraction products
+(rows (n, m * b), vertices m * v), ``frame_box_ref`` takes a y-box by
+solving for each point's y over Q, and ``multiple_sweep_ref`` checks
+each step on three such sets through ``_located_over``: the references
+for the sweeps that build each set's scan system once and scale it by
+integers.
 ``scale_ref`` and ``translate_ref`` rebuild the mapped vertices through
 ``from_v`` (both DD directions), ``fiber_point_sum_exact_ref`` relabels a
 witness by membership in the Minkowski sum of the fibers, and
@@ -72,7 +78,7 @@ from normloc.gitfan import (CrossCheckReport, GradedProjection,
 from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                                VERDICT_VERIFIED_UP_TO, _located_over,
-                               normally_located)
+                               _ScanSet, normally_located)
 from normloc.polyhedra import (HRep, Polyhedron, VRep, _h_to_v, _v_to_h,
                                from_h, from_v, minkowski_sum, scale, vrep)
 from normloc.reps import NORMALITY_FAILURE, NOT_IN_SUM, Witness
@@ -659,6 +665,37 @@ def _sweep_ref(k_max: int, s_max: int, step) -> LocationReport:
     return LocationReport(VERDICT_EXHAUSTED, None,
                           {"k_max": k_max, "s_max": s_max,
                            "failures": failures})
+
+
+def scaled_scan_set_ref(p, m: int) -> _ScanSet:
+    """m * P as a scan set: rows (n, m * b) and vertices m * v, each entry
+    one product, so a Fraction stays a Fraction; no DD pass."""
+    return _ScanSet(p.dim,
+                    HRep(tuple((n, m * b) for n, b in p.h.inequalities),
+                         tuple((n, m * b) for n, b in p.h.equalities)),
+                    VRep(tuple(tuple(m * x for x in v)
+                               for v in p.v.vertices), p.v.rays))
+
+
+def frame_box_ref(frame, points, origin):
+    """The integer y-box of the hull of ``points`` for x = origin + y B:
+    each point's y by Fraction elimination on B's columns, then the ceil of
+    the least and the floor of the largest y_t."""
+    cols = transpose(frame.basis)
+    ys = [solve_rational(cols, [a - o for a, o in zip(v, origin)])
+          for v in points]
+    return (tuple(ceil(min(t)) for t in zip(*ys)),
+            tuple(floor(max(t)) for t in zip(*ys)))
+
+
+def multiple_sweep_ref(k_max: int, s_max: int, r, p, q) -> LocationReport:
+    """The multiple sweep with each step one ``_located_over`` of the three
+    sets scaled by s*k (``scaled_scan_set_ref``), built afresh per step."""
+    def step(k, s):
+        return _located_over(*(scaled_scan_set_ref(x, s * k)
+                               for x in (r, p, q)))
+
+    return _sweep_ref(k_max, s_max, step)
 
 
 def located_multiple_search_ref(q1: Polyhedron, q2: Polyhedron,

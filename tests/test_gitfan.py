@@ -369,8 +369,8 @@ def test_multiple_sweep_checks_each_multiple_once(monkeypatch):
     # m = 2, so 7 steps take 6 location checks
     g, u1, u2 = boundary_grading()
     calls = []
-    real = gitfan._located_over
-    monkeypatch.setattr(gitfan, "_located_over",
+    real = gitfan._first_unsplit
+    monkeypatch.setattr(gitfan, "_first_unsplit",
                         lambda *args: calls.append(args) or real(*args))
     rep = multiple_making_sums_exact(g, u1, u2, k_max=6, s_max=4)
     failures = rep.checked["failures"]

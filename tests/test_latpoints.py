@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (box_of, decompose_unbounded_guard_ref, is_normal_ref,
-                      lattice_sum, oracle_points, oracle_split, oracle_sums,
+from conftest import (box_of, decompose_unbounded_guard_ref, frame_box_ref,
+                      is_normal_ref, lattice_sum, multiple_sweep_ref,
+                      oracle_points, oracle_split, oracle_sums,
                       oracle_window_points, random_polytope,
-                      scan_undecomposed_ref, x_system)
-from normloc import latpoints, polyhedra
+                      scaled_scan_set_ref, scan_undecomposed_ref, x_system)
+from normloc import kernels, latpoints, polyhedra
 from normloc.cases import boundary_grading
 from normloc.errors import NotLattice, NormlocError, Unbounded
-from normloc.gitfan import fiber, fiber_point_sum_exact, graded_projection
+from normloc.gitfan import (_fiber_set, _multiple_sweep, fiber,
+                            fiber_point_sum_exact, graded_projection)
 from normloc.latpoints import (decompose, enumerate_points,
                                enumerate_windowed, is_normal,
                                normally_located)
@@ -551,8 +553,8 @@ def test_capped_normality_matches_full_scan():
 
 def test_is_normal_scans_only_unproved_scales(monkeypatch):
     calls = []
-    real = latpoints._located_over
-    monkeypatch.setattr(latpoints, "_located_over",
+    real = latpoints._first_unsplit
+    monkeypatch.setattr(latpoints, "_first_unsplit",
                         lambda *args: calls.append(args) or real(*args))
     rng = random.Random(67)
     flat = [p for p in (random_polytope(rng, 3, 3, npoints=3, full_dim=False)
@@ -728,3 +730,104 @@ def test_windows_missing_flat_sets():
     # a window inside the set's box keeps only its points
     assert enumerate_windowed(minkowski_sum(flat, flat), (2, -1),
                               (3, 1)).points == ((2, 0), (3, 0))
+
+
+def _scaling_cases(rng):
+    """Seeded (R, P, Q, kind) at m = 1, R = P + Q (as a record or as the
+    fiber over u1 + u2), for the scan systems of every multiple."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = []
+    for d in (2, 2, 3, 3):
+        p, q = random_polytope(rng, d, 2), random_polytope(rng, d, 2)
+        cases.append((minkowski_sum(p, q), p, q, "full"))
+    for _ in range(6):
+        # flat in 4-space: P on a random sheared plane or hyperplane, Q a
+        # sub-hull of P moved by a lattice vector, in P's directions
+        p = random_polytope(rng, 4, 2, npoints=rng.randint(3, 4),
+                            full_dim=False)
+        verts = p.v.vertices
+        sub = rng.sample(verts, rng.randint(1, len(verts)))
+        t = tuple(a - b for a, b in zip(rng.choice(verts), verts[0]))
+        q = from_v(VRep(tuple(tuple(a + b for a, b in zip(v, t))
+                              for v in sub), ()))
+        cases.append((minkowski_sum(p, q), p, q, "flat"))
+    for g, u1, u2 in [c for c in _fiber_cases(rng, 40)
+                      if c[0].n <= 4][:14]:
+        u12 = tuple(a + b for a, b in zip(u1, u2))
+        cases.append(tuple(_fiber_set(g, u) for u in (u12, u1, u2))
+                     + ("fiber",))
+    g, u1, u2 = boundary_grading()
+    u12 = tuple(a + b for a, b in zip(u1, u2))
+    cases.append(tuple(_fiber_set(g, u) for u in (u12, u1, u2))
+                 + ("fiber",))
+    # Reeve tetrahedra: (P, P) fails at m = 1, also on a sheared
+    # hyperplane of Z^4
+    flat_reeve = from_v(VRep(((0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 2),
+                              (1, 1, 3, 3)), ()))
+    for p in (_reeve(2), _reeve(3), _reeve(5), flat_reeve):
+        cases.append((scale(p, 2), p, p, "flat" if p.dim == 4 else "full"))
+    # W of full column rank: points, as fibers of the identity grading and
+    # as records, one of them rational
+    unit = graded_projection([(1, 0), (0, 1)])
+    cases.append(tuple(_fiber_set(unit, u) for u in ((3, 1), (2, 0), (1, 1)))
+                 + ("point",))
+    for a, b in (((1, 2, 0), (0, 1, 1)), ((half, third), (half, 0))):
+        p, q = (from_v(VRep((v,), ())) for v in (a, b))
+        cases.append((minkowski_sum(p, q), p, q, "point"))
+    # P's hull has no integer point at c = 1 (x = 1/2, 2x + 2y = 1)
+    for p, q in ((from_v(VRep(((half, 0), (half, 2)), ())),
+                  from_v(VRep(((half, 1), (half, 2)), ()))),
+                 (from_v(VRep(((half, 0, 0), (0, half, 0), (half, 0, 1)),
+                              ())),
+                  from_v(VRep(((0, half, 0), (half, 0, 2)), ())))):
+        cases.append((minkowski_sum(p, q), p, q, "lattice-free"))
+    return cases
+
+
+def test_prepared_sets_scan_like_scaled_reference():
+    # the per-scale system of a set prepared once against the frame's
+    # rows of the Fraction-scaled scan set, for c = 1..6, in R's frame and
+    # in the set's own: the same points; the y-box equals the one solved
+    # over Q
+    rng = random.Random(97)
+    counts = {}
+    for r, p, q, kind in _scaling_cases(rng):
+        for x in (r, p, q):
+            for frame in {latpoints._frame_of(r), latpoints._frame_of(x)}:
+                prep = latpoints._prepare(frame, x)
+                for c in range(1, 7):
+                    ref = scaled_scan_set_ref(x, c)
+                    origin = prep.origin(c)
+                    assert origin == frame.origin(tuple(
+                        sum(a * b for a, b in zip(n, ref.v.vertices[0]))
+                        for n in frame.normals)), (kind, x, c)
+                    if origin is None:
+                        counts["no origin"] = counts.get("no origin", 0) + 1
+                        continue
+                    got = prep.system(c, origin)
+                    want = (frame.rows(ref, origin)
+                            + frame.box(ref.v.vertices, origin))
+                    assert got[2:] == frame_box_ref(
+                        frame, ref.v.vertices, origin), (kind, x, c)
+                    pts = list(kernels.scan_points(*got))
+                    assert pts == list(kernels.scan_points(*want))
+                    counts[kind] = counts.get(kind, 0) + bool(pts)
+                    if not frame.pivots:
+                        counts["no pivot"] = counts.get("no pivot", 0) + 1
+            if kind == "fiber" and not all(a.denominator == 1
+                                           for v in x.v.vertices for a in v):
+                counts["rational fiber"] = counts.get("rational fiber", 0) + 1
+    assert all(counts.get(k, 0) >= 10
+               for k in ("full", "flat", "fiber", "point", "lattice-free",
+                         "no origin", "no pivot", "rational fiber")), counts
+
+
+def test_multiple_sweep_matches_scaled_reference():
+    rng = random.Random(101)
+    verdicts = {"verified_up_to": 0, "exhausted": 0}
+    for r, p, q, kind in _scaling_cases(rng):
+        k_max, s_max = rng.randint(1, 3), rng.randint(1, 2)
+        rep = _multiple_sweep(k_max, s_max, r, p, q)
+        assert rep == multiple_sweep_ref(k_max, s_max, r, p, q), (kind, r)
+        verdicts[rep.verdict] += 1
+    assert min(verdicts.values()) >= 5, verdicts
