@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from operator import add
 
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
@@ -119,9 +119,8 @@ def _require_in_cone(g: GradedProjection, u):
     The fiber is the set of nonnegative combinations of the weights hitting
     u, so it is nonempty exactly when u lies in the weight cone.  Going
     through the fiber keeps the check cheap for wide projections, where the
-    weight cone's facet description can be enormous.  The test is the one
-    H-to-V pass of ``_fiber_cached``, whose vertices stay cached for the
-    caller.
+    weight cone's facet description can be enormous.  The test builds the
+    ``_fiber_cached`` entry of u, which stays cached for the caller.
     """
     u = _degree(g, u)
     try:
@@ -134,56 +133,37 @@ def _require_in_cone(g: GradedProjection, u):
 def fiber(g: GradedProjection, u) -> Polyhedron:
     """The fiber polyhedron P(u) = {x >= 0 : pi(x) = u} in Q^n, as
     ``from_h`` gives it; each call computes its facets off cached vertices."""
-    u = _require_in_cone(g, u)
-    return _from_canonical_v(g.n, *_fiber_cached(g, u))
+    v = _fiber_cached(g, _require_in_cone(g, u)).v
+    return _from_canonical_v(g.n, v.vertices, v.rays)
 
 
 @lru_cache(maxsize=4096)
-def _fiber_cached(g: GradedProjection, u):
-    """Canonical ``(vertices, rays)`` of P(u) from one H-to-V pass.
+def _fiber_cached(g: GradedProjection, u) -> _ScanSet:
+    """P(u) as a ``latpoints._ScanSet``: the rows -x_i <= 0 and A x = u
+    (A = ``g.matrix``) with the canonical vertices and rays of their one
+    H-to-V pass; EmptyPolyhedron when u lies outside the weight cone.
 
-    Lex-sorted vertices and sorted primitive rays, as a record carries them;
-    EmptyPolyhedron when u lies outside the weight cone.  For c = gcd(u) > 1
-    this is c times the entry of u / c: scaling keeps the vertices' lex
-    order and the rays.  Readers of the vertices alone (the weight-cone
-    check, GIT cones, the projection checks of ``realize_pair``) and the
-    scans (through ``_fiber_set``) stop here; no facet is computed.
-    Records are not cached: ``fiber`` builds one from these lists on each
-    call.
-    """
-    c = gcd(*u)
-    if c > 1:
-        verts, rays = _fiber_cached(g, tuple(x // c for x in u))
-        return tuple(tuple(c * x for x in v) for v in verts), rays
-    verts, rays = _h_to_v(g.n, _fiber_rows(g, u))
-    return tuple(verts), tuple(rays)
-
-
-def _fiber_rows(g: GradedProjection, u) -> HRep:
-    """The rows -x_i <= 0 and A x = u that define P(u), A = ``g.matrix``."""
-    return HRep(tuple((tuple(-x for x in e), 0)
-                      for e in identity_matrix(g.n)),
-                tuple(zip(g.matrix, u)))
-
-
-def _fiber_set(g: GradedProjection, u) -> _ScanSet:
-    """P(u) as a ``latpoints._ScanSet``: its defining rows with the vertices
-    and rays of ``_fiber_cached``, so no facet is computed.
+    Every fiber reader reads this entry, which computes no facet: the
+    weight-cone check, GIT cones, the projection checks of
+    ``realize_pair`` and ``fiber_sum_exact`` read the vertices, and the
+    scans the whole set.  ``fiber`` builds a record (its facets) from the
+    vertices on each call.
 
     The equality normals are A's rows, so every fiber of the grading is
     scanned in the one frame of ker A.  Where some x_i = 0 is implied on
     P(u), ker A is larger than the direction of aff(P(u)), but the lattice
     points of P(u) are the same in either frame, and the Hermite basis of
-    ker A keeps lex order, so a witness is still the lex-least one.  u must
-    lie in the weight cone.
+    ker A keeps lex order, so a witness is still the lex-least one.
     """
-    return _ScanSet(g.n, _fiber_rows(g, u), VRep(*_fiber_cached(g, u)))
+    h = HRep(tuple((tuple(-x for x in e), 0) for e in identity_matrix(g.n)),
+             tuple(zip(g.matrix, u)))
+    verts, rays = _h_to_v(g.n, h)
+    return _ScanSet(g.n, h, VRep(tuple(verts), tuple(rays)))
 
 
-@lru_cache(maxsize=4096)
 def _support_rows(g: GradedProjection, sup):
     """(eqs, ineqs) of the cone spanned by the weights indexed by sup, one
-    polar DD pass; chambers of one grading share most supports."""
+    polar DD pass."""
     eqs, ineqs = dd.generators_from_constraints(g.m, (),
                                                 [g.weights[i] for i in sup])
     return tuple(eqs), tuple(ineqs)
@@ -203,12 +183,11 @@ def git_cone(g: GradedProjection, u) -> Cone:
     therefore intersections of simplicial cones, in particular pointed.
 
     Only the fiber's vertices are read (``_fiber_cached``, no facets), and
-    each vertex-support cone enters through its cached constraint rows
-    (``_support_rows``); the one ``cone_from_h`` canonicalizes their
-    intersection.
+    each vertex-support cone enters through its constraint rows, one polar
+    DD pass per distinct support (``_support_rows``); the one
+    ``cone_from_h`` canonicalizes their intersection.
     """
-    u = _require_in_cone(g, u)
-    verts, _ = _fiber_cached(g, u)
+    verts = _fiber_cached(g, _require_in_cone(g, u)).v.vertices
     rows = [_support_rows(g, sup)
             for sup in sorted({tuple(i for i, x in enumerate(v) if x != 0)
                                for v in verts})]
@@ -242,7 +221,6 @@ def _wall_normals(g: GradedProjection):
     return sorted(normals)
 
 
-@lru_cache(maxsize=256)
 def _bases(g: GradedProjection):
     """The facet rows of cone(w_sup) for every basis sup (m linearly
     independent weights), in lex order of index tuples: the ``_support_rows``
@@ -310,11 +288,20 @@ def git_fan(g: GradedProjection) -> GitFan:
 
 
 def fiber_sum_exact(g: GradedProjection, u1, u2) -> bool:
-    """Whether P(u1) + P(u2) = P(u1 + u2) as polyhedra."""
+    """Whether P(u1) + P(u2) = P(u1 + u2) as polyhedra.
+
+    The sum always lies in P(u1 + u2), and all three fibers have the tail
+    {x >= 0 : A x = 0}.  So they are equal exactly when every vertex of
+    P(u1 + u2) is a vertex of the sum, that is a sum of a vertex of P(u1)
+    and one of P(u2): a check on the cached vertex lists, with no record.
+    """
     u1 = _require_in_cone(g, u1)
     u2 = _require_in_cone(g, u2)
     u12 = tuple(a + b for a, b in zip(u1, u2))
-    return minkowski_sum(fiber(g, u1), fiber(g, u2)) == fiber(g, u12)
+    sums = {tuple(map(add, a, b))
+            for a in _fiber_cached(g, u1).v.vertices
+            for b in _fiber_cached(g, u2).v.vertices}
+    return sums.issuperset(_fiber_cached(g, u12).v.vertices)
 
 
 def fiber_point_sum_exact(g: GradedProjection, u1, u2,
@@ -331,8 +318,8 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
     u1 = _require_in_cone(g, u1)
     u2 = _require_in_cone(g, u2)
     u12 = tuple(a + b for a, b in zip(u1, u2))
-    f1 = _fiber_set(g, u1)
-    report = _located_over(_fiber_set(g, u12), f1, _fiber_set(g, u2),
+    f1 = _fiber_cached(g, u1)
+    report = _located_over(_fiber_cached(g, u12), f1, _fiber_cached(g, u2),
                            window)
     witness = report.witness
     if witness:
@@ -392,14 +379,14 @@ def multiple_making_sums_exact(g: GradedProjection, u1, u2,
     Verdict "verified_up_to" reports the first such k (in checked["k"]);
     "exhausted" means every k failed, with the first failing scale and
     witness per k recorded in checked["failures"].  The fiber at m * u is
-    m * P(u), so the sweep reads the scan sets (``_fiber_set``) at
-    u1 + u2, u1 and u2 only, however many multiples it checks, and scales
-    their systems.  Fibers with rays raise Unbounded.
+    m * P(u), so the sweep reads the ``_fiber_cached`` entries of u1 + u2,
+    u1 and u2 only, however many multiples it checks, and scales their
+    systems.  Fibers with rays raise Unbounded.
     """
     u1 = _require_in_cone(g, u1)
     u2 = _require_in_cone(g, u2)
     u12 = tuple(a + b for a, b in zip(u1, u2))
-    return _multiple_sweep(k_max, s_max, *(_fiber_set(g, u)
+    return _multiple_sweep(k_max, s_max, *(_fiber_cached(g, u)
                                            for u in (u12, u1, u2)))
 
 
@@ -498,9 +485,9 @@ def _realize(q1: Polyhedron, q2: Polyhedron):
     g = graded_projection(transpose(funcs) + identity_matrix(len(funcs)))
     for u, target in ((u1, q1t), (u2, q2t),
                       (tuple(a + b for a, b in zip(u1, u2)), total)):
-        verts, rays = _fiber_cached(g, _require_in_cone(g, u))
-        if (tuple(v[:d] for v in verts) != target.v.vertices
-                or tuple(r[:d] for r in rays) != target.v.rays):
+        v = _fiber_cached(g, _require_in_cone(g, u)).v
+        if (tuple(x[:d] for x in v.vertices) != target.v.vertices
+                or tuple(r[:d] for r in v.rays) != target.v.rays):
             raise RealizationError(f"fiber over {u} does not project onto "
                                    "its polyhedron")
     return RealizedPair(g, u1, u2, tuple(funcs), shift, q1t, q2t), refining

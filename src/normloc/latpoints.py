@@ -31,14 +31,16 @@ Equalities of P or Q that R lacks become rows in y.  A hull without an
 integer point has no lattice point to scan.  Box bounds in y come from the
 images of the vertices.  A window W is one more polyhedron: the scan runs
 over S = R cap W, still in R's frame, with S's rows and the y-box of S's
-vertices; where W flattens R, S's extra equalities become rows in y like
-those of P and Q.
+vertices; where W flattens R, the box rows that cut S flat are rows in y
+like the equalities of P and Q.
 
 The location engine reads its sets as *scan sets* (``_ScanSet``): a
 dimension, rows and canonical generators, with no facet computed.  A
 ``Polyhedron`` record is one as it is; a fiber P(u) of a grading with
-matrix A is one built from the rows x >= 0 and A x = u it already has,
-with no DD pass (``gitfan._fiber_set``).  The contract: rows may be
+matrix A is one of the rows x >= 0 and A x = u and the vertices of their
+one H-to-V pass, cached once per degree (``gitfan._fiber_cached``), and
+a window's S = R cap W is one of R's rows, the box rows and the vertices
+of their one H-to-V pass (``_clip``).  The contract: rows may be
 redundant, equalities are integer rows with integer right-hand sides, the
 generators are canonical (lex-sorted vertices, sorted primitive rays), and
 the equality normals W cut out an affine lattice that holds every lattice
@@ -77,7 +79,7 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
                      NormlocError, NotPointed, Unbounded)
 from .exact import (as_int, dot, identity_matrix, integer_solution,
                     positive_int, solution_lattice)
-from .polyhedra import (HRep, Polyhedron, VRep, _h_to_v, from_h, from_v,
+from .polyhedra import (HRep, Polyhedron, VRep, _h_to_v, from_v,
                         minkowski_sum, vertex_box)
 from .reps import NO_DECOMPOSITION, NORMALITY_FAILURE, Witness
 
@@ -137,11 +139,11 @@ class _ScanSet:
       W may have fewer rows than aff(set) needs; the frame of W is then
       larger than the hull's, with the same lattice points in it.
 
-    ``gitfan._fiber_set`` builds one from rows the caller already knows,
-    with no DD pass; multiples c * X are not built at all, but scanned off
-    X's ``_Prepared`` system.  A scan set never reaches a caller:
-    ``Polyhedron`` equality compares records, and a scan set's rows are
-    not canonical.
+    ``gitfan._fiber_cached`` and ``_clip`` build one from rows the caller
+    already knows and the vertices of one H-to-V pass; multiples c * X are
+    not built at all, but scanned off X's ``_Prepared`` system.  A scan
+    set never reaches a caller: ``Polyhedron`` equality compares records,
+    and a scan set's rows are not canonical.
     """
 
     dim: int
@@ -398,23 +400,27 @@ def _window(p: Polyhedron, lo, hi):
     return lo, hi
 
 
-def _clip(p: Polyhedron, lo, hi):
-    """The polyhedron P cap {lo <= x <= hi}, or None when it is empty.
+def _clip(p: _ScanSet, lo, hi) -> _ScanSet | None:
+    """P cap {lo <= x <= hi} as a scan set, or None when it is empty.
 
-    An axis with lo = hi, or a box face that only touches P, flattens the
-    result; scanned in the frame of a set whose hull holds it, its new
-    equalities become rows there.
+    Its rows are P's with the box rows added, and its vertices come from
+    their one H-to-V pass; no facet is computed.  The equalities are P's,
+    so the set is scanned in P's frame.  An axis with lo = hi, or a box
+    face that only touches P, flattens the set, and the rows that cut it
+    flat stay inequality rows there.
     """
     rows = []
     for j, e in enumerate(identity_matrix(p.dim)):
         rows += [(e, hi[j]), (tuple(-x for x in e), -lo[j])]
+    h = HRep(p.h.inequalities + tuple(rows), p.h.equalities)
     try:
-        return from_h(HRep(p.h.inequalities + tuple(rows), p.h.equalities))
+        verts, rays = _h_to_v(p.dim, h)
     except EmptyPolyhedron:
         return None
+    return _ScanSet(p.dim, h, VRep(tuple(verts), tuple(rays)))
 
 
-def _enumerate(p: Polyhedron) -> LatticePointSet:
+def _enumerate(p: _ScanSet) -> LatticePointSet:
     x, = _prepared(p)
     origin = x.origin(1)
     if origin is None:
@@ -543,7 +549,8 @@ def _located_over(r: _ScanSet, p: _ScanSet, q: _ScanSet,
     priori): only their rows and generators are read, redundant rows scan
     the same points, and R's frame is that of R's equality normals, which
     may cut out a larger lattice than aff(R) (ker A for a fiber) with the
-    same lattice points of R in it.  A window's S is a canonical record.
+    same lattice points of R in it.  A window's S is a scan set too
+    (``_clip``), with R's equalities, so it is scanned in R's frame.
     """
     bounded = not r.v.rays
     s = r

@@ -44,7 +44,9 @@ integers.
 witness by membership in the Minkowski sum of the fibers, and
 ``is_fan_ref`` intersects each pair of cones canonically; they are the
 references for the versions that run only the V-to-H pass, one emptiness
-test and one DD pass per pair.
+test and one DD pass per pair.  ``fiber_sum_exact_ref`` compares the
+records of P(u1) + P(u2) and P(u1 + u2), the reference for the
+``fiber_sum_exact`` that reads vertex lists only.
 ``dot_ref`` and ``primitive_ref`` are the generator-expression dot
 product and the denominator-clearing ``primitive`` that every input took,
 and ``lines_ref`` the row-major line scan with its ``minrest`` table;
@@ -499,6 +501,14 @@ def fiber_point_sum_exact_ref(g: GradedProjection, u1, u2,
     checked = dict(report.checked)
     checked["u1"], checked["u2"] = list(u1), list(u2)
     return LocationReport(report.verdict, witness, checked)
+
+
+def fiber_sum_exact_ref(g: GradedProjection, u1, u2) -> bool:
+    """P(u1) + P(u2) = P(u1 + u2) as canonical records: the Minkowski sum
+    of two fresh ``from_h`` fibers against a third."""
+    u12 = tuple(a + b for a, b in zip(u1, u2))
+    return (minkowski_sum(fiber_from_h_ref(g, u1), fiber_from_h_ref(g, u2))
+            == fiber_from_h_ref(g, u12))
 
 
 def dot_ref(a, b):

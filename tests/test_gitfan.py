@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (fiber_from_h_ref, fiber_point_sum_exact_ref,
-                      git_cone_ref, git_fan_ref, located_multiple_search_ref,
+                      fiber_sum_exact_ref, git_cone_ref, git_fan_ref,
+                      located_multiple_search_ref,
                       multiple_making_sums_exact_ref, orbit_cones_ref,
                       random_polytope, refinement_iff_interior_ref,
                       scale_ref)
@@ -90,9 +91,9 @@ def test_fiber_polytopes():
 
 
 def test_scaled_fibers_match_fresh_from_h(monkeypatch):
-    # the vertices of P(c u) are c times those of P(u) for c = gcd(c u):
-    # the record must be the one a fresh from_h gives, rays and flat fibers
-    # included
+    # the fiber entry of c u is built from c u itself, with one H-to-V pass
+    # of the rows -e_i x <= 0 and A x = c u: the record must be the one a
+    # fresh from_h gives, rays and flat fibers included
     calls = []
     plain = gitfan._h_to_v
 
@@ -124,9 +125,13 @@ def test_scaled_fibers_match_fresh_from_h(monkeypatch):
                 continue
             got = fiber(g, cu)
             assert got == expect and repr(got) == repr(expect), (g, cu)
-            # one H-to-V pass, of cu divided by its gcd
-            c_all = math.gcd(*cu) or 1
-            assert calls == [tuple(x // c_all for x in cu)]
+            # one H-to-V pass, of cu itself
+            assert calls == [cu]
+            h = gitfan._fiber_cached(g, cu).h
+            assert h.inequalities == tuple(
+                (tuple(-int(i == j) for j in range(g.n)), 0)
+                for i in range(g.n))
+            assert h.equalities == tuple(zip(g.matrix, cu))
             built += 1
             rays += bool(got.v.rays)
     assert built >= 300 and rays >= 60, (built, rays)
@@ -302,6 +307,35 @@ def test_fiber_sum_exact():
     assert fiber_sum_exact(g, (1, 3), (2, 6)) is True
 
 
+def test_fiber_sum_exact_matches_record_reference(monkeypatch):
+    # the vertex-sum check against the Minkowski sum of the records, on
+    # 600 seeded degree pairs of gradings with m = 1-3, weight cones with
+    # lines and fibers with rays among them; no V-to-H pass runs
+    rng = random.Random(101)
+    cases = []
+    while len(cases) < 600:
+        g = _random_grading(rng)
+        coefs = [[rng.randint(0, 2) for _ in g.weights] for _ in range(2)]
+        u1, u2 = (tuple(sum(c * w[j] for c, w in zip(coef, g.weights))
+                        for j in range(g.m)) for coef in coefs)
+        cases.append((g, u1, u2))
+    expect = [fiber_sum_exact_ref(*case) for case in cases]
+
+    def no_facets(*args):
+        raise AssertionError("V-to-H pass inside fiber_sum_exact")
+
+    gitfan._fiber_cached.cache_clear()
+    monkeypatch.setattr(polyhedra, "_v_to_h", no_facets)
+    got = [fiber_sum_exact(*case) for case in cases]
+    monkeypatch.undo()
+    assert got == expect
+    rays = sum(bool(gitfan._fiber_cached(g, tuple(a + b for a, b
+                                                  in zip(u1, u2))).v.rays)
+               for g, u1, u2 in cases)
+    assert expect.count(False) >= 60 and rays >= 100, (expect.count(False),
+                                                       rays)
+
+
 def test_fiber_point_sum_exact_witnesses():
     g, u1, u2 = boundary_grading()
     for s in range(2, 7):
@@ -407,14 +441,9 @@ def _cold_caches():
                 val.cache_clear()
 
 
-def _primitive_degree(u):
-    c = math.gcd(*u)
-    return tuple(x // c for x in u) if c else tuple(u)
-
-
 def test_sweeps_run_no_dd_pass_per_multiple(monkeypatch):
     # with every cache cold, multiple_making_sums_exact runs one H-to-V
-    # pass per primitive degree among u1, u2 and u1 + u2, and
+    # pass per distinct degree among u1, u2 and u1 + u2, and
     # located_multiple_search only the passes that build Q1 + Q2, whatever
     # k_max * s_max is: the sets at each multiple are scan sets of rows
     # known a priori, and bounded summands split over their vertex boxes
@@ -428,17 +457,13 @@ def test_sweeps_run_no_dd_pass_per_multiple(monkeypatch):
     cases += [(g, (2, 6), (1, 3), 2, 2), (g, (3, 3), (3, 3), 2, 3)]
     cases += [_degree_pair(rng) + (rng.randint(2, 3), rng.randint(2, 3))
               for _ in range(20)]
-    shared = 0
     for g, a, b, k_max, s_max in cases:
         a, b = tuple(a), tuple(b)
-        degrees = {_primitive_degree(u)
-                   for u in (a, b, tuple(x + y for x, y in zip(a, b)))}
-        shared += len(degrees) < 3
+        degrees = {a, b, tuple(x + y for x, y in zip(a, b))}
         _cold_caches()
         calls.clear()
         multiple_making_sums_exact(g, a, b, k_max, s_max)
         assert len(calls) == len(degrees), (g, a, b, k_max, s_max)
-    assert shared >= 3, shared
     pairs = []
     for d, bound in ((2, 3), (2, 3), (3, 1)):
         for _ in range(3):

@@ -11,7 +11,7 @@ from conftest import (box_of, decompose_unbounded_guard_ref, frame_box_ref,
 from normloc import kernels, latpoints, polyhedra
 from normloc.cases import boundary_grading
 from normloc.errors import NotLattice, NormlocError, Unbounded
-from normloc.gitfan import (_fiber_set, _multiple_sweep, fiber,
+from normloc.gitfan import (_fiber_cached, _multiple_sweep, fiber,
                             fiber_point_sum_exact, graded_projection)
 from normloc.latpoints import (decompose, enumerate_points,
                                enumerate_windowed, is_normal,
@@ -393,6 +393,42 @@ def test_windowed_checks_match_oracles():
     assert all(not pts for (_, m, _, pts) in seen if m == "missing")
 
 
+def test_windows_run_one_h_to_v_pass(monkeypatch):
+    # a window's S = R cap W is a scan set of R's rows and the box rows
+    # with the vertices of their one H-to-V pass: enumerate_windowed runs
+    # that pass and no V-to-H pass, on bounded, flat and unbounded records
+    # under partial, flattening and missing windows, and finds the
+    # membership oracle's points
+    rng = random.Random(29)
+    cases = []
+    for trial in range(108):
+        kind = ("bounded", "flat", "unbounded")[trial // 2 % 3]
+        mode = ("partial", "flat", "missing")[trial // 6 % 3]
+        p, q = _windowed_pair(rng, 2 + trial % 2, kind)
+        r = minkowski_sum(p, q)
+        lo, hi = _window_for(rng, r, mode)
+        cases.append((r, lo, hi, kind, mode, oracle_window_points(r, lo, hi)))
+    passes = []
+    plain = latpoints._h_to_v
+    monkeypatch.setattr(latpoints, "_h_to_v",
+                        lambda *args: passes.append(args[0]) or plain(*args))
+
+    def no_facets(*args):
+        raise AssertionError("V-to-H pass inside enumerate_windowed")
+
+    monkeypatch.setattr(polyhedra, "_v_to_h", no_facets)
+    seen = set()
+    for r, lo, hi, kind, mode, points in cases:
+        passes.clear()
+        assert enumerate_windowed(r, lo, hi).points == tuple(points)
+        assert passes == [r.dim], (r, lo, hi)
+        seen.add((kind, mode, bool(points)))
+    for kind in ("bounded", "flat", "unbounded"):
+        assert (kind, "missing", False) in seen, seen
+        for mode in ("partial", "flat"):
+            assert (kind, mode, True) in seen, seen
+
+
 def test_fiber_with_rays_matches_split_oracle():
     # P(u) = {x >= 0 : x1 - x2 = u1, x3 = u2}: every fiber is a half-line
     # along (1, 1, 0), so the check needs a window
@@ -754,11 +790,11 @@ def _scaling_cases(rng):
     for g, u1, u2 in [c for c in _fiber_cases(rng, 40)
                       if c[0].n <= 4][:14]:
         u12 = tuple(a + b for a, b in zip(u1, u2))
-        cases.append(tuple(_fiber_set(g, u) for u in (u12, u1, u2))
+        cases.append(tuple(_fiber_cached(g, u) for u in (u12, u1, u2))
                      + ("fiber",))
     g, u1, u2 = boundary_grading()
     u12 = tuple(a + b for a, b in zip(u1, u2))
-    cases.append(tuple(_fiber_set(g, u) for u in (u12, u1, u2))
+    cases.append(tuple(_fiber_cached(g, u) for u in (u12, u1, u2))
                  + ("fiber",))
     # Reeve tetrahedra: (P, P) fails at m = 1, also on a sheared
     # hyperplane of Z^4
@@ -769,8 +805,8 @@ def _scaling_cases(rng):
     # W of full column rank: points, as fibers of the identity grading and
     # as records, one of them rational
     unit = graded_projection([(1, 0), (0, 1)])
-    cases.append(tuple(_fiber_set(unit, u) for u in ((3, 1), (2, 0), (1, 1)))
-                 + ("point",))
+    cases.append(tuple(_fiber_cached(unit, u)
+                       for u in ((3, 1), (2, 0), (1, 1))) + ("point",))
     for a, b in (((1, 2, 0), (0, 1, 1)), ((half, third), (half, 0))):
         p, q = (from_v(VRep((v,), ())) for v in (a, b))
         cases.append((minkowski_sum(p, q), p, q, "point"))
