@@ -92,7 +92,7 @@ def _cmd_normal_check(args):
 def _cmd_located_check(args):
     paths = _inputs(args, 2)
     p, q = _load_poly(paths[0]), _load_poly(paths[1])
-    window = _parse_window(args.window) if args.window else None
+    window = None if args.window is None else _parse_window(args.window)
     report = normally_located(p, q, window)
     _emit({"command": "located-check", **report.to_dict()})
     return _report_exit(report)

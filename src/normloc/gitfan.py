@@ -22,7 +22,7 @@ criterion against GIT cone membership on such a realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import add
 
@@ -56,7 +56,7 @@ class GradedProjection:
     m: int
     weights: tuple
 
-    @property
+    @cached_property
     def matrix(self):
         """The m x n integer matrix of the projection (weights as columns)."""
         return transpose(self.weights)
@@ -76,7 +76,9 @@ def graded_projection(weights) -> GradedProjection:
     if not ws:
         raise NormlocError("a grading needs at least one weight")
     m = len(ws[0])
-    if m < 1 or any(len(w) != m for w in ws):
+    if m < 1:
+        raise NormlocError("a weight needs at least one coordinate")
+    if any(len(w) != m for w in ws):
         raise DimensionMismatch("weights of mixed lengths")
     n = len(ws)
     if n < m:
@@ -99,42 +101,48 @@ def graded_projection_from_dict(data) -> GradedProjection:
     return graded_projection(weights)
 
 
-def _degree(g: GradedProjection, u):
-    u = tuple(as_int(x) for x in u)
-    if len(u) != g.m:
-        raise DimensionMismatch(f"degree has length {len(u)}, grading "
-                                f"maps onto Z^{g.m}")
-    return u
-
-
 @lru_cache(maxsize=256)
 def weight_cone(g: GradedProjection) -> Cone:
     """Cone spanned by all weights; every fiber degree must lie in it."""
     return cone_from_generators(g.m, rays=g.weights)
 
 
-def _require_in_cone(g: GradedProjection, u):
-    """Check u in cone(weights) by testing the fiber for emptiness.
-
-    The fiber is the set of nonnegative combinations of the weights hitting
-    u, so it is nonempty exactly when u lies in the weight cone.  Going
-    through the fiber keeps the check cheap for wide projections, where the
-    weight cone's facet description can be enormous.  The test builds the
-    ``_fiber_cached`` entry of u, which stays cached for the caller.
-    """
-    u = _degree(g, u)
+def _checked_fiber(g: GradedProjection, u) -> _ScanSet:
+    """The ``_fiber_cached`` entry of the degree u (m integers), and
+    WeightOutsideCone when it is empty: the fiber holds the nonnegative
+    combinations of the weights hitting u, so it is nonempty exactly when u
+    lies in the weight cone, a cheap test for wide projections, where the
+    weight cone's facet description can be enormous."""
+    u = tuple(as_int(x) for x in u)
+    if len(u) != g.m:
+        raise DimensionMismatch(f"degree has length {len(u)}, grading "
+                                f"maps onto Z^{g.m}")
     try:
-        _fiber_cached(g, u)
+        return _fiber_cached(g, u)
     except EmptyPolyhedron:
         raise WeightOutsideCone(f"degree {u} lies outside the weight cone")
-    return u
+
+
+def _checked_pair(g: GradedProjection, u1, u2):
+    """(u1, u2, P(u1 + u2), P(u1), P(u2)) of a degree pair, u1 checked
+    before u2 and each degree read once; u1 + u2 lies in the cone too."""
+    f1, f2 = _checked_fiber(g, u1), _checked_fiber(g, u2)
+    # the checked degrees: the right-hand sides of A x = u
+    u1, u2 = (tuple(b for _, b in f.h.equalities) for f in (f1, f2))
+    return u1, u2, _fiber_cached(g, tuple(map(add, u1, u2))), f1, f2
 
 
 def fiber(g: GradedProjection, u) -> Polyhedron:
     """The fiber polyhedron P(u) = {x >= 0 : pi(x) = u} in Q^n, as
     ``from_h`` gives it; each call computes its facets off cached vertices."""
-    v = _fiber_cached(g, _require_in_cone(g, u)).v
+    v = _checked_fiber(g, u).v
     return _from_canonical_v(g.n, v.vertices, v.rays)
+
+
+@lru_cache
+def _orthant_rows(n: int):
+    """The rows -x_i <= 0, one tuple shared by every fiber in Q^n."""
+    return tuple((tuple(-x for x in e), 0) for e in identity_matrix(n))
 
 
 @lru_cache(maxsize=4096)
@@ -143,11 +151,13 @@ def _fiber_cached(g: GradedProjection, u) -> _ScanSet:
     (A = ``g.matrix``) with the canonical vertices and rays of their one
     H-to-V pass; EmptyPolyhedron when u lies outside the weight cone.
 
-    Every fiber reader reads this entry, which computes no facet: the
-    weight-cone check, GIT cones, the projection checks of
-    ``realize_pair`` and ``fiber_sum_exact`` read the vertices, and the
-    scans the whole set.  ``fiber`` builds a record (its facets) from the
-    vertices on each call.
+    Every fiber reader looks each degree up once, in the weight-cone
+    check (``_checked_fiber``, ``_checked_pair``), and reads the entry it
+    returns, which computes no facet: GIT cones, the projection checks of
+    ``realize_pair`` and ``fiber_sum_exact`` read the vertices, the scans
+    the whole set, and ``fiber`` builds a record from the vertices.  All
+    entries of a grading share its rows -x_i <= 0 (``_orthant_rows``) and
+    the rows of its one ``matrix``.
 
     The equality normals are A's rows, so every fiber of the grading is
     scanned in the one frame of ker A.  Where some x_i = 0 is implied on
@@ -155,8 +165,7 @@ def _fiber_cached(g: GradedProjection, u) -> _ScanSet:
     points of P(u) are the same in either frame, and the Hermite basis of
     ker A keeps lex order, so a witness is still the lex-least one.
     """
-    h = HRep(tuple((tuple(-x for x in e), 0) for e in identity_matrix(g.n)),
-             tuple(zip(g.matrix, u)))
+    h = HRep(_orthant_rows(g.n), tuple(zip(g.matrix, u)))
     verts, rays = _h_to_v(g.n, h)
     return _ScanSet(g.n, h, VRep(tuple(verts), tuple(rays)))
 
@@ -182,15 +191,17 @@ def git_cone(g: GradedProjection, u) -> Cone:
     forces the supporting weights to be linearly independent; GIT cones are
     therefore intersections of simplicial cones, in particular pointed.
 
-    Only the fiber's vertices are read (``_fiber_cached``, no facets), and
-    each vertex-support cone enters through its constraint rows, one polar
-    DD pass per distinct support (``_support_rows``); the one
-    ``cone_from_h`` canonicalizes their intersection.
+    Only the fiber's vertices are read (``_checked_fiber``, no facets).
     """
-    verts = _fiber_cached(g, _require_in_cone(g, u)).v.vertices
+    return _vertex_support_cone(g, _checked_fiber(g, u))
+
+
+def _vertex_support_cone(g: GradedProjection, f: _ScanSet) -> Cone:
+    """``git_cone`` off the fiber entry f: one ``cone_from_h`` of the rows
+    of every distinct vertex support (``_support_rows``, a polar DD pass)."""
     rows = [_support_rows(g, sup)
             for sup in sorted({tuple(i for i, x in enumerate(v) if x != 0)
-                               for v in verts})]
+                               for v in f.v.vertices})]
     return cone_from_h(g.m, ineqs=[n for _, ineqs in rows for n in ineqs],
                        eqs=[n for eqs, _ in rows for n in eqs])
 
@@ -295,13 +306,10 @@ def fiber_sum_exact(g: GradedProjection, u1, u2) -> bool:
     P(u1 + u2) is a vertex of the sum, that is a sum of a vertex of P(u1)
     and one of P(u2): a check on the cached vertex lists, with no record.
     """
-    u1 = _require_in_cone(g, u1)
-    u2 = _require_in_cone(g, u2)
-    u12 = tuple(a + b for a, b in zip(u1, u2))
+    _, _, f12, f1, f2 = _checked_pair(g, u1, u2)
     sums = {tuple(map(add, a, b))
-            for a in _fiber_cached(g, u1).v.vertices
-            for b in _fiber_cached(g, u2).v.vertices}
-    return sums.issuperset(_fiber_cached(g, u12).v.vertices)
+            for a in f1.v.vertices for b in f2.v.vertices}
+    return sums.issuperset(f12.v.vertices)
 
 
 def fiber_point_sum_exact(g: GradedProjection, u1, u2,
@@ -315,12 +323,8 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
     A witness z of P(u1 + u2) lies in the sum iff some x of P(u1) has
     x <= z (then z - x >= 0 has degree u2), one H-to-V emptiness test.
     """
-    u1 = _require_in_cone(g, u1)
-    u2 = _require_in_cone(g, u2)
-    u12 = tuple(a + b for a, b in zip(u1, u2))
-    f1 = _fiber_cached(g, u1)
-    report = _located_over(_fiber_cached(g, u12), f1, _fiber_cached(g, u2),
-                           window)
+    u1, u2, f12, f1, f2 = _checked_pair(g, u1, u2)
+    report = _located_over(f12, f1, f2, window)
     witness = report.witness
     if witness:
         caps = tuple(zip(identity_matrix(g.n), witness.point))
@@ -383,11 +387,7 @@ def multiple_making_sums_exact(g: GradedProjection, u1, u2,
     u1 and u2 only, however many multiples it checks, and scales their
     systems.  Fibers with rays raise Unbounded.
     """
-    u1 = _require_in_cone(g, u1)
-    u2 = _require_in_cone(g, u2)
-    u12 = tuple(a + b for a, b in zip(u1, u2))
-    return _multiple_sweep(k_max, s_max, *(_fiber_cached(g, u)
-                                           for u in (u12, u1, u2)))
+    return _multiple_sweep(k_max, s_max, *_checked_pair(g, u1, u2)[2:])
 
 
 def is_generating_candidate(g: GradedProjection, u1, u2) -> str:
@@ -400,10 +400,8 @@ def is_generating_candidate(g: GradedProjection, u1, u2) -> str:
     generating; pairs with no common cone are not; pairs touching the
     boundary are left undecided by these criteria.
     """
-    u1 = _require_in_cone(g, u1)
-    u2 = _require_in_cone(g, u2)
-    u12 = tuple(a + b for a, b in zip(u1, u2))
-    lam = git_cone(g, u12)
+    u1, u2, f12, _, _ = _checked_pair(g, u1, u2)
+    lam = _vertex_support_cone(g, f12)
     if not (lam.contains_point(u1) and lam.contains_point(u2)):
         return NOT_GENERATING_BY_THEOREM
     if (relative_interior_contains(lam, u1)
@@ -485,7 +483,7 @@ def _realize(q1: Polyhedron, q2: Polyhedron):
     g = graded_projection(transpose(funcs) + identity_matrix(len(funcs)))
     for u, target in ((u1, q1t), (u2, q2t),
                       (tuple(a + b for a, b in zip(u1, u2)), total)):
-        v = _fiber_cached(g, _require_in_cone(g, u)).v
+        v = _checked_fiber(g, u).v
         if (tuple(x[:d] for x in v.vertices) != target.v.vertices
                 or tuple(r[:d] for r in v.rays) != target.v.rays):
             raise RealizationError(f"fiber over {u} does not project onto "

@@ -38,7 +38,8 @@ The location engine reads its sets as *scan sets* (``_ScanSet``): a
 dimension, rows and canonical generators, with no facet computed.  A
 ``Polyhedron`` record is one as it is; a fiber P(u) of a grading with
 matrix A is one of the rows x >= 0 and A x = u and the vertices of their
-one H-to-V pass, cached once per degree (``gitfan._fiber_cached``), and
+one H-to-V pass, cached once per degree (``gitfan._fiber_cached``) and
+looked up once per reader, by the weight-cone check that returns it, and
 a window's S = R cap W is one of R's rows, the box rows and the vertices
 of their one H-to-V pass (``_clip``).  The contract: rows may be
 redundant, equalities are integer rows with integer right-hand sides, the
@@ -140,8 +141,10 @@ class _ScanSet:
       larger than the hull's, with the same lattice points in it.
 
     ``gitfan._fiber_cached`` and ``_clip`` build one from rows the caller
-    already knows and the vertices of one H-to-V pass; multiples c * X are
-    not built at all, but scanned off X's ``_Prepared`` system.  A scan
+    already knows and the vertices of one H-to-V pass; a fiber entry is
+    built once per degree, shares its grading's rows x >= 0 and A with
+    every other, and reaches each reader by one lookup.  Multiples c * X
+    are not built at all, but scanned off X's ``_Prepared`` system.  A scan
     set never reaches a caller: ``Polyhedron`` equality compares records,
     and a scan set's rows are not canonical.
     """

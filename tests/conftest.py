@@ -66,17 +66,16 @@ from math import ceil, floor, gcd, lcm
 
 from normloc import kernels
 from normloc.errors import (DimensionMismatch, NormlocError, NotLattice,
-                            Unbounded, ZeroVector)
-from normloc.exact import (IMat, IVec, dot, identity_matrix, primitive,
-                           transpose)
+                            Unbounded, WeightOutsideCone, ZeroVector)
+from normloc.exact import (IMat, IVec, as_int, dot, identity_matrix,
+                           primitive, transpose)
 from normloc.fans import (Cone, cone_contains, cone_from_generators,
                           cone_from_h, fan_from_cones, intersect_cones,
                           normal_fan, refines, relative_interior_contains,
                           support)
 from normloc.gitfan import (CrossCheckReport, GradedProjection,
-                            VERDICT_EXHAUSTED, _require_in_cone,
-                            _wall_normals, fiber, git_cone, realize_pair,
-                            weight_cone)
+                            VERDICT_EXHAUSTED, _wall_normals, fiber,
+                            git_cone, realize_pair, weight_cone)
 from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                                VERDICT_VERIFIED_UP_TO, _located_over,
@@ -485,12 +484,23 @@ def translate_ref(p: Polyhedron, t) -> Polyhedron:
     return from_v(VRep(verts, p.v.rays))
 
 
+def in_weight_cone_ref(g: GradedProjection, u):
+    """u as an int tuple, or WeightOutsideCone unless the weight cone holds
+    it: decided on ``weight_cone(g)``'s facets, not on the fiber."""
+    u = tuple(as_int(x) for x in u)
+    if len(u) != g.m:
+        raise DimensionMismatch(f"degree has length {len(u)}")
+    if not weight_cone(g).contains_point(u):
+        raise WeightOutsideCone(f"degree {u} lies outside the weight cone")
+    return u
+
+
 def fiber_point_sum_exact_ref(g: GradedProjection, u1, u2,
                               window=None) -> LocationReport:
     """fiber_point_sum_exact with a witness relabelled not_in_sum when the
     Minkowski sum P(u1) + P(u2) does not contain it."""
-    u1 = _require_in_cone(g, u1)
-    u2 = _require_in_cone(g, u2)
+    u1 = in_weight_cone_ref(g, u1)
+    u2 = in_weight_cone_ref(g, u2)
     u12 = tuple(a + b for a, b in zip(u1, u2))
     f1 = fiber(g, u1)
     f2 = fiber(g, u2)
@@ -727,8 +737,8 @@ def multiple_making_sums_exact_ref(g: GradedProjection, u1, u2,
     """multiple_making_sums_exact with each step one
     ``fiber_point_sum_exact_ref`` of the degrees s*k*u1 and s*k*u2, on the
     fibers' canonical records."""
-    u1 = _require_in_cone(g, u1)
-    u2 = _require_in_cone(g, u2)
+    u1 = in_weight_cone_ref(g, u1)
+    u2 = in_weight_cone_ref(g, u2)
 
     def step(k, s):
         return fiber_point_sum_exact_ref(g, tuple(s * k * x for x in u1),

@@ -219,12 +219,14 @@ def test_error_exits(files, capsys, tmp_path):
      ()),
     ("gitfan", {"weights": [[1.5, 1], [2, 1], [1, 2]]}, ()),
     ("gitfan", {"weights": [[True, 1], [2, 1], [1, 2]]}, ()),
+    # an empty window is a malformed one, not "no window"
+    ("located-check", SQUARE, ("--window", "")),
 ], ids=["json-list", "zero-denominator", "bad-vector", "bad-window",
         "inverted-window", "grading-list", "float-weight", "float-ray",
         "inf-vertex", "inf-rhs", "spanning-rays", "empty-vertex",
         "zero-normal", "short-window", "mixed-normals", "no-vertex",
         "bool-vertex", "bool-rhs", "bool-equality-rhs",
-        "gitfan-float-weight", "gitfan-bool-weight"])
+        "gitfan-float-weight", "gitfan-bool-weight", "empty-window"])
 def test_malformed_input_exits_2(files, capsys, command, poly, extra):
     path = files("in.json", poly)
     inputs = ("--input", path) * (2 if command == "located-check" else 1)

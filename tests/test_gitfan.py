@@ -485,6 +485,92 @@ def test_sweeps_run_no_dd_pass_per_multiple(monkeypatch):
             assert len(calls) == want, (q1, q2, k_max, s_max)
 
 
+def _pair_readers(g, u1, u2):
+    """The degree-pair readers on (u1, u2), each a thunk."""
+    return [lambda: fiber_sum_exact(g, u1, u2),
+            lambda: fiber_point_sum_exact(g, u1, u2, ((0,) * g.n,
+                                                      (2,) * g.n)),
+            lambda: multiple_making_sums_exact(g, u1, u2, 2, 2),
+            lambda: is_generating_candidate(g, u1, u2)]
+
+
+def test_each_reader_looks_each_degree_up_once():
+    # a cold _fiber_cached sees one miss per distinct degree a reader reads
+    # and no hit: the weight-cone check hands back the entry it looked up
+    rng = random.Random(101)
+    cases = []
+    while len(cases) < 30:
+        g, u1, u2 = _degree_pair(rng)
+        u1, u2 = tuple(u1), tuple(u2)
+        if u1 != u2:
+            u12 = tuple(a + b for a, b in zip(u1, u2))
+            cases += [(f, (u,)) for u in (u1, u12)
+                      for f in (lambda g=g, u=u: fiber(g, u),
+                                lambda g=g, u=u: git_cone(g, u))]
+            cases += [(f, (u1, u2, u12)) for f in _pair_readers(g, u1, u2)]
+    for _ in range(8):
+        q2 = random_polytope(rng, 2, 4)
+        q1 = minkowski_sum(random_polytope(rng, 2, 4), q2)
+        rp = realize_pair(q1, q2)
+        u12 = tuple(a + b for a, b in zip(rp.u1, rp.u2))
+        assert len({rp.u1, rp.u2, u12}) == 3
+        cases.append((lambda q1=q1, q2=q2: realize_pair(q1, q2),
+                      (rp.u1, rp.u2, u12)))
+    for call, degrees in cases:
+        gitfan._fiber_cached.cache_clear()
+        try:
+            call()
+        except Unbounded:
+            pass
+        info = gitfan._fiber_cached.cache_info()
+        assert (info.misses, info.hits) == (len(degrees), 0), degrees
+    # the entries of one grading share its orthant rows and matrix rows
+    g, u1, u2 = boundary_grading()
+    assert g.matrix is g.matrix
+    a, b = (gitfan._fiber_cached(g, u) for u in (u1, u2))
+    assert a.h.inequalities is b.h.inequalities
+    assert all(x is y is row for (x, _), (y, _), row
+               in zip(a.h.equalities, b.h.equalities, g.matrix))
+
+
+def test_readers_raise_outside_the_weight_cone_exactly():
+    # WeightOutsideCone exactly when u1 or u2 lies outside the weight cone,
+    # decided on the cone's facets, which share no code with the fiber
+    # emptiness check; the message names u1 when both lie outside
+    rng = random.Random(103)
+    seen = {}
+    for _ in range(90):
+        g = _random_grading(rng)
+        wc = weight_cone(g)
+        for _ in range(3):
+            u1, u2 = (tuple(rng.randint(-3, 3) for _ in range(g.m))
+                      for _ in range(2))
+            out = tuple(not wc.contains_point(u) for u in (u1, u2))
+            seen[out] = seen.get(out, 0) + 1
+            outside = [u for u, o in zip((u1, u2), out) if o]
+            readers = [(f, outside) for f in _pair_readers(g, u1, u2)]
+            for u, o in zip((u1, u2), out):
+                readers += [(lambda u=u: fiber(g, u), [u] if o else []),
+                            (lambda u=u: git_cone(g, u), [u] if o else [])]
+            for call, bad in readers:
+                try:
+                    call()
+                except WeightOutsideCone as exc:
+                    assert bad and str(exc) == (f"degree {bad[0]} lies "
+                                                "outside the weight cone")
+                except Unbounded:
+                    assert not bad
+                else:
+                    assert not bad, (g, u1, u2)
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+    # realize_pair makes its own degrees, always inside the weight cone
+    for _ in range(6):
+        rp = realize_pair(random_polytope(rng, 2, 3),
+                          random_polytope(rng, 2, 3))
+        wc = weight_cone(rp.projection)
+        assert wc.contains_point(rp.u1) and wc.contains_point(rp.u2)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args).to_dict()

@@ -26,6 +26,8 @@ CASES = {
                      DimensionMismatch, "mixed lengths"),
     "from-v-no-vertex": (lambda: from_v(VRep((), ())),
                          NormlocError, "at least one vertex"),
+    "grading-empty-weights": (lambda: graded_projection(((), ())),
+                              NormlocError, "at least one coordinate"),
     "decompose-dims": (lambda: decompose((0, 0), SQUARE, SEGMENT),
                        DimensionMismatch, "different dimensions"),
     "decompose-point": (lambda: decompose((0, 0, 0), SQUARE, SQUARE),
