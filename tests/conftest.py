@@ -28,7 +28,10 @@ versions that scale a sum once and normalize each row once.
 ``located_multiple_search_ref`` and ``refinement_iff_interior_ref`` decide
 refinement by building both normal fans and running ``refines``: the
 reference for ``gitfan.normal_fan_refines``, which counts vertices.
-Both sweep references run their own (k, s) loop (``_sweep_ref``), and
+The three sweep references run their own (k, s) loop (``_sweep_ref``)
+over every s <= s_max, where the package caps s at the dimension of the
+set to split, and ``split_dimension_ref`` decides their ``all_scales`` by
+one ``decompose`` per vertex, where the package reads vertex sums.
 ``multiple_making_sums_exact_ref`` checks each step with one
 ``fiber_point_sum_exact_ref`` of the two degrees, on the fibers' canonical
 records, where the package passes the three fibers at the multiple s*k to
@@ -79,7 +82,7 @@ from normloc.gitfan import (CrossCheckReport, GradedProjection,
 from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                                VERDICT_VERIFIED_UP_TO, _located_over,
-                               _ScanSet, normally_located)
+                               _ScanSet, decompose, normally_located)
 from normloc.polyhedra import (HRep, Polyhedron, VRep, _h_to_v, _v_to_h,
                                from_h, from_v, minkowski_sum, scale, vrep)
 from normloc.reps import NORMALITY_FAILURE, NOT_IN_SUM, Witness
@@ -352,6 +355,12 @@ def random_polytope(rng: random.Random, d: int, bound: int,
             continue
         if not full_dim or p.affine_dimension() == d:
             return p
+
+
+def reeve(h: int) -> Polyhedron:
+    """The Reeve tetrahedron of height h: its only lattice points are its
+    four vertices, and for h >= 2 it is not normal."""
+    return from_v(VRep(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, h)), ()))
 
 
 def decompose_unbounded_guard_ref(p: Polyhedron, q: Polyhedron):
@@ -665,9 +674,26 @@ def is_normal_ref(p: Polyhedron, s_max: int) -> LocationReport:
     return LocationReport(VERDICT_VERIFIED_UP_TO, None, {"s_max": s_max})
 
 
-def _sweep_ref(k_max: int, s_max: int, step) -> LocationReport:
+def split_dimension_ref(r, p, q):
+    """dim aff R when every vertex of R is a lattice point that
+    ``decompose`` splits over the lattice points of (P, Q), else None: the
+    reference for the sweeps' vertex-split check on vertex sums, with d
+    the ``affine_dimension`` of a fresh ``from_v`` record of R's
+    vertices."""
+    verts = r.v.vertices
+    if any(Fraction(x).denominator != 1 for v in verts for x in v):
+        return None
+    if any(decompose(v, p, q) is None for v in verts):
+        return None
+    return from_v(VRep(verts, ())).affine_dimension()
+
+
+def _sweep_ref(k_max: int, s_max: int, step, split) -> LocationReport:
     """The (k, s) loop of both sweeps, with step(k, s) a LocationReport:
-    the first k whose every s is located, or each k's first failure."""
+    the first k whose every s is located, or each k's first failure.
+    Every s <= s_max is checked.  split() gives ``split_dimension_ref``
+    of the sweep's sets, read for checked["all_scales"] on a positive
+    answer."""
     for name, x in (("k_max", k_max), ("s_max", s_max)):
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise NormlocError(f"{name} must be a positive integer: {x}")
@@ -680,8 +706,11 @@ def _sweep_ref(k_max: int, s_max: int, step) -> LocationReport:
                 failures.append([k, s, list(rep.witness.point)])
                 break
         else:
+            d = split()
             return LocationReport(VERDICT_VERIFIED_UP_TO, None,
-                                  {"k": k, "k_max": k_max, "s_max": s_max})
+                                  {"k": k, "k_max": k_max, "s_max": s_max,
+                                   "all_scales": d is not None
+                                   and k * s_max >= d})
     return LocationReport(VERDICT_EXHAUSTED, None,
                           {"k_max": k_max, "s_max": s_max,
                            "failures": failures})
@@ -715,7 +744,8 @@ def multiple_sweep_ref(k_max: int, s_max: int, r, p, q) -> LocationReport:
         return _located_over(*(scaled_scan_set_ref(x, s * k)
                                for x in (r, p, q)))
 
-    return _sweep_ref(k_max, s_max, step)
+    return _sweep_ref(k_max, s_max, step,
+                      lambda: split_dimension_ref(r, p, q))
 
 
 def located_multiple_search_ref(q1: Polyhedron, q2: Polyhedron,
@@ -727,7 +757,12 @@ def located_multiple_search_ref(q1: Polyhedron, q2: Polyhedron,
     def step(k, s):
         return normally_located(scale(q1, s * k), scale(q2, s * k))
 
-    rep = _sweep_ref(k_max, s_max, step)
+    def split():
+        total = from_v(VRep(tuple(oracle_sums(q1.v.vertices,
+                                              q2.v.vertices)), ()))
+        return split_dimension_ref(total, q1, q2)
+
+    rep = _sweep_ref(k_max, s_max, step, split)
     return LocationReport(rep.verdict, rep.witness,
                           {**rep.checked, "refines": ok})
 
@@ -744,7 +779,12 @@ def multiple_making_sums_exact_ref(g: GradedProjection, u1, u2,
         return fiber_point_sum_exact_ref(g, tuple(s * k * x for x in u1),
                                          tuple(s * k * x for x in u2))
 
-    return _sweep_ref(k_max, s_max, step)
+    def split():
+        u12 = tuple(a + b for a, b in zip(u1, u2))
+        return split_dimension_ref(*(fiber_from_h_ref(g, u)
+                                     for u in (u12, u1, u2)))
+
+    return _sweep_ref(k_max, s_max, step, split)
 
 
 def refinement_iff_interior_ref(q1: Polyhedron,

@@ -124,7 +124,7 @@ def test_p3_and_mcrit_search(files, capsys):
     assert code == 0
     assert rep["verdict"] == "verified_up_to"
     assert rep["checked"] == {"k": 1, "k_max": 1, "s_max": 2,
-                              "refines": False}
+                              "all_scales": True, "refines": False}
 
 
 def test_builtin_cases(files, capsys):

@@ -8,9 +8,10 @@ import pytest
 from conftest import (fiber_from_h_ref, fiber_point_sum_exact_ref,
                       fiber_sum_exact_ref, git_cone_ref, git_fan_ref,
                       located_multiple_search_ref,
-                      multiple_making_sums_exact_ref, orbit_cones_ref,
-                      random_polytope, refinement_iff_interior_ref,
-                      scale_ref)
+                      multiple_making_sums_exact_ref, multiple_sweep_ref,
+                      orbit_cones_ref, random_polytope, reeve,
+                      refinement_iff_interior_ref, scale_ref,
+                      split_dimension_ref)
 from normloc import dd, exact, fans, gitfan, latpoints, polyhedra
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
@@ -392,7 +393,8 @@ def test_multiple_making_sums_sweep():
         [4, 1, [1, 2, 3, 1]], [5, 1, [1, 3, 4, 1]], [6, 1, [1, 4, 5, 1]]]
     rep = multiple_making_sums_exact(g, (1, 3), (1, 3), k_max=3, s_max=4)
     assert rep.verdict == "verified_up_to"
-    assert rep.checked == {"k": 1, "k_max": 3, "s_max": 4}
+    assert rep.checked == {"k": 1, "k_max": 3, "s_max": 4,
+                           "all_scales": True}
     with pytest.raises(NormlocError):
         multiple_making_sums_exact(g, u1, u2, k_max=0, s_max=1)
 
@@ -415,6 +417,189 @@ def test_multiple_sweep_checks_each_multiple_once(monkeypatch):
     assert len(steps) == 7
     assert len(calls) == len({k * t for k, t in steps}) == 6
     assert len(set(calls)) == 6
+
+
+def _lifted(poly, plane):
+    """A polygon mapped to the plane z = a x + b y + c."""
+    a, b, c = plane
+    return from_v(VRep(tuple((x, y, a * x + b * y + c)
+                             for x, y in poly.v.vertices), ()))
+
+
+def _sweep_fiber_case(rng):
+    """A grading of 3 to 5 weights in Z^2 with a positive first entry (so
+    every fiber is bounded) and two nonzero degrees in its semigroup."""
+    while True:
+        ws = [(rng.randint(1, 3), rng.randint(0, 3))
+              for _ in range(rng.randint(3, 5))]
+        try:
+            g = graded_projection(ws)
+        except NormlocError:
+            continue
+        u1, u2 = ([sum(c * w[j] for c, w in zip(coefs, ws)) for j in (0, 1)]
+                  for coefs in ([rng.randint(0, 1) for _ in ws]
+                                for _ in range(2)))
+        if any(u1) and any(u2):
+            return g, u1, u2
+
+
+def _capped_sweep_cases(rng):
+    """Seeded sweep inputs as (kind, args, (R, P, Q)), args the pair
+    (Q1, Q2) or the fiber case (g, u1, u2), and R, P, Q the scan sets the
+    sweep reads at m = 1.  Lattice pairs are vertex-split (R = Q1 + Q2);
+    rational pairs and rational fibers never are."""
+    pairs = []
+    for _ in range(24):
+        # refining pairs (Q2 + Q1, Q2), and unrelated ones, some of which
+        # fail at every multiple (triangles in 2-d)
+        d = rng.choice((2, 2, 3))
+        bound, npoints = (4, 3) if d == 2 else (1, 5)
+        q2 = random_polytope(rng, d, bound, npoints=npoints)
+        q1 = random_polytope(rng, d, bound, npoints=npoints)
+        pairs.append(("lattice", minkowski_sum(q2, q1)
+                      if rng.random() < 0.25 else q1, q2))
+    for _ in range(30):
+        # (P, P) fails at m = 1 only
+        p = reeve(rng.randint(2, 5))
+        q = rng.choice((p, p, reeve(rng.randint(1, 5)),
+                        from_v(VRep(tuple(rng.sample(p.v.vertices, 2)), ()))))
+        pairs.append(("reeve", p, q))
+    for _ in range(24):
+        # a point (d = 0), parallel segments (d = 1), crossing segments or
+        # polygons in one plane (d = 2), all in 3-space
+        plane = tuple(rng.randint(-2, 2) for _ in range(3))
+        shift = tuple(rng.randint(-2, 2) for _ in range(3))
+        npoints = rng.choice((1, 2, 2, 4))
+        q2 = random_polytope(rng, 2, 2, npoints=npoints, full_dim=False)
+        if npoints == 2 and rng.random() < 0.5:
+            q1 = translate(scale(q2, rng.randint(1, 2)), (1, 1))
+        else:
+            q1 = random_polytope(rng, 2, 2, npoints=npoints, full_dim=False)
+        pairs.append(("flat", translate(_lifted(q1, plane), shift),
+                      _lifted(q2, plane)))
+    while sum(kind == "rational" for kind, _, _ in pairs) < 24:
+        d = rng.choice((2, 2, 3))
+        q2 = random_polytope(rng, d, 2, npoints=rng.randint(2, d + 1),
+                            full_dim=False)
+        den = rng.randint(2, 3)
+        q2 = from_v(VRep(tuple(tuple(Fraction(x, den) for x in v)
+                               for v in q2.v.vertices), ()))
+        if q2.is_lattice():
+            continue
+        q1 = random_polytope(rng, d, 2 if d == 2 else 1)
+        pairs.append(("rational", minkowski_sum(q2, q1)
+                      if rng.random() < 0.5 else q1, q2))
+    cases = [(kind, (q1, q2), (minkowski_sum(q1, q2), q1, q2))
+             for kind, q1, q2 in pairs]
+    found = {"rational fiber": 0, "split fiber": 0}
+    while min(found.values()) < 24:
+        g, u1, u2 = _sweep_fiber_case(rng)
+        sets = gitfan._checked_pair(g, u1, u2)[2:]
+        kind = ("split fiber" if split_dimension_ref(*sets) is not None
+                else "rational fiber" if any(
+                    a.denominator > 1 for x in sets for v in x.v.vertices
+                    for a in v) else None)
+        if kind and found[kind] < 24:
+            found[kind] += 1
+            cases.append((kind, (g, u1, u2), sets))
+    return cases
+
+
+def test_capped_sweeps_match_uncapped_references():
+    # both sweeps scan s = 1..ceil(d / k) at most, and no level above a
+    # located one >= d, when R is vertex-split; the references scan every
+    # s <= s_max, here at least d + 2, so the cap cuts.  all_scales is
+    # also checked where it turns, at k * s_max = d - 1 and d
+    rng = random.Random(109)
+    kinds, dims = {}, set()
+    cut = mixed = 0
+    for kind, args, sets in _capped_sweep_cases(rng):
+        fn, ref = ((multiple_making_sums_exact, multiple_making_sums_exact_ref)
+                   if kind.endswith("fiber") else
+                   (located_multiple_search, located_multiple_search_ref))
+        d = split_dimension_ref(*sets)
+        assert (d is not None) == (kind in ("lattice", "reeve", "flat",
+                                             "split fiber")), (kind, args)
+        top = from_v(VRep(sets[0].v.vertices, ())).affine_dimension()
+        k_max = rng.randint(1, 3)
+        s_max = top + 2 + rng.randint(0, 1)
+        got = fn(*args, k_max, s_max).to_dict()
+        assert got == ref(*args, k_max, s_max).to_dict(), (kind, args)
+        assert (gitfan._multiple_sweep(k_max, s_max, *sets)
+                == multiple_sweep_ref(k_max, s_max, *sets)), (kind, args)
+        if got["verdict"] == "verified_up_to":
+            k = got["checked"]["k"]
+            cut += d is not None and s_max > -(-d // k)
+            mixed += kind == "reeve" and k > 1
+        for bound in {max(top - 1, 1), max(top, 1)} if d else ():
+            assert (fn(*args, 1, bound).to_dict()
+                    == ref(*args, 1, bound).to_dict()), (kind, args, bound)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind == "flat":
+            dims.add(d)
+    assert min(kinds.values()) >= 20 and len(kinds) == 6, kinds
+    assert dims == {0, 1, 2} and cut >= 60 and mixed >= 10, (dims, cut,
+                                                             mixed)
+
+
+def test_capped_sweeps_scan_only_what_the_cap_needs(monkeypatch):
+    # the multiples m each sweep scans, in order, with their answers: for a
+    # vertex-split R of dimension d no step k scans s > ceil(d / k), and no
+    # m at or above a located level m0 >= d scanned before it, yet every
+    # step's levels up to its first failure are scanned or lie at or above
+    # such an m0; any other R scans exactly the multiples of the full loop
+    calls = []
+    real = gitfan._first_unsplit
+
+    def counted(*args):
+        z = real(*args)
+        calls.append((args[-1][0], z is None))
+        return z
+
+    monkeypatch.setattr(gitfan, "_first_unsplit", counted)
+    rng = random.Random(113)
+    saved = full = 0
+    for kind, args, sets in _capped_sweep_cases(rng):
+        fn = (multiple_making_sums_exact if kind.endswith("fiber")
+              else located_multiple_search)
+        d = split_dimension_ref(*sets)
+        top = from_v(VRep(sets[0].v.vertices, ())).affine_dimension()
+        k_max, s_max = rng.randint(1, 3), top + 2
+        calls.clear()
+        rep = fn(*args, k_max, s_max)
+        scanned = [m for m, _ in calls]
+        assert len(set(scanned)) == len(scanned), (kind, args)
+        # each reached step k with the s it must reach: up to its failure,
+        # and a positive answer's earlier failures from the sweep to k - 1
+        failures = rep.checked.get("failures")
+        if failures is None:
+            k = rep.checked["k"]
+            failures = (fn(*args, k - 1, s_max).checked["failures"]
+                        if k > 1 else [])
+            failures.append([k, s_max, None])
+        steps = {k: s for k, s, _ in failures}
+        loop = {k * s for k, top_s in steps.items()
+                for s in range(1, top_s + 1)}
+        full += len(loop)
+        if d is None:
+            assert sorted(scanned) == sorted(loop), (kind, args)
+            continue
+        assert all(any(m % k == 0 and m // k <= -(-d // k) for k in steps)
+                   for m in scanned), (kind, args, d, calls)
+        for i, (m0, ok) in enumerate(calls):
+            if ok and m0 >= d:
+                assert all(m < m0 for m, _ in calls[i + 1:]), \
+                    (kind, args, d, calls)
+        least = min((m for m, ok in calls if ok and m >= d), default=None)
+        for k, top_s in steps.items():
+            for s in range(1, min(top_s, -(-d // k)) + 1):
+                assert (s * k in scanned
+                        or least is not None and s * k >= least), \
+                    (kind, args, d, k, s, calls)
+        saved += len(loop) - len(scanned)
+    # the full loops of these sweeps take at least 3 scans for every 2 the
+    # caps take
+    assert 2 * full >= 3 * (full - saved), (saved, full)
 
 
 def test_multiple_making_sums_matches_fiber_point_sum_sweep():
@@ -1017,7 +1202,8 @@ def test_located_multiple_search():
     sq = from_v(VRep(((0, 0), (1, 0), (0, 1), (1, 1)), ()))
     rep = located_multiple_search(tri, sq, k_max=1, s_max=2)
     assert rep.verdict == "verified_up_to"
-    assert rep.checked == {"k": 1, "k_max": 1, "s_max": 2, "refines": False}
+    assert rep.checked == {"k": 1, "k_max": 1, "s_max": 2,
+                           "all_scales": True, "refines": False}
     quad = from_v(VRep(((0, 0),), ((1, 0), (0, 1))))
     with pytest.raises(SupportMismatch):
         located_multiple_search(tri, quad, k_max=1, s_max=1)
@@ -1029,7 +1215,8 @@ def test_located_multiple_search_k_sweep():
     reeve = from_v(VRep(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)), ()))
     rep = located_multiple_search(reeve, reeve, k_max=2, s_max=2)
     assert rep.verdict == "verified_up_to"
-    assert rep.checked == {"k": 2, "k_max": 2, "s_max": 2, "refines": True}
+    assert rep.checked == {"k": 2, "k_max": 2, "s_max": 2,
+                           "all_scales": True, "refines": True}
     rep = located_multiple_search(reeve, reeve, k_max=1, s_max=1)
     assert rep.verdict == "exhausted"
     assert rep.checked["failures"] == [[1, 1, [1, 1, 1]]]

@@ -6,7 +6,7 @@ import pytest
 from conftest import (box_of, decompose_unbounded_guard_ref, frame_box_ref,
                       is_normal_ref, lattice_sum, multiple_sweep_ref,
                       oracle_points, oracle_split, oracle_sums,
-                      oracle_window_points, random_polytope,
+                      oracle_window_points, random_polytope, reeve,
                       scaled_scan_set_ref, scan_undecomposed_ref, x_system)
 from normloc import kernels, latpoints, polyhedra
 from normloc.cases import boundary_grading
@@ -554,10 +554,6 @@ def test_is_normal_matches_scaled_sum_reference():
     assert min(verdicts.values()) >= 5, verdicts
 
 
-def _reeve(r):
-    return from_v(VRep(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)), ()))
-
-
 def _lifted(rng, poly):
     """A polygon lifted to a random plane z = a x + b y + c in 3-space."""
     a, b, c = (rng.randint(-2, 2) for _ in range(3))
@@ -575,7 +571,7 @@ def test_capped_normality_matches_full_scan():
     for _ in range(6):
         cases.append(random_polytope(rng, 3, 3, npoints=2, full_dim=False))
         cases.append(_lifted(rng, random_polytope(rng, 2, 3)))
-    cases += [_reeve(r) for r in range(2, 7)]
+    cases += [reeve(r) for r in range(2, 7)]
     failed = {2: 0, 3: 0, 4: 0}
     for p in cases:
         rep, ref = is_normal(p, 4), is_normal_ref(p, 4)
@@ -583,7 +579,7 @@ def test_capped_normality_matches_full_scan():
         if rep.witness:
             failed[p.affine_dimension()] += 1
     assert failed[2] == 0 and failed[3] >= 10 and failed[4] >= 5, failed
-    assert all(is_normal(_reeve(r), 4).witness.scale == 2
+    assert all(is_normal(reeve(r), 4).witness.scale == 2
                for r in range(2, 7))
 
 
@@ -602,7 +598,7 @@ def test_is_normal_scans_only_unproved_scales(monkeypatch):
     assert calls == []
     cube = from_v(VRep(tuple((a, b, c) for a in (0, 1) for b in (0, 1)
                              for c in (0, 1)), ()))
-    for p, verdict in ((cube, "verified_up_to"), (_reeve(3), "not_located")):
+    for p, verdict in ((cube, "verified_up_to"), (reeve(3), "not_located")):
         calls.clear()
         assert is_normal(p, 3).verdict == verdict
         assert len(calls) == 1
@@ -623,7 +619,7 @@ def test_is_normal_scans_scales_without_facets(monkeypatch):
     cases += [from_v(VRep(tuple(v + (v[0] + v[1] - v[2],)
                                 for v in p.v.vertices), ()))
               for p in cases[:4]]
-    cases += [_reeve(r) for r in (1, 2, 3)]
+    cases += [reeve(r) for r in (1, 2, 3)]
     refs = [is_normal_ref(p, 3) for p in cases]
     calls = []
     plain = polyhedra._v_to_h
@@ -800,7 +796,7 @@ def _scaling_cases(rng):
     # hyperplane of Z^4
     flat_reeve = from_v(VRep(((0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 2),
                               (1, 1, 3, 3)), ()))
-    for p in (_reeve(2), _reeve(3), _reeve(5), flat_reeve):
+    for p in (reeve(2), reeve(3), reeve(5), flat_reeve):
         cases.append((scale(p, 2), p, p, "flat" if p.dim == 4 else "full"))
     # W of full column rank: points, as fibers of the identity grading and
     # as records, one of them rational
