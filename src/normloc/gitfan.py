@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import inf
 from operator import add
 
 from . import dd
@@ -108,34 +107,41 @@ def weight_cone(g: GradedProjection) -> Cone:
     return cone_from_generators(g.m, rays=g.weights)
 
 
-def _checked_fiber(g: GradedProjection, u) -> _ScanSet:
-    """The ``_fiber_cached`` entry of the degree u (m integers), and
+def _checked_fiber(g: GradedProjection, u, built=None) -> _ScanSet:
+    """The ``_fiber_entry`` of the degree u (m integers), and
     WeightOutsideCone when it is empty: the fiber holds the nonnegative
     combinations of the weights hitting u, so it is nonempty exactly when u
     lies in the weight cone, a cheap test for wide projections, where the
-    weight cone's facet description can be enormous."""
+    weight cone's facet description can be enormous.  Checks that share
+    one dict ``built`` of entries by degree build each degree once."""
     u = tuple(as_int(x) for x in u)
     if len(u) != g.m:
         raise DimensionMismatch(f"degree has length {len(u)}, grading "
                                 f"maps onto Z^{g.m}")
-    try:
-        return _fiber_cached(g, u)
-    except EmptyPolyhedron:
-        raise WeightOutsideCone(f"degree {u} lies outside the weight cone")
+    if built is None:
+        built = {}
+    if u not in built:
+        try:
+            built[u] = _fiber_entry(g, u)
+        except EmptyPolyhedron:
+            raise WeightOutsideCone(f"degree {u} lies outside the weight cone")
+    return built[u]
 
 
 def _checked_pair(g: GradedProjection, u1, u2):
     """(u1, u2, P(u1 + u2), P(u1), P(u2)) of a degree pair, u1 checked
-    before u2 and each degree read once; u1 + u2 lies in the cone too."""
-    f1, f2 = _checked_fiber(g, u1), _checked_fiber(g, u2)
+    before u2; u1 + u2 lies in the cone too.  Each distinct degree is built
+    once: u1 == u2, or a zero degree, shares an entry."""
+    built = {}
+    f1, f2 = (_checked_fiber(g, u, built) for u in (u1, u2))
     # the checked degrees: the right-hand sides of A x = u
     u1, u2 = (tuple(b for _, b in f.h.equalities) for f in (f1, f2))
-    return u1, u2, _fiber_cached(g, tuple(map(add, u1, u2))), f1, f2
+    return u1, u2, _checked_fiber(g, tuple(map(add, u1, u2)), built), f1, f2
 
 
 def fiber(g: GradedProjection, u) -> Polyhedron:
     """The fiber polyhedron P(u) = {x >= 0 : pi(x) = u} in Q^n, as
-    ``from_h`` gives it; each call computes its facets off cached vertices."""
+    ``from_h`` gives it, its facets computed off the entry's vertices."""
     v = _checked_fiber(g, u).v
     return _from_canonical_v(g.n, v.vertices, v.rays)
 
@@ -146,19 +152,18 @@ def _orthant_rows(n: int):
     return tuple((tuple(-x for x in e), 0) for e in identity_matrix(n))
 
 
-@lru_cache(maxsize=4096)
-def _fiber_cached(g: GradedProjection, u) -> _ScanSet:
+def _fiber_entry(g: GradedProjection, u) -> _ScanSet:
     """P(u) as a ``latpoints._ScanSet``: the rows -x_i <= 0 and A x = u
     (A = ``g.matrix``) with the canonical vertices and rays of their one
     H-to-V pass; EmptyPolyhedron when u lies outside the weight cone.
 
-    Every fiber reader looks each degree up once, in the weight-cone
-    check (``_checked_fiber``, ``_checked_pair``), and reads the entry it
-    returns, which computes no facet: GIT cones, the projection checks of
-    ``realize_pair`` and ``fiber_sum_exact`` read the vertices, the scans
-    the whole set, and ``fiber`` builds a record from the vertices.  All
-    entries of a grading share its rows -x_i <= 0 (``_orthant_rows``) and
-    the rows of its one ``matrix``.
+    Every fiber reader builds each degree it reads once per call, in the
+    weight-cone check (``_checked_fiber``, ``_checked_pair``), and passes
+    the entry along, which computes no facet: GIT cones, the projection
+    checks of ``realize_pair`` and ``fiber_sum_exact`` read the vertices,
+    the scans the whole set, and ``fiber`` builds a record from the
+    vertices.  All entries of a grading share its rows -x_i <= 0
+    (``_orthant_rows``) and the rows of its one ``matrix``.
 
     The equality normals are A's rows, so every fiber of the grading is
     scanned in the one frame of ker A.  Where some x_i = 0 is implied on
@@ -305,7 +310,7 @@ def fiber_sum_exact(g: GradedProjection, u1, u2) -> bool:
     The sum always lies in P(u1 + u2), and all three fibers have the tail
     {x >= 0 : A x = 0}.  So they are equal exactly when every vertex of
     P(u1 + u2) is a vertex of the sum, that is a sum of a vertex of P(u1)
-    and one of P(u2): a check on the cached vertex lists, with no record.
+    and one of P(u2): a check on the entries' vertex lists, no record.
     """
     _, _, f12, f1, f2 = _checked_pair(g, u1, u2)
     sums = {tuple(map(add, a, b))
@@ -343,9 +348,9 @@ def _split_dimension(r: _ScanSet, p: _ScanSet, q: _ScanSet):
     (P, Q), else None.
 
     R is vertex-split when each of its vertices is a + b with a an
-    integral vertex of P and b one of Q: a check on the cached vertex
-    lists.  Then R's vertices are lattice points, and d is the rank of
-    their differences."""
+    integral vertex of P and b one of Q: a check on the vertex lists.
+    Then R's vertices are lattice points, and d is the rank of their
+    differences."""
     ints = [[v for v in x.v.vertices if all(a.denominator == 1 for a in v)]
             for x in (p, q)]
     sums = {tuple(map(add, a, b)) for a in ints[0] for b in ints[1]}
@@ -415,14 +420,12 @@ def _multiple_sweep(k_max: int, s_max: int, r: _ScanSet, p: _ScanSet,
 
     So at step k the sweep scans s = 1..min(s_max, ceil(d / k)) only:
     were every level s * k up to that cap c located, c * k >= d and (b)
-    would give every later level.  It also keeps the least located level
-    m0 >= d it scanned and counts every m >= m0 as located without a
-    scan.  Neither drops a failure, so verdicts, witnesses and failures
-    are those of the full loop; an R that is not vertex-split (rational
-    vertices, or vertices that split over no lattice points) is scanned at
-    every (k, s) as before.  A ``verified_up_to`` report says in
-    checked["all_scales"] whether step k holds for every s: true exactly
-    when R is vertex-split and k * s_max >= d."""
+    would give every later level.  The cap drops no failure, so verdicts,
+    witnesses and failures are those of the full loop; an R that is not
+    vertex-split (rational vertices, or vertices that split over no lattice
+    points) is scanned at every (k, s) as before.  A ``verified_up_to``
+    report says in checked["all_scales"] whether step k holds for every s:
+    true exactly when R is vertex-split and k * s_max >= d."""
     positive_int(k_max, "k_max")
     positive_int(s_max, "s_max")
     if r.v.rays:
@@ -432,21 +435,16 @@ def _multiple_sweep(k_max: int, s_max: int, r: _ScanSet, p: _ScanSet,
     sets = _prepared(r, p, q)
     witnesses = {}
     failures = []
-    m0 = inf
     for k in range(1, k_max + 1):
         top = s_max if d is None else min(s_max, -(-d // k))
         for s in range(1, top + 1):
             m = s * k
-            if m >= m0:
-                continue
             if m not in witnesses:
                 witnesses[m] = _first_unsplit(*sets, (m, m, m))
             z = witnesses[m]
             if z is not None:
                 failures.append([k, s, list(z)])
                 break
-            if d is not None and m >= d:
-                m0 = m
         else:
             return LocationReport(VERDICT_VERIFIED_UP_TO, None,
                                   {"k": k, "k_max": k_max, "s_max": s_max,
@@ -466,10 +464,9 @@ def multiple_making_sums_exact(g: GradedProjection, u1, u2,
     and checked["all_scales"] says whether it holds for every s
     (``_multiple_sweep``); "exhausted" means every k failed, with the
     first failing scale and witness per k recorded in checked["failures"].
-    The fiber at m * u is m * P(u), so the sweep reads the
-    ``_fiber_cached`` entries of u1 + u2, u1 and u2 only, however many
-    multiples it checks, and scales their systems.  Fibers with rays raise
-    Unbounded.
+    The fiber at m * u is m * P(u), so the sweep builds the entries of
+    u1 + u2, u1 and u2 only (``_checked_pair``), however many multiples it
+    checks, and scales their systems.  Fibers with rays raise Unbounded.
     """
     return _multiple_sweep(k_max, s_max, *_checked_pair(g, u1, u2)[2:])
 
@@ -535,7 +532,8 @@ def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
 
 
 def _realize(q1: Polyhedron, q2: Polyhedron):
-    """The pair and whether N(Q1') refines N(Q2'), off one sum Q1' + Q2'.
+    """The pair, whether N(Q1') refines N(Q2'), off one sum Q1' + Q2', and
+    the fiber entry of u1.
 
     On a fiber y = u - F x, so cutting its canonical vertex and ray lists
     to x keeps their order and primitivity (gcd(r, F r) = gcd(r)): they
@@ -565,14 +563,16 @@ def _realize(q1: Polyhedron, q2: Polyhedron):
     ivs = [[tuple(map(int, v)) for v in q.v.vertices] for q in (q1t, q2t)]
     u1, u2 = (tuple(max(dot(f, v) for v in vs) for f in funcs) for vs in ivs)
     g = graded_projection(transpose(funcs) + identity_matrix(len(funcs)))
+    built = {}
     for u, target in ((u1, q1t), (u2, q2t),
                       (tuple(a + b for a, b in zip(u1, u2)), total)):
-        v = _checked_fiber(g, u).v
+        v = _checked_fiber(g, u, built).v
         if (tuple(x[:d] for x in v.vertices) != target.v.vertices
                 or tuple(r[:d] for r in v.rays) != target.v.rays):
             raise RealizationError(f"fiber over {u} does not project onto "
                                    "its polyhedron")
-    return RealizedPair(g, u1, u2, tuple(funcs), shift, q1t, q2t), refining
+    return (RealizedPair(g, u1, u2, tuple(funcs), shift, q1t, q2t),
+            refining, built[u1])
 
 
 @dataclass(frozen=True)
@@ -619,11 +619,12 @@ def refinement_iff_interior(q1: Polyhedron, q2: Polyhedron)\
     u1 in its relative interior and contains u2 (that cone can only be the
     GIT cone of u1).  The fan side is ``normal_fan_refines`` on the realized
     copies, the vertex counts of Q1 + Q2 and Q1, read off the sum the
-    realization builds anyway; the GIT side reads the grading alone.
-    Disagreement indicates a defect and is reported, not hidden.
+    realization builds anyway; the GIT side is the GIT cone of u1, read
+    off the fiber entry the realization checked.  Disagreement indicates a
+    defect and is reported, not hidden.
     """
-    rp, fan_side = _realize(q1, q2)
-    lam = git_cone(rp.projection, rp.u1)
+    rp, fan_side, f1 = _realize(q1, q2)
+    lam = _vertex_support_cone(rp.projection, f1)
     git_side = (relative_interior_contains(lam, rp.u1)
                 and lam.contains_point(rp.u2))
     return CrossCheckReport(fan_side, git_side, fan_side == git_side, rp)

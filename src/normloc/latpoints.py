@@ -38,20 +38,20 @@ The location engine reads its sets as *scan sets* (``_ScanSet``): a
 dimension, rows and canonical generators, with no facet computed.  A
 ``Polyhedron`` record is one as it is; a fiber P(u) of a grading with
 matrix A is one of the rows x >= 0 and A x = u and the vertices of their
-one H-to-V pass, cached once per degree (``gitfan._fiber_cached``) and
-looked up once per reader, by the weight-cone check that returns it, and
-a window's S = R cap W is one of R's rows, the box rows and the vertices
-of their one H-to-V pass (``_clip``).  The contract: rows may be
-redundant, equalities are integer rows with integer right-hand sides, the
-generators are canonical (lex-sorted vertices, sorted primitive rays), and
-the equality normals W cut out an affine lattice that holds every lattice
-point of the set.  The frame is W's, so it may be larger than the hull's:
-every fiber of a grading is scanned in the frame of ker A, also where some
-x_i = 0 is implied and aff(P(u)) is smaller.  That is safe.  The lattice
-points of P(u) are the same in either lattice, P(u)'s rows cut them out in
-y as they do in x, and the Hermite basis of ker A keeps lex order, so the
-scan finds the same points and the same lex-least witness.  A scan set
-never reaches a caller, since ``Polyhedron`` equality compares records.
+one H-to-V pass (``gitfan._fiber_entry``), built once per degree a call
+reads, and a window's S = R cap W is one of R's rows, the box rows and
+the vertices of their one H-to-V pass (``_clip``).  The contract: rows
+may be redundant, equalities are integer rows with integer right-hand
+sides, the generators are canonical (lex-sorted vertices, sorted
+primitive rays), and the equality normals W cut out an affine lattice
+that holds every lattice point of the set.  The frame is W's, so it may
+be larger than the hull's: every fiber of a grading is scanned in the
+frame of ker A, also where some x_i = 0 is implied and aff(P(u)) is
+smaller.  That is safe.  The lattice points of P(u) are the same in
+either lattice, P(u)'s rows cut them out in y as they do in x, and the
+Hermite basis of ker A keeps lex order, so the scan finds the same points
+and the same lex-least witness.  A scan set never reaches a caller, since
+``Polyhedron`` equality compares records.
 
 The multiple sweeps and ``is_normal`` check c * X for many c, and c * X
 has X's rows with right-hand sides c * b and X's vertices times c.  So
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -140,13 +140,13 @@ class _ScanSet:
       W may have fewer rows than aff(set) needs; the frame of W is then
       larger than the hull's, with the same lattice points in it.
 
-    ``gitfan._fiber_cached`` and ``_clip`` build one from rows the caller
-    already knows and the vertices of one H-to-V pass; a fiber entry is
-    built once per degree, shares its grading's rows x >= 0 and A with
-    every other, and reaches each reader by one lookup.  Multiples c * X
-    are not built at all, but scanned off X's ``_Prepared`` system.  A scan
-    set never reaches a caller: ``Polyhedron`` equality compares records,
-    and a scan set's rows are not canonical.
+    ``gitfan._fiber_entry`` and ``_clip`` build one from rows the caller
+    already knows and the vertices of one H-to-V pass; a fiber entry
+    shares its grading's rows x >= 0 and A with every other, and a call
+    builds each degree it reads once.  Multiples c * X are not built at
+    all, but scanned off X's ``_Prepared`` system.  A scan set never
+    reaches a caller: ``Polyhedron`` equality compares records, and a scan
+    set's rows are not canonical.
     """
 
     dim: int
@@ -280,7 +280,6 @@ class _Frame:
         return tuple(out)
 
 
-@lru_cache(maxsize=1024)
 def _frame(normals, d) -> _Frame:
     """The frame of the equality normals W (a tuple of rows) in Q^d: one
     HNF gives both its basis and the image rows that solve for origins."""

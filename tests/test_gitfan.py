@@ -116,7 +116,6 @@ def test_scaled_fibers_match_fresh_from_h(monkeypatch):
     for g, u in cases:
         for c in (2, 3, 6):
             cu = tuple(c * x for x in u)
-            gitfan._fiber_cached.cache_clear()
             calls.clear()
             try:
                 expect = fiber_from_h_ref(g, cu)
@@ -128,7 +127,7 @@ def test_scaled_fibers_match_fresh_from_h(monkeypatch):
             assert got == expect and repr(got) == repr(expect), (g, cu)
             # one H-to-V pass, of cu itself
             assert calls == [cu]
-            h = gitfan._fiber_cached(g, cu).h
+            h = gitfan._fiber_entry(g, cu).h
             assert h.inequalities == tuple(
                 (tuple(-int(i == j) for j in range(g.n)), 0)
                 for i in range(g.n))
@@ -282,7 +281,7 @@ def test_git_fan_runs_no_fiber_pass(monkeypatch):
     monkeypatch.setattr(dd, "generators_from_constraints",
                         lambda *args: calls.append(args[0]) or plain(*args))
     monkeypatch.setattr(gitfan, "_h_to_v", no_fiber)
-    monkeypatch.setattr(gitfan, "_fiber_cached", no_fiber)
+    monkeypatch.setattr(gitfan, "_fiber_entry", no_fiber)
     rng = random.Random(113)
     grads = [boundary_grading()[0], WIDE]
     grads += [_varied_grading(rng) for _ in range(60)]
@@ -325,13 +324,12 @@ def test_fiber_sum_exact_matches_record_reference(monkeypatch):
     def no_facets(*args):
         raise AssertionError("V-to-H pass inside fiber_sum_exact")
 
-    gitfan._fiber_cached.cache_clear()
     monkeypatch.setattr(polyhedra, "_v_to_h", no_facets)
     got = [fiber_sum_exact(*case) for case in cases]
     monkeypatch.undo()
     assert got == expect
-    rays = sum(bool(gitfan._fiber_cached(g, tuple(a + b for a, b
-                                                  in zip(u1, u2))).v.rays)
+    rays = sum(bool(gitfan._fiber_entry(g, tuple(a + b for a, b
+                                                 in zip(u1, u2))).v.rays)
                for g, u1, u2 in cases)
     assert expect.count(False) >= 60 and rays >= 100, (expect.count(False),
                                                        rays)
@@ -679,40 +677,54 @@ def _pair_readers(g, u1, u2):
             lambda: is_generating_candidate(g, u1, u2)]
 
 
-def test_each_reader_looks_each_degree_up_once():
-    # a cold _fiber_cached sees one miss per distinct degree a reader reads
-    # and no hit: the weight-cone check hands back the entry it looked up
+def test_each_reader_builds_each_degree_once(monkeypatch):
+    # each reader call runs one fiber H-to-V pass (the orthant rows and
+    # A x = u, nothing more) per distinct degree it reads: u1 == u2 and a
+    # zero degree share a pass, and refinement_iff_interior reads its GIT
+    # cone off the P(u1) the realization built
+    passes = []
+    plain = gitfan._h_to_v
+
+    def counted(d, h):
+        if len(h.inequalities) == d:
+            passes.append(tuple(b for _, b in h.equalities))
+        return plain(d, h)
+
+    monkeypatch.setattr(gitfan, "_h_to_v", counted)
     rng = random.Random(101)
     cases = []
-    while len(cases) < 30:
+    for _ in range(6):
         g, u1, u2 = _degree_pair(rng)
         u1, u2 = tuple(u1), tuple(u2)
-        if u1 != u2:
-            u12 = tuple(a + b for a, b in zip(u1, u2))
-            cases += [(f, (u,)) for u in (u1, u12)
-                      for f in (lambda g=g, u=u: fiber(g, u),
-                                lambda g=g, u=u: git_cone(g, u))]
-            cases += [(f, (u1, u2, u12)) for f in _pair_readers(g, u1, u2)]
+        u12 = tuple(a + b for a, b in zip(u1, u2))
+        zero = (0,) * g.m
+        cases += [(f, {u}) for u in (u1, u12)
+                  for f in (lambda g=g, u=u: fiber(g, u),
+                            lambda g=g, u=u: git_cone(g, u))]
+        for a, b in ((u1, u2), (u1, u1), (u1, zero), (zero, u2)):
+            degrees = {a, b, tuple(x + y for x, y in zip(a, b))}
+            cases += [(f, degrees) for f in _pair_readers(g, a, b)]
     for _ in range(8):
         q2 = random_polytope(rng, 2, 4)
         q1 = minkowski_sum(random_polytope(rng, 2, 4), q2)
-        rp = realize_pair(q1, q2)
-        u12 = tuple(a + b for a, b in zip(rp.u1, rp.u2))
-        assert len({rp.u1, rp.u2, u12}) == 3
-        cases.append((lambda q1=q1, q2=q2: realize_pair(q1, q2),
-                      (rp.u1, rp.u2, u12)))
+        for a, b in ((q1, q2), (q2, q2)):
+            rp = realize_pair(a, b)
+            degrees = {rp.u1, rp.u2, tuple(x + y for x, y
+                                           in zip(rp.u1, rp.u2))}
+            assert len(degrees) == 3 - (a is b), (a, b)
+            cases += [(lambda a=a, b=b, f=f: f(a, b), degrees)
+                      for f in (realize_pair, refinement_iff_interior)]
     for call, degrees in cases:
-        gitfan._fiber_cached.cache_clear()
+        passes.clear()
         try:
             call()
         except Unbounded:
             pass
-        info = gitfan._fiber_cached.cache_info()
-        assert (info.misses, info.hits) == (len(degrees), 0), degrees
+        assert sorted(passes) == sorted(degrees), (passes, degrees)
     # the entries of one grading share its orthant rows and matrix rows
     g, u1, u2 = boundary_grading()
     assert g.matrix is g.matrix
-    a, b = (gitfan._fiber_cached(g, u) for u in (u1, u2))
+    a, b = (gitfan._fiber_entry(g, u) for u in (u1, u2))
     assert a.h.inequalities is b.h.inequalities
     assert all(x is y is row for (x, _), (y, _), row
                in zip(a.h.equalities, b.h.equalities, g.matrix))
@@ -900,7 +912,7 @@ def test_git_cone_matches_cone_oracle():
             cs = [rng.randint(0, 2) for _ in ws]
             u = tuple(sum(c * w[j] for c, w in zip(cs, ws))
                       for j in range(m))
-            # multiples reach the cached fiber of their primitive degree
+            # and the multiples 2u, 3u of each degree
             for c in (1, 2, 3):
                 cu = tuple(c * x for x in u)
                 assert repr(git_cone(g, cu)) == repr(git_cone_ref(g, cu))

@@ -5,7 +5,9 @@ only to re-export), and the layers import downward only: ``polyhedra``
 knows nothing of cones, fans, lattice scans or gradings, ``fans`` knows
 nothing of polyhedra, lattice scans or gradings, ``latpoints`` nothing of
 cones or gradings, and the scan kernels import no other module of the
-package.
+package.  A process-lifetime cache (a module-level function under
+``lru_cache`` or ``cache``) is one of the allow-listed ones, each with the
+reason it stays.
 """
 
 import ast
@@ -21,6 +23,17 @@ FORBIDDEN = {
     "fans": {"polyhedra", "latpoints", "gitfan"},
     "latpoints": {"fans", "gitfan"},
     "kernels": {p.stem for p in MODULES} - {"kernels"},
+}
+
+
+# module.function -> why its lru_cache stays; a cache not listed here is
+# held for the life of the process with no measured reason
+CACHES = {
+    "exact.identity_matrix": "the DD and every frame start from it; its "
+                             "memo was part of a measured gitfan speed-up",
+    "gitfan.weight_cone": "perfbench's self-test reads its cache_info",
+    "gitfan._orthant_rows": "one tuple of rows -x_i <= 0 shared by every "
+                            "fiber in Q^n, hit once per fiber build",
 }
 
 
@@ -62,6 +75,22 @@ def _package_imports(tree):
     return out
 
 
+def _cached_functions(tree):
+    """Module-level functions of the tree under ``lru_cache`` or ``cache``,
+    bare, called or reached as ``functools.<name>``."""
+    out = set()
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = (target.attr if isinstance(target, ast.Attribute)
+                    else getattr(target, "id", None))
+            if name in ("lru_cache", "cache"):
+                out.add(node.name)
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
@@ -77,6 +106,13 @@ def test_layers_import_downward(module):
     assert not bad, f"{module} imports {sorted(bad)}"
 
 
+def test_only_allow_listed_caches():
+    found = {f"{path.stem}.{name}" for path in MODULES
+             for name in _cached_functions(ast.parse(path.read_text()))}
+    assert found == set(CACHES), (sorted(found - set(CACHES)),
+                                  sorted(set(CACHES) - found))
+
+
 def test_checks_see_the_violations_they_guard():
     planted = ast.parse("from .exact import IVec, dot\n"
                         "from . import fans\n"
@@ -85,3 +121,12 @@ def test_checks_see_the_violations_they_guard():
     names = _imported_names(planted)
     assert set(names) == {"IVec", "dot", "fans", "fiber"}
     assert _package_imports(planted) == {"exact", "fans", "gitfan"}
+    planted = ast.parse("import functools\n"
+                        "@lru_cache(maxsize=8)\ndef a(): pass\n"
+                        "@functools.cache\ndef b(): pass\n"
+                        "@cache\ndef c():\n"
+                        "    @lru_cache\n    def inner(): pass\n"
+                        "class K:\n"
+                        "    @lru_cache\n    def method(self): pass\n"
+                        "@cached_property\ndef d(): pass\n")
+    assert _cached_functions(planted) == {"a", "b", "c"}

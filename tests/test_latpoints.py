@@ -11,7 +11,7 @@ from conftest import (box_of, decompose_unbounded_guard_ref, frame_box_ref,
 from normloc import kernels, latpoints, polyhedra
 from normloc.cases import boundary_grading
 from normloc.errors import NotLattice, NormlocError, Unbounded
-from normloc.gitfan import (_fiber_cached, _multiple_sweep, fiber,
+from normloc.gitfan import (_fiber_entry, _multiple_sweep, fiber,
                             fiber_point_sum_exact, graded_projection)
 from normloc.latpoints import (decompose, enumerate_points,
                                enumerate_windowed, is_normal,
@@ -786,11 +786,11 @@ def _scaling_cases(rng):
     for g, u1, u2 in [c for c in _fiber_cases(rng, 40)
                       if c[0].n <= 4][:14]:
         u12 = tuple(a + b for a, b in zip(u1, u2))
-        cases.append(tuple(_fiber_cached(g, u) for u in (u12, u1, u2))
+        cases.append(tuple(_fiber_entry(g, u) for u in (u12, u1, u2))
                      + ("fiber",))
     g, u1, u2 = boundary_grading()
     u12 = tuple(a + b for a, b in zip(u1, u2))
-    cases.append(tuple(_fiber_cached(g, u) for u in (u12, u1, u2))
+    cases.append(tuple(_fiber_entry(g, u) for u in (u12, u1, u2))
                  + ("fiber",))
     # Reeve tetrahedra: (P, P) fails at m = 1, also on a sheared
     # hyperplane of Z^4
@@ -801,7 +801,7 @@ def _scaling_cases(rng):
     # W of full column rank: points, as fibers of the identity grading and
     # as records, one of them rational
     unit = graded_projection([(1, 0), (0, 1)])
-    cases.append(tuple(_fiber_cached(unit, u)
+    cases.append(tuple(_fiber_entry(unit, u)
                        for u in ((3, 1), (2, 0), (1, 1))) + ("point",))
     for a, b in (((1, 2, 0), (0, 1, 1)), ((half, third), (half, 0))):
         p, q = (from_v(VRep((v,), ())) for v in (a, b))
