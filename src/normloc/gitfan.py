@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import add
+from operator import add, sub
 
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
@@ -38,7 +38,7 @@ from .fans import (Cone, _tiles, cone_from_generators, cone_from_h,
 from .latpoints import (LocationReport, VERDICT_VERIFIED_UP_TO,
                         _first_unsplit, _located_over, _prepared, _ScanSet)
 from .polyhedra import (HRep, Polyhedron, VRep, _from_canonical_v, _h_to_v,
-                        minkowski_sum, translate)
+                        _int_vertices, minkowski_sum, translate)
 from .reps import NOT_IN_SUM, Witness
 
 VERDICT_EXHAUSTED = "exhausted"
@@ -351,13 +351,14 @@ def _split_dimension(r: _ScanSet, p: _ScanSet, q: _ScanSet):
     integral vertex of P and b one of Q: a check on the vertex lists.
     Then R's vertices are lattice points, and d is the rank of their
     differences."""
-    ints = [[v for v in x.v.vertices if all(a.denominator == 1 for a in v)]
-            for x in (p, q)]
+    ints = [[tuple(map(int, v)) for v in x.v.vertices
+             if all(a.denominator == 1 for a in v)] for x in (p, q)]
     sums = {tuple(map(add, a, b)) for a in ints[0] for b in ints[1]}
-    if not sums.issuperset(r.v.vertices):
+    verts = _int_vertices(r.v.vertices)
+    if not sums.issuperset(verts):
         return None
-    v0, *rest = r.v.vertices
-    diffs = [tuple(int(a - b) for a, b in zip(v, v0)) for v in rest]
+    v0, *rest = verts
+    diffs = [tuple(map(sub, v, v0)) for v in rest]
     return sum(map(any, hermite_normal_form(diffs)))
 
 

@@ -12,16 +12,15 @@ coordinate is never looped over point by point inside the recursion.
 Arithmetic is on Python ints, so coefficients of any size give exact
 answers.
 
-``scan_undecomposed`` works on whole lines too.  A split z = z' + z'' of
-one point covers a run of the points after it on its line: z' can move up
-the last axis until a row of P stops it, and then z'' until a row of Q
-does.  The scan jumps over each run and searches again only at the first
-point past it.  At the first point of a line it also tries the splits
-found at the first points of the neighbouring lines one step back along
-each other axis, before it searches.
+``scan_undecomposed`` works on whole lines too.  The points of a line of
+R that split with z' on a given line of P are one interval, the sum of the
+last-axis intervals of that line of P and of the matching line of Q.  The
+scan covers each line of R with such sums, trying the lines of P that
+covered the previous line and the neighbouring lines one step back along
+each other axis, and searches for a split only at a point none covers.
 """
 
-from operator import mul
+from operator import add, mul, sub
 
 
 def backend() -> str:
@@ -90,30 +89,27 @@ def scan_first(coeffs, rhs, lo, hi):
     return next(iter_points(coeffs, rhs, lo, hi), None)
 
 
-def _member(coeffs, rhs, lo, hi, x):
-    """Whether x is a point of the system: inside the box and every row."""
-    for v, a, b in zip(x, lo, hi):
+def _line_at(rows, lo, hi, p):
+    """(a, b) when the system's points on the line at prefix p are
+    ``p + (t,)`` for a <= t <= b, else None.  ``rows`` holds the (leading
+    coefficients, last coefficient, rhs) of each row."""
+    for v, a, b in zip(p, lo, hi):
         if v < a or v > b:
-            return False
-    for row, b in zip(coeffs, rhs):
-        if sum(map(mul, row, x)) > b:
-            return False
-    return True
-
-
-def _run(x, rows, top):
-    """Largest t >= 0 with x + t * e_last inside ``rows`` and below ``top``.
-
-    ``rows`` holds the (row, rhs, last coefficient) triples of the rows of
-    a system whose last coefficient is positive: no other row and no lower
-    box side can stop a move up the last axis.  x is a point of the system.
-    """
-    t = top - x[-1]
-    for row, b, c in rows:
-        s = (b - sum(map(mul, row, x))) // c
-        if s < t:
-            t = s
-    return t
+            return None
+    a, b = lo[-1], hi[-1]
+    for head, c, r in rows:
+        rem = r - sum(map(mul, head, p))
+        if c > 0:
+            t = rem // c
+            if t < b:
+                b = t
+        elif c < 0:
+            t = -(-rem // c)
+            if t > a:
+                a = t
+        elif rem < 0:
+            return None
+    return (a, b) if a <= b else None
 
 
 def scan_undecomposed(rcoeffs, rrhs, rlo, rhi,
@@ -125,33 +121,49 @@ def scan_undecomposed(rcoeffs, rrhs, rlo, rhi,
     in the P system intersected with the reflected, shifted Q system.
     Returns the first z with no z', or None when every point splits.
 
-    The scan goes line by line.  Given a split (z', z'') of z, let tP be
-    the largest t with z' + t*e a point of P (e the last unit vector) and
-    tQ the same for z'' in Q.  Every z + t*e with t <= tP + tQ splits as
-    (z' + a*e, z'' + (t - a)*e) with a = min(t, tP), so the scan jumps to
-    z + (tP + tQ + 1)*e.  There neither shifted split fits, by the choice
-    of tP and tQ, so the inner search runs at once.  The run is not
-    computed at a line's last point.
+    The scan covers each line of R, at prefix pi, with interval sums.  Let
+    I_P(p) be the last-axis interval of P's line at prefix p and I_Q(q)
+    that of Q's line at q, each one bound pass over the rows, memoized per
+    prefix for the whole scan.  The points of R's line that split with z'
+    on P's line p are exactly I_P(p) + I_Q(pi - p): a split puts z'_last in
+    I_P(p) and z''_last in I_Q(pi - p), and a + b with a in I_P(p) and b in
+    I_Q(pi - p) splits as (p + (a,), (pi - p) + (b,)).
 
-    At the first point z of a line no run reaches, so candidate splits are
-    tried before the inner search: the split of the previous point (the
-    last point of the previous line), then the splits recorded at the
-    first points of the lines ``prefix - e_j`` for each j < d - 1.  A
-    candidate (z', z'') of a point w covers z when z - z'' is a point of
-    P, or z - z' a point of Q.  Any split proves that z is not the point
-    sought, and the inner search still runs on every point that neither a
-    run nor a candidate covers, so the result is the same as with a fresh
-    search for every z.  The inner search calls ``iter_points`` directly,
-    not the public ``scan_first``, so a wrapper installed on that name (a
-    layer tracer) counts each search of this scan as part of this call,
-    not as separate calls.
+    The candidate p's of a line are the last p of the previous line, as it
+    is and shifted by pi less the previous prefix, and the p's used on each
+    line pi - e_j (j < d - 1), as they are and as p + e_j.  At each point c
+    not yet covered, the first candidate whose interval holds c covers the
+    line up to that interval's end; when none holds c, the inner search
+    runs at c, and the prefix of the z' it finds covers c.
+
+    The result is exact: every covered point has an explicit split, and
+    every point no interval covers gets the full search, so the first
+    failure is the lex-least point with no split.  The inner search calls
+    ``iter_points`` directly, not the public ``scan_first``, so a wrapper
+    installed on that name (a layer tracer) counts each search of this
+    scan as part of this call, not as separate calls.
     """
     d = len(rlo)
     icoeffs = [tuple(row) for row in pcoeffs]
     icoeffs += [tuple(-a for a in row) for row in qcoeffs]
-    prun = [(row, b, row[-1]) for row, b in zip(pcoeffs, prhs) if row[-1] > 0]
-    qrun = [(row, b, row[-1]) for row, b in zip(qcoeffs, qrhs) if row[-1] > 0]
-    ptop, qtop = phi[-1], qhi[-1]
+    prows = [(row[:-1], row[-1], b) for row, b in zip(pcoeffs, prhs)]
+    qrows = [(row[:-1], row[-1], b) for row, b in zip(qcoeffs, qrhs)]
+    plines, qlines = {}, {}
+
+    def reach(pi, p):
+        """I_P(p) + I_Q(pi - p), or None when either line is empty."""
+        ip = plines.get(p, False)
+        if ip is False:
+            ip = plines[p] = _line_at(prows, plo, phi, p)
+        if ip is None:
+            return None
+        q = tuple(map(sub, pi, p))
+        iq = qlines.get(q, False)
+        if iq is False:
+            iq = qlines[q] = _line_at(qrows, qlo, qhi, q)
+        if iq is None:
+            return None
+        return ip[0] + iq[0], ip[1] + iq[1]
 
     def search(z):
         ilo = tuple(max(plo[j], z[j] - qhi[j]) for j in range(d))
@@ -159,50 +171,32 @@ def scan_undecomposed(rcoeffs, rrhs, rlo, rhi,
         irhs = list(prhs)
         for row, b in zip(qcoeffs, qrhs):
             irhs.append(b - sum(map(mul, row, z)))
-        zp = next(iter_points(icoeffs, irhs, ilo, ihi), None)
-        if zp is None:
-            return None
-        return zp, tuple(a - b for a, b in zip(z, zp))
+        return next(iter_points(icoeffs, irhs, ilo, ihi), None)
 
-    def shifted(split, z):
-        zp, zq = split
-        sp = tuple(a - b for a, b in zip(z, zq))
-        if _member(pcoeffs, prhs, plo, phi, sp):
-            return sp, zq
-        sq = tuple(a - b for a, b in zip(z, zp))
-        if _member(qcoeffs, qrhs, qlo, qhi, sq):
-            return zp, sq
-        return None
-
-    starts = {}
-    split = None
-    for prefix, v, end in _lines(rcoeffs, rrhs, rlo, rhi):
-        z = prefix + (v,)
-        found = shifted(split, z) if split is not None else None
-        j = 0
-        while found is None and j < d - 1:
-            near = starts.get(prefix[:j] + (prefix[j] - 1,) + prefix[j + 1:])
-            if near is not None:
-                found = shifted(near, z)
-            j += 1
-        if found is None:
-            found = search(z)
-            if found is None:
-                return z
-        starts[prefix] = split = found
-        while v < end:
-            zp, zq = split
-            tp = _run(zp, prun, ptop)
-            tq = _run(zq, qrun, qtop)
-            if v + tp + tq >= end:
-                t = end - v
-                a = min(t, tp)
-                split = (zp[:-1] + (zp[-1] + a,),
-                         zq[:-1] + (zq[-1] + t - a,))
-                break
-            v += tp + tq + 1
-            z = prefix + (v,)
-            split = search(z)
-            if split is None:
-                return z
+    used = {}
+    prev = None
+    for pi, c, end in _lines(rcoeffs, rrhs, rlo, rhi):
+        cands = []
+        if prev is not None:
+            last = used[prev][-1]
+            cands += [last, tuple(map(add, last, map(sub, pi, prev)))]
+        for j in range(d - 1):
+            for p in used.get(pi[:j] + (pi[j] - 1,) + pi[j + 1:], ()):
+                cands += [p[:j] + (p[j] + 1,) + p[j + 1:], p]
+        cands = list(dict.fromkeys(cands))
+        mine = used[pi] = []
+        while c <= end:
+            for p in cands:
+                span = reach(pi, p)
+                if span is not None and span[0] <= c <= span[1]:
+                    break
+            else:
+                zp = search(pi + (c,))
+                if zp is None:
+                    return pi + (c,)
+                p = zp[:-1]
+                span = reach(pi, p)
+            mine.append(p)
+            c = span[1] + 1
+        prev = pi
     return None

@@ -603,6 +603,11 @@ def scan_undecomposed_ref(rcoeffs, rrhs, rlo, rhi,
     to it, and the inner search when the shift misses.  The R scan and
     each inner search are one ``kernels.iter_points`` call apiece.
     """
+    def member(coeffs, rhs, lo, hi, x):
+        return (all(a <= v <= b for v, a, b in zip(x, lo, hi))
+                and all(sum(a * v for a, v in zip(row, x)) <= b
+                        for row, b in zip(coeffs, rhs)))
+
     d = len(rlo)
     icoeffs = [tuple(row) for row in pcoeffs]
     icoeffs += [tuple(-a for a in row) for row in qcoeffs]
@@ -611,11 +616,11 @@ def scan_undecomposed_ref(rcoeffs, rrhs, rlo, rhi,
         if split is not None:
             zp, zq = split
             shifted = tuple(a - b for a, b in zip(z, zq))
-            if kernels._member(pcoeffs, prhs, plo, phi, shifted):
+            if member(pcoeffs, prhs, plo, phi, shifted):
                 split = shifted, zq
                 continue
             shifted = tuple(a - b for a, b in zip(z, zp))
-            if kernels._member(qcoeffs, qrhs, qlo, qhi, shifted):
+            if member(qcoeffs, qrhs, qlo, qhi, shifted):
                 split = zp, shifted
                 continue
         ilo = tuple(max(plo[j], z[j] - qhi[j]) for j in range(d))

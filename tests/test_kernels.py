@@ -1,4 +1,6 @@
 import random
+from itertools import islice
+from operator import add
 
 from conftest import (lines_ref, random_polytope, scan_undecomposed_ref,
                       x_system)
@@ -50,16 +52,18 @@ def test_scan_points_empty_box():
     assert kernels.scan_first(coeffs, rhs, (0, 3), (2, 1)) is None
 
 
+# lattice-thin slabs: x = 2y leaves the lines of odd x empty, and
+# x <= 3y <= x + 1 the lines of x = 1 (mod 3), between nonempty ones
+_SLABS = [
+    (((1, -2), (-1, 2)), (0, 0), (0, -5), (9, 9)),
+    (((1, -3), (-1, 3)), (0, 1), (-3, -3), (9, 9)),
+    (((1, 0, -2), (-1, 0, 2), (0, 1, 1), (0, -1, -1)), (0, 0, 4, -2),
+     (0, -2, -3), (6, 6, 6)),
+]
+
+
 def test_scan_points_skips_empty_lines():
-    # lattice-thin slabs: x = 2y leaves the lines of odd x empty, and
-    # x <= 3y <= x + 1 the lines of x = 1 (mod 3), between nonempty ones
-    systems = [
-        (((1, -2), (-1, 2)), (0, 0), (0, -5), (9, 9)),
-        (((1, -3), (-1, 3)), (0, 1), (-3, -3), (9, 9)),
-        (((1, 0, -2), (-1, 0, 2), (0, 1, 1), (0, -1, -1)), (0, 0, 4, -2),
-         (0, -2, -3), (6, 6, 6)),
-    ]
-    for sys_ in systems:
+    for sys_ in _SLABS:
         expect = _brute_points(*sys_)
         assert kernels.scan_points(*sys_) == expect
         assert kernels.scan_first(*sys_) == expect[0]
@@ -88,6 +92,47 @@ def _cut_boxes(sys_):
             yield coeffs, rhs, cut, hi
 
 
+def _sum_system(psys, qsys):
+    """A system holding P + Q, for P and Q with the same rows."""
+    (coeffs, prhs, plo, phi), (_, qrhs, qlo, qhi) = psys, qsys
+    return (coeffs, tuple(map(add, prhs, qrhs)), tuple(map(add, plo, qlo)),
+            tuple(map(add, phi, qhi)))
+
+
+def _thin_pairs(rng):
+    """Slabs P and Q, b <= a.x <= b + w with the same a, whose last
+    coefficient is 2 or 3 in size, so that lines inside their boxes hold no
+    point.  Each box is the bounding box of the slab's points in a random
+    box, so that R's first points are sums."""
+    while True:
+        d = rng.randint(2, 3)
+        a = tuple(rng.randint(-3, 3) for _ in range(d - 1))
+        a += (rng.choice((-3, -2, 2, 3)),)
+        pair = []
+        for _ in range(2):
+            b, w = rng.randint(-4, 4), rng.randint(0, 2)
+            lo = tuple(rng.randint(-4, 0) for _ in range(d))
+            hi = tuple(v + rng.randint(2, 6) for v in lo)
+            rows = (a, tuple(-c for c in a)), (b + w, -b)
+            pts = _brute_points(*rows, lo, hi)
+            if pts:
+                pair.append(rows + (tuple(map(min, zip(*pts))),
+                                    tuple(map(max, zip(*pts)))))
+        if len(pair) == 2:
+            yield pair
+
+
+def _scaled_rows(rng, sys_):
+    """The system with row i times about 10^30 and rhs[i] raised by less
+    than that factor: the same points, reached through huge numbers."""
+    coeffs, rhs, lo, hi = sys_
+    bigs = [10 ** 30 + rng.randint(0, 10 ** 6) for _ in rhs]
+    return (tuple(tuple(c * big for c in row)
+                  for row, big in zip(coeffs, bigs)),
+            tuple(b * big + rng.randrange(big) for b, big in zip(rhs, bigs)),
+            lo, hi)
+
+
 def _undecomposed_cases():
     rng = random.Random(59)
     for _ in range(40):
@@ -96,21 +141,32 @@ def _undecomposed_cases():
         psys = _random_system(rng, d, rng.randint(1, 4))
         qsys = _random_system(rng, d, rng.randint(1, 4))
         yield rsys, psys, qsys
-    # real polytopes P, a dilation Q and R = P + Q: long runs of z split
-    # by shifting the previous split, so the reuse path carries the scan
+    # real polytopes P, a dilation Q and R = P + Q: long lines of R, each
+    # covered by a few sums of lines of P and Q
     rng = random.Random(61)
+    big = random.Random(73)
     for d, bound, k in ((2, 4, 2), (2, 3, 3), (3, 2, 2), (3, 3, 1)):
         p = random_polytope(rng, d, bound)
         q = scale(p, k)
         rsys = x_system(minkowski_sum(p, q))
         psys, qsys = x_system(p), x_system(q)
         yield rsys, psys, qsys
-        # the box is part of each system: a shifted split that meets the
-        # rows but leaves a box cut tighter than the rows does not count
+        # the box is part of each system: where a box cut is tighter than
+        # the rows, it bounds the lines' intervals and their prefixes
         for cut in _cut_boxes(psys):
             yield rsys, cut, qsys
         for cut in _cut_boxes(qsys):
             yield rsys, psys, cut
+        # the same sets with rows scaled by 10^30
+        yield tuple(_scaled_rows(big, sys_) for sys_ in (rsys, psys, qsys))
+    # lattice-thin P and Q, R holding their sum: some lines inside each box
+    # hold no point, so covering sums skip lines and searches meet empty ones
+    for psys in _SLABS:
+        yield _sum_system(psys, psys), psys, psys
+    for psys, qsys in islice(_thin_pairs(random.Random(71)), 10):
+        rsys = _sum_system(psys, qsys)
+        yield rsys, psys, qsys
+        yield tuple(_scaled_rows(big, sys_) for sys_ in (rsys, psys, qsys))
 
 
 def test_scan_undecomposed_agreement():
@@ -201,8 +257,8 @@ def test_scan_undecomposed_matches_reference(monkeypatch):
         totals[0] += ref_searches
         totals[1] += calls[0]
     assert witnesses
-    # run jumps alone search where the reference does; the neighbouring
-    # lines' splits must save some searches
+    # covering whole lines must save searches over the point-by-point
+    # reference
     assert totals[1] < totals[0], totals
 
 
