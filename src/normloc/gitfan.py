@@ -31,8 +31,8 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotFullDimensional, NotLattice, RealizationError,
                      SupportMismatch, TailConeMismatch, Unbounded,
                      WeightOutsideCone)
-from .exact import (as_int, dot, hermite_normal_form, identity_matrix,
-                    kernel_lattice_basis, positive_int, primitive, transpose)
+from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
+                    identity_matrix, positive_int, transpose)
 from .fans import (Cone, _tiles, cone_from_generators, cone_from_h,
                    relative_interior_contains)
 from .latpoints import (LocationReport, VERDICT_VERIFIED_UP_TO,
@@ -225,19 +225,6 @@ class GitFan:
                 "fan_verified": self.fan_verified}
 
 
-def _wall_normals(g: GradedProjection):
-    """Primitive normals of the hyperplanes spanned by m-1 weights."""
-    if g.m == 1:
-        return [(1,)]
-    distinct = sorted({primitive(w) for w in g.weights if any(w)})
-    normals = set()
-    for sub in combinations(distinct, g.m - 1):
-        ker = kernel_lattice_basis(sub)
-        if len(ker) == 1:
-            normals.add(ker[0])  # saturated HNF: primitive, lead > 0
-    return sorted(normals)
-
-
 def _bases(g: GradedProjection):
     """The facet rows of cone(w_sup) for every basis sup (m linearly
     independent weights), in lex order of index tuples: the ``_support_rows``
@@ -252,7 +239,11 @@ def git_fan(g: GradedProjection) -> GitFan:
     The weight cone W is cut into cells along every hyperplane spanned by
     m-1 weights (a wall) that crosses them; orbit cones are bounded by
     walls, so each cell lies in a single GIT cone, namely the one of any of
-    its interior points.  A cell is a live double-description state
+    its interior points.  The walls are the facet hyperplanes of the basis
+    cones (``_bases``), read off their rows up to sign: each facet of
+    cone(w_sigma) is spanned by m-1 of its weights, and m-1 independent
+    weights extend to a basis (the weights span Q^m) whose cone has their
+    hyperplane as a facet.  A cell is a live double-description state
     (``dd._state`` of W's rows, then ``dd._cut``): a wall n crossing it is
     inserted once as n and once as -n, one insertion per half.  Final
     cells are pointed: a line in a final cell lies in every wall, and for
@@ -279,8 +270,9 @@ def git_fan(g: GradedProjection) -> GitFan:
     full-dimensional and pointed, as the check needs.
     """
     wc = weight_cone(g)
+    bases = _bases(g)
     cells = [dd._state(g.m, wc.eq_normals, wc.ineq_normals)]
-    for nrm in _wall_normals(g):
+    for nrm in sorted({canonical_sign(n) for ineqs in bases for n in ineqs}):
         nxt = []
         for cell in cells:
             lines, rays, _, _ = cell
@@ -291,7 +283,6 @@ def git_fan(g: GradedProjection) -> GitFan:
             nxt.append(dd._cut(cell, nrm))
             nxt.append(dd._cut(cell, tuple(-x for x in nrm)))
         cells = nxt
-    bases = _bases(g)
     chambers = {}
     for _, rays, _, _ in cells:
         u = tuple(sum(col) for col in zip(*(r for r, _ in rays)))

@@ -63,8 +63,8 @@ and each multiple costs one origin solve and integer arithmetic
 (``_Frame.rows_at``, ``_Frame.box_at``).  The kernel floors and ceils the
 exact bound of each row, so the scaled rows scan the same points as rows
 built from c * X afresh; the least y-image of c * v over the vertices is
-c times the least one, so the y-box is the same too.  ``_Frame.rows`` and
-``_Frame.box`` are the case c = 1.
+c times the least one, so the y-box is the same too.  ``decompose`` and
+``_located_over`` read the case c = 1.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ class _Frame:
     x = o + sum_t y_t b_t for an integer point o of the lattice, its
     origin.  Back-substitution along the pivots inverts the map: with
     x_P the pivot coordinates of x, y_t = dual_t @ (x_P - o_P) / scale for
-    integer rows ``dual``, which ``box`` reads to bound y over a set's
+    integer rows ``dual``, which ``box_at`` reads to bound y over a set's
     vertices.  A W of full column rank leaves one point per c: the frame
     then has one zero axis pinned at 0 (no pivot, an empty dual row), so
     every scan keeps a last axis.  No W at all gives the identity frame,
@@ -221,11 +221,6 @@ class _Frame:
             rhs = [b for i, b in enumerate(rhs) if i not in drop]
         return coeffs, tuple(rhs)
 
-    def rows(self, p: Polyhedron, origin):
-        """P's constraints as integer rows a @ y <= b for x = origin + y B:
-        ``rows_at`` at c = 1."""
-        return self.rows_at(self.row_terms(p.h), 1, origin)
-
     def extent(self, points):
         """The y-images of ``points`` once per set, for ``box_at`` at every
         scale: (D, lo, hi), with D the lcm of the pivot coordinates'
@@ -261,10 +256,6 @@ class _Frame:
             o = [sum(map(mul, lam, o)) for lam in self.dual]
         return (tuple(-((t - c * a) // q) for a, t in zip(tlo, o)),
                 tuple((c * b - t) // q for b, t in zip(thi, o)))
-
-    def box(self, points, origin):
-        """Integer y-box of the hull of ``points``: ``box_at`` at c = 1."""
-        return self.box_at(self.extent(points), 1, origin)
 
     def points(self, ys, origin):
         """The x = origin + y B of the scanned y's (origin 0 if no W)."""
@@ -341,8 +332,10 @@ class _Prepared:
 
 
 def _prepare(frame: _Frame, x: _ScanSet, points=None) -> _Prepared:
-    """X prepared in ``frame``, whose normals must be constant on X; the
-    y-box bounds the hull of ``points`` (X's vertices when None)."""
+    """X prepared in ``frame``; the y-box bounds the hull of ``points``
+    (X's vertices when None).  ``origin`` needs the frame's normals
+    constant on X, and ``system`` does not (``decompose`` solves its own
+    origin in the joint frame of P and Q)."""
     v = x.v.vertices[0]
     den = lcm(*(a.denominator for a in v))
     w = [a.numerator * (den // a.denominator) for a in v]
@@ -518,10 +511,8 @@ def decompose(z, p: Polyhedron, q: Polyhedron):
     # z'' = (z - origin) - y B lies in Q: in y, Q's system at origin
     # z - origin reflected, rows and box alike
     zq = tuple(a - b for a, b in zip(z, origin))
-    pc, pb = frame.rows(p, origin)
-    qc, qb = frame.rows(q, zq)
-    plo, phi = frame.box(pverts, origin)
-    qlo, qhi = frame.box(qverts, zq)
+    pc, pb, plo, phi = _prepare(frame, p, pverts).system(1, origin)
+    qc, qb, qlo, qhi = _prepare(frame, q, qverts).system(1, zq)
     y = kernels.scan_first(pc + tuple(tuple(-a for a in row) for row in qc),
                            pb + qb, tuple(max(a, -b) for a, b in zip(plo, qhi)),
                            tuple(min(a, -b) for a, b in zip(phi, qlo)))

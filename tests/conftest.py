@@ -77,8 +77,8 @@ from normloc.fans import (Cone, cone_contains, cone_from_generators,
                           normal_fan, refines, relative_interior_contains,
                           support)
 from normloc.gitfan import (CrossCheckReport, GradedProjection,
-                            VERDICT_EXHAUSTED, _wall_normals, fiber,
-                            git_cone, realize_pair, weight_cone)
+                            VERDICT_EXHAUSTED, fiber, git_cone,
+                            realize_pair, weight_cone)
 from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_LOCATED, VERDICT_NOT_LOCATED,
                                VERDICT_VERIFIED_UP_TO, _located_over,
@@ -428,6 +428,21 @@ def git_cone_by_orbits_ref(orbits, u) -> Cone:
     return lam
 
 
+def wall_normals_ref(g: GradedProjection):
+    """Primitive normals (first nonzero entry positive) of the hyperplanes
+    spanned by m-1 weights: the saturated kernel of every (m-1)-subset of
+    distinct primitive weights whose kernel is a line; (1,) for m = 1."""
+    if g.m == 1:
+        return [(1,)]
+    distinct = sorted({primitive(w) for w in g.weights if any(w)})
+    normals = set()
+    for sub in combinations(distinct, g.m - 1):
+        ker = kernel_lattice_basis_ref(sub)
+        if len(ker) == 1:
+            normals.add(ker[0])  # HNF row: primitive, lead > 0
+    return sorted(normals)
+
+
 def git_fan_ref(g: GradedProjection):
     """``to_dict()`` of the GIT fan: every cell split along every wall,
     lower-dimensional pieces dropped, one GIT cone per cell from the orbit
@@ -435,7 +450,7 @@ def git_fan_ref(g: GradedProjection):
     wc = weight_cone(g)
     orbits = orbit_cones_ref(g)
     cells = {wc}
-    for nrm in _wall_normals(g):
+    for nrm in wall_normals_ref(g):
         neg = tuple(-x for x in nrm)
         nxt = set()
         for cell in cells:

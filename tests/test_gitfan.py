@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,7 @@ from conftest import (fiber_from_h_ref, fiber_point_sum_exact_ref,
                       multiple_making_sums_exact_ref, multiple_sweep_ref,
                       orbit_cones_ref, random_polytope, reeve,
                       refinement_iff_interior_ref, scale_ref,
-                      split_dimension_ref)
+                      split_dimension_ref, wall_normals_ref)
 from normloc import dd, exact, fans, gitfan, latpoints, polyhedra
 from normloc.cases import boundary_grading, triangle_pair
 from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
@@ -272,25 +273,39 @@ def test_git_fan_matches_every_cell_reference():
 def test_git_fan_runs_no_fiber_pass(monkeypatch):
     # with every cache cold and the fiber passes patched to raise, git_fan
     # builds every fan from its walls and bases: W's two DD passes, one per
-    # m-subset of weights (``_support_rows``) and two per chamber
+    # m-subset of weights (``_support_rows``) and two per chamber; and it
+    # cuts only along walls, each normal up to sign one of the reference's
+    # (an extra wall splits chambers into cells that share them, so the
+    # records would not show it)
     def no_fiber(*args):
         raise AssertionError(f"fiber pass {args!r}")
 
-    calls = []
+    calls, cuts = [], []
     plain = dd.generators_from_constraints
     monkeypatch.setattr(dd, "generators_from_constraints",
                         lambda *args: calls.append(args[0]) or plain(*args))
+    # git_fan's own cuts only: dd's passes cut through its module globals
+    monkeypatch.setattr(gitfan, "dd", SimpleNamespace(**{
+        **vars(dd),
+        "_cut": lambda cell, a: cuts.append(a) or dd._cut(cell, a)}))
     monkeypatch.setattr(gitfan, "_h_to_v", no_fiber)
     monkeypatch.setattr(gitfan, "_fiber_entry", no_fiber)
     rng = random.Random(113)
     grads = [boundary_grading()[0], WIDE]
     grads += [_varied_grading(rng) for _ in range(60)]
+    cut_fans = 0
     for g in grads:
         _cold_caches()
         calls.clear()
+        cuts.clear()
         gf = git_fan(g)
         assert gf.fan_verified
         assert len(calls) <= 2 + math.comb(g.n, g.m) + 2 * len(gf.git_cones)
+        walls = set(wall_normals_ref(g))
+        walls |= {tuple(-x for x in n) for n in walls}
+        assert walls.issuperset(cuts), g
+        cut_fans += bool(cuts)
+    assert cut_fans >= 50, cut_fans
 
 
 def test_git_fan_m1():

@@ -837,8 +837,7 @@ def test_prepared_sets_scan_like_scaled_reference():
                         counts["no origin"] = counts.get("no origin", 0) + 1
                         continue
                     got = prep.system(c, origin)
-                    want = (frame.rows(ref, origin)
-                            + frame.box(ref.v.vertices, origin))
+                    want = latpoints._prepare(frame, ref).system(1, origin)
                     assert got[2:] == frame_box_ref(
                         frame, ref.v.vertices, origin), (kind, x, c)
                     pts = list(kernels.scan_points(*got))
