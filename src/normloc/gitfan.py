@@ -159,11 +159,11 @@ def _fiber_entry(g: GradedProjection, u) -> _ScanSet:
 
     Every fiber reader builds each degree it reads once per call, in the
     weight-cone check (``_checked_fiber``, ``_checked_pair``), and passes
-    the entry along, which computes no facet: GIT cones, the projection
-    checks of ``realize_pair`` and ``fiber_sum_exact`` read the vertices,
-    the scans the whole set, and ``fiber`` builds a record from the
-    vertices.  All entries of a grading share its rows -x_i <= 0
-    (``_orthant_rows``) and the rows of its one ``matrix``.
+    the entry along, which computes no facet: GIT cones and
+    ``fiber_sum_exact`` read the vertices, the scans the whole set, and
+    ``fiber`` builds a record from the vertices (a realized pair lifts
+    its fibers, ``_realize``).  All entries of a grading share its rows
+    -x_i <= 0 (``_orthant_rows``) and the rows of its one ``matrix``.
 
     The equality normals are A's rows, so every fiber of the grading is
     scanned in the one frame of ker A.  Where some x_i = 0 is implied on
@@ -197,17 +197,18 @@ def git_cone(g: GradedProjection, u) -> Cone:
     forces the supporting weights to be linearly independent; GIT cones are
     therefore intersections of simplicial cones, in particular pointed.
 
-    Only the fiber's vertices are read (``_checked_fiber``, no facets).
+    Only the fiber's vertex list is read (``_checked_fiber``, no facets);
+    ``refinement_iff_interior`` passes the one its realization lifts.
     """
-    return _vertex_support_cone(g, _checked_fiber(g, u))
+    return _vertex_support_cone(g, _checked_fiber(g, u).v.vertices)
 
 
-def _vertex_support_cone(g: GradedProjection, f: _ScanSet) -> Cone:
-    """``git_cone`` off the fiber entry f: one ``cone_from_h`` of the rows
-    of every distinct vertex support (``_support_rows``, a polar DD pass)."""
+def _vertex_support_cone(g: GradedProjection, vertices) -> Cone:
+    """``git_cone`` off a fiber's vertices (any order): one ``cone_from_h``
+    of the rows of every distinct vertex support (``_support_rows``)."""
     rows = [_support_rows(g, sup)
             for sup in sorted({tuple(i for i, x in enumerate(v) if x != 0)
-                               for v in f.v.vertices})]
+                               for v in vertices})]
     return cone_from_h(g.m, ineqs=[n for _, ineqs in rows for n in ineqs],
                        eqs=[n for eqs, _ in rows for n in eqs])
 
@@ -474,7 +475,7 @@ def is_generating_candidate(g: GradedProjection, u1, u2) -> str:
     boundary are left undecided by these criteria.
     """
     u1, u2, f12, _, _ = _checked_pair(g, u1, u2)
-    lam = _vertex_support_cone(g, f12)
+    lam = _vertex_support_cone(g, f12.v.vertices)
     if not (lam.contains_point(u1) and lam.contains_point(u2)):
         return NOT_GENERATING_BY_THEOREM
     if (relative_interior_contains(lam, u1)
@@ -515,21 +516,20 @@ def realize_pair(q1: Polyhedron, q2: Polyhedron) -> RealizedPair:
     that is the rays of N(Q1') ^ N(Q2'), the normal fan of the sum; with
     l_1 > ... > l_m in lexicographic order and a_i, b_i their maxima over
     the shifted Q1, Q2, the grading on Z^(d+m) has weights (columns of
-    the functional matrix, then unit vectors) and the fibers
-    over u1 = a and u2 = b project isomorphically onto the shifted Q1, Q2.
-    The construction verifies this, and the sum identity, on vertex lists
-    before returning.
+    the functional matrix, then unit vectors) and the fibers over u1 = a,
+    u2 = b and u1 + u2 project isomorphically onto the shifted Q1, Q2 and
+    their sum, as the construction checks on facet lists (``_realize``).
     """
     return _realize(q1, q2)[0]
 
 
 def _realize(q1: Polyhedron, q2: Polyhedron):
     """The pair, whether N(Q1') refines N(Q2'), off one sum Q1' + Q2', and
-    the fiber entry of u1.
-
-    On a fiber y = u - F x, so cutting its canonical vertex and ray lists
-    to x keeps their order and primitivity (gcd(r, F r) = gcd(r)): they
-    must be the target's lists exactly."""
+    the vertices of P(u1) = {(x, u1 - F x) : x >= 0, F x <= u1}, F the
+    functionals.  x >= 0 is slack on Q1' and Q2' (both in {x >= 1}), so
+    P(u1) lifts Q1' iff every facet normal of Q1' is a row of F, the same
+    for Q2', and P(u1 + u2) lifts the sum iff u1 + u2 are its right-hand
+    sides: checks on facet lists, no fiber pass."""
     if q1.dim != q2.dim:
         raise DimensionMismatch("polyhedra live in different dimensions")
     d = q1.dim
@@ -547,24 +547,24 @@ def _realize(q1: Polyhedron, q2: Polyhedron):
     lo = [min(min(v[i] for v in q.v.vertices) for q in (q1, q2))
           for i in range(d)]
     shift = tuple(max(0, 1 - int(x)) for x in lo)
-    q1t = translate(q1, shift)
-    q2t = translate(q2, shift)
+    q1t, q2t = (translate(q, shift) for q in (q1, q2))
     total, refining = _refining_sum(q1t, q2t)
-    funcs = sorted({n for n, _ in total.h.inequalities}, reverse=True)
+    rhs = dict(total.h.inequalities)
+    funcs = sorted(rhs, reverse=True)
     # lattice vertices (checked above), so the support values are int dots
     ivs = [[tuple(map(int, v)) for v in q.v.vertices] for q in (q1t, q2t)]
     u1, u2 = (tuple(max(dot(f, v) for v in vs) for f in funcs) for vs in ivs)
-    g = graded_projection(transpose(funcs) + identity_matrix(len(funcs)))
-    built = {}
-    for u, target in ((u1, q1t), (u2, q2t),
-                      (tuple(a + b for a, b in zip(u1, u2)), total)):
-        v = _checked_fiber(g, u, built).v
-        if (tuple(x[:d] for x in v.vertices) != target.v.vertices
-                or tuple(r[:d] for r in v.rays) != target.v.rays):
+    u12 = tuple(map(add, u1, u2))
+    for u, ok in ((u1, rhs.keys() >= {n for n, _ in q1t.h.inequalities}),
+                  (u2, rhs.keys() >= {n for n, _ in q2t.h.inequalities}),
+                  (u12, rhs == dict(zip(funcs, u12)))):
+        if not ok:
             raise RealizationError(f"fiber over {u} does not project onto "
                                    "its polyhedron")
-    return (RealizedPair(g, u1, u2, tuple(funcs), shift, q1t, q2t),
-            refining, built[u1])
+    g = graded_projection(transpose(funcs) + identity_matrix(len(funcs)))
+    return (RealizedPair(g, u1, u2, tuple(funcs), shift, q1t, q2t), refining,
+            [v + tuple(a - dot(f, v) for f, a in zip(funcs, u1))
+             for v in ivs[0]])
 
 
 @dataclass(frozen=True)
@@ -612,11 +612,11 @@ def refinement_iff_interior(q1: Polyhedron, q2: Polyhedron)\
     GIT cone of u1).  The fan side is ``normal_fan_refines`` on the realized
     copies, the vertex counts of Q1 + Q2 and Q1, read off the sum the
     realization builds anyway; the GIT side is the GIT cone of u1, read
-    off the fiber entry the realization checked.  Disagreement indicates a
-    defect and is reported, not hidden.
+    off P(u1)'s vertices, which the realization lifts from Q1'.
+    Disagreement indicates a defect and is reported, not hidden.
     """
-    rp, fan_side, f1 = _realize(q1, q2)
-    lam = _vertex_support_cone(rp.projection, f1)
+    rp, fan_side, verts = _realize(q1, q2)
+    lam = _vertex_support_cone(rp.projection, verts)
     git_side = (relative_interior_contains(lam, rp.u1)
                 and lam.contains_point(rp.u2))
     return CrossCheckReport(fan_side, git_side, fan_side == git_side, rp)

@@ -59,7 +59,8 @@ one ``gcd`` on int entries, a column-major recursion over slacks).
 rows: the form every scan took before the scans moved to the lattice
 coordinates of the affine hull.  The kernels run on it are the reference
 for the frame scans of ``latpoints``, and ``fiber_from_h_ref`` (a fresh
-``from_h`` per degree) for the fibers built by scaling.
+``from_h`` per degree) for the fibers built by scaling and for the fibers
+that ``realize_pair`` lifts off the pair instead of building them.
 """
 
 import random
@@ -355,6 +356,16 @@ def random_polytope(rng: random.Random, d: int, bound: int,
             continue
         if not full_dim or p.affine_dimension() == d:
             return p
+
+
+# rays of common tails in the nonnegative orthant, by dimension: the
+# tails a realized pair may have
+TAILS = {1: (((1,),),),
+         2: (((1, 0),), ((0, 1),), ((1, 1),), ((1, 0), (0, 1)),
+             ((1, 0), (1, 2)), ((0, 1), (3, 1))),
+         3: (((0, 0, 1),), ((1, 1, 1),), ((1, 0, 0), (0, 1, 0)),
+             ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+             ((1, 1, 0), (0, 1, 1), (1, 0, 1)), ((1, 2, 0), (0, 0, 1)))}
 
 
 def reeve(h: int) -> Polyhedron:

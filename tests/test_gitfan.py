@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (fiber_from_h_ref, fiber_point_sum_exact_ref,
+from conftest import (TAILS, fiber_from_h_ref, fiber_point_sum_exact_ref,
                       fiber_sum_exact_ref, git_cone_ref, git_fan_ref,
                       located_multiple_search_ref,
                       multiple_making_sums_exact_ref, multiple_sweep_ref,
@@ -139,7 +139,7 @@ def test_scaled_fibers_match_fresh_from_h(monkeypatch):
 
 
 def test_vertex_readers_build_no_fiber_facets(monkeypatch):
-    # git_fan reads no fiber, git_cone and realize_pair only the fibers'
+    # git_fan and realize_pair read no fiber, git_cone only the fibers'
     # vertices: with every cache cold, no V-to-H pass runs on any fiber
     calls = []
     plain = gitfan._from_canonical_v
@@ -695,8 +695,8 @@ def _pair_readers(g, u1, u2):
 def test_each_reader_builds_each_degree_once(monkeypatch):
     # each reader call runs one fiber H-to-V pass (the orthant rows and
     # A x = u, nothing more) per distinct degree it reads: u1 == u2 and a
-    # zero degree share a pass, and refinement_iff_interior reads its GIT
-    # cone off the P(u1) the realization built
+    # zero degree share a pass; realize_pair and refinement_iff_interior
+    # run none, as they lift their fibers off the pair
     passes = []
     plain = gitfan._h_to_v
 
@@ -727,7 +727,7 @@ def test_each_reader_builds_each_degree_once(monkeypatch):
             degrees = {rp.u1, rp.u2, tuple(x + y for x, y
                                            in zip(rp.u1, rp.u2))}
             assert len(degrees) == 3 - (a is b), (a, b)
-            cases += [(lambda a=a, b=b, f=f: f(a, b), degrees)
+            cases += [(lambda a=a, b=b, f=f: f(a, b), set())
                       for f in (realize_pair, refinement_iff_interior)]
     for call, degrees in cases:
         passes.clear()
@@ -962,17 +962,104 @@ def test_realize_pair_segments():
     assert d["u1"] == [2, -1]
 
 
+def _realize_cases(rng, rounds):
+    """Per round and dimension 1-3: a bounded pair, a refining pair
+    (Q1 = Q2 + R) and a pair with a common tail, each summand moved by its
+    own offset so that the shift varies."""
+    pairs = []
+    for _ in range(rounds):
+        for d, bound in ((1, 5), (2, 3), (3, 2)):
+            def poly(tail=(), d=d, bound=bound):
+                off = [rng.randint(-2, 2) for _ in range(d)]
+                verts = random_polytope(rng, d, bound).v.vertices
+                return from_v(VRep(tuple(tuple(x + o for x, o in zip(v, off))
+                                         for v in verts), tail))
+            q2 = poly()
+            pairs += [(poly(), q2), (minkowski_sum(poly(), q2), q2)]
+            tail = rng.choice(TAILS[d])
+            pairs.append((poly(tail), poly(tail)))
+    return pairs
+
+
 def test_realize_pair_round_trips_through_fibers():
+    # the fibers over u1, u2 and u1 + u2, each built by a fresh from_h and
+    # cut to the first d coordinates, have exactly the vertex and ray
+    # lists of Q1', Q2' and their sum, and P(u1)'s vertices are the ones
+    # the realization lifts from Q1' without building a fiber
     rng = random.Random(67)
-    for _ in range(8):
-        q1 = random_polytope(rng, 2, 4)
-        q2 = random_polytope(rng, 2, 4)
+    pairs = _realize_cases(rng, 7)
+    for q1, q2 in pairs:
         rp = realize_pair(q1, q2)
-        # the construction self-verifies; spot-check the functional values
+        d, g = q1.dim, rp.projection
+        u12 = tuple(a + b for a, b in zip(rp.u1, rp.u2))
+        for u, target in ((rp.u1, rp.q1), (rp.u2, rp.q2),
+                          (u12, minkowski_sum(rp.q1, rp.q2))):
+            f = fiber_from_h_ref(g, u)
+            assert tuple(v[:d] for v in f.v.vertices) == target.v.vertices
+            assert tuple(r[:d] for r in f.v.rays) == target.v.rays
+        lifted = gitfan._realize(q1, q2)[2]
+        assert tuple(lifted) == fiber_from_h_ref(g, rp.u1).v.vertices
+        # the functional values are the maxima over the shifted Q1
         t1 = translate(q1, rp.translation)
         for f, val in zip(rp.functionals, rp.u1):
             assert max(sum(a * b for a, b in zip(f, v))
                        for v in t1.v.vertices) == val
+    assert len(pairs) >= 60
+    assert sum(bool(q.v.rays) for q, _ in pairs) >= 15
+    assert sum(q.dim == 3 for q, _ in pairs) >= 10
+
+
+def test_realize_readers_run_no_fiber_pass(monkeypatch):
+    # with the fiber passes patched to raise, realize_pair and
+    # refinement_iff_interior answer as the reference does, whose GIT side
+    # reads a fiber built before the patch: both lift P(u1) off Q1'
+    def no_fiber(*args):
+        raise AssertionError(f"fiber pass {args!r}")
+
+    rng = random.Random(131)
+    pairs = _realize_cases(rng, 4)
+    want = [(repr(realize_pair(q1, q2)),
+             repr(refinement_iff_interior_ref(q1, q2))) for q1, q2 in pairs]
+    monkeypatch.setattr(gitfan, "_h_to_v", no_fiber)
+    monkeypatch.setattr(gitfan, "_fiber_entry", no_fiber)
+    got = [(repr(realize_pair(q1, q2)), repr(refinement_iff_interior(q1, q2)))
+           for q1, q2 in pairs]
+    assert got == want
+    assert sum(refinement_iff_interior(q1, q2).refines_normal_fans
+               for q1, q2 in pairs) >= 12
+
+
+def test_realize_pair_rejects_a_sum_its_fibers_miss(monkeypatch):
+    # planted wrong sums, each caught by RealizationError in both readers:
+    # (a) 2 Q1' where N(Q1) does not refine N(Q2), whose facets miss a
+    # facet normal of Q2'; (b) Q1' + Q2' moved by a nonzero lattice vector,
+    # with the right facet normals but the wrong right-hand sides
+    plain = gitfan._refining_sum
+    rng = random.Random(137)
+    coarse = []
+    while len(coarse) < 8:
+        q1, q2 = (random_polytope(rng, 2, 3) for _ in range(2))
+        if not normal_fan_refines(q1, q2):
+            coarse.append((q1, q2))
+    for q1, q2 in coarse:
+        normals = {n for n, _ in q1.h.inequalities}
+        assert any(n not in normals for n, _ in q2.h.inequalities)
+    monkeypatch.setattr(gitfan, "_refining_sum",
+                        lambda a, b: (scale(a, 2), False))
+    for q1, q2 in coarse:
+        for reader in (realize_pair, refinement_iff_interior):
+            with pytest.raises(RealizationError, match="does not project"):
+                reader(q1, q2)
+    pairs = _realize_cases(rng, 2)
+    for q1, q2 in pairs:
+        t = [0] * q1.dim
+        while not any(t):
+            t = [rng.randint(-2, 2) for _ in t]
+        monkeypatch.setattr(gitfan, "_refining_sum", lambda a, b, t=t: (
+            translate(plain(a, b)[0], t), plain(a, b)[1]))
+        for reader in (realize_pair, refinement_iff_interior):
+            with pytest.raises(RealizationError, match="does not project"):
+                reader(q1, q2)
 
 
 def test_realize_pair_functionals_are_the_refined_fan_rays():
@@ -980,8 +1067,6 @@ def test_realize_pair_functionals_are_the_refined_fan_rays():
     # takes the rays of N(Q1') ^ N(Q2') on bounded 2-d and 3-d pairs
     # (unrelated and refining) and on 2-d pairs with a common tail
     rng = random.Random(97)
-    tails = (((1, 0),), ((0, 1),), ((1, 1),), ((1, 0), (0, 1)),
-             ((1, 0), (1, 2)), ((0, 1), (3, 1)))
     pairs = []
     for _ in range(10):
         q2 = random_polytope(rng, 2, 4)
@@ -990,7 +1075,7 @@ def test_realize_pair_functionals_are_the_refined_fan_rays():
     for _ in range(8):
         pairs.append((random_polytope(rng, 3, 2), random_polytope(rng, 3, 2)))
     for _ in range(12):
-        tail = rng.choice(tails)
+        tail = rng.choice(TAILS[2])
         pairs.append(tuple(from_v(VRep(random_polytope(rng, 2, 3).v.vertices,
                                        tail)) for _ in range(2)))
     assert len(pairs) >= 40
@@ -1207,7 +1292,7 @@ def test_refinement_iff_interior_matches_normal_fan_copy():
         q1, q2 = random_polytope(rng, 3, 2), random_polytope(rng, 3, 2)
         pairs += [(q1, q2), (minkowski_sum(q1, q2), q2)]
     for _ in range(6):
-        tail = rng.choice(tails)
+        tail = rng.choice(TAILS[2])
         pairs.append(tuple(from_v(VRep(random_polytope(rng, 2, 3).v.vertices,
                                        tail)) for _ in range(2)))
     refining = set()
