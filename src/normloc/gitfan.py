@@ -107,63 +107,28 @@ def weight_cone(g: GradedProjection) -> Cone:
     return cone_from_generators(g.m, rays=g.weights)
 
 
-def _checked_fiber(g: GradedProjection, u, built=None) -> _ScanSet:
-    """The ``_fiber_entry`` of the degree u (m integers), and
-    WeightOutsideCone when it is empty: the fiber holds the nonnegative
-    combinations of the weights hitting u, so it is nonempty exactly when u
-    lies in the weight cone, a cheap test for wide projections, where the
-    weight cone's facet description can be enormous.  Checks that share
-    one dict ``built`` of entries by degree build each degree once."""
+def _degree(g: GradedProjection, u):
+    """The degree u as m integers; DimensionMismatch on any other length."""
     u = tuple(as_int(x) for x in u)
     if len(u) != g.m:
         raise DimensionMismatch(f"degree has length {len(u)}, grading "
                                 f"maps onto Z^{g.m}")
-    if built is None:
-        built = {}
-    if u not in built:
-        try:
-            built[u] = _fiber_entry(g, u)
-        except EmptyPolyhedron:
-            raise WeightOutsideCone(f"degree {u} lies outside the weight cone")
-    return built[u]
-
-
-def _checked_pair(g: GradedProjection, u1, u2):
-    """(u1, u2, P(u1 + u2), P(u1), P(u2)) of a degree pair, u1 checked
-    before u2; u1 + u2 lies in the cone too.  Each distinct degree is built
-    once: u1 == u2, or a zero degree, shares an entry."""
-    built = {}
-    f1, f2 = (_checked_fiber(g, u, built) for u in (u1, u2))
-    # the checked degrees: the right-hand sides of A x = u
-    u1, u2 = (tuple(b for _, b in f.h.equalities) for f in (f1, f2))
-    return u1, u2, _checked_fiber(g, tuple(map(add, u1, u2)), built), f1, f2
-
-
-def fiber(g: GradedProjection, u) -> Polyhedron:
-    """The fiber polyhedron P(u) = {x >= 0 : pi(x) = u} in Q^n, as
-    ``from_h`` gives it, its facets computed off the entry's vertices."""
-    v = _checked_fiber(g, u).v
-    return _from_canonical_v(g.n, v.vertices, v.rays)
-
-
-@lru_cache
-def _orthant_rows(n: int):
-    """The rows -x_i <= 0, one tuple shared by every fiber in Q^n."""
-    return tuple((tuple(-x for x in e), 0) for e in identity_matrix(n))
+    return u
 
 
 def _fiber_entry(g: GradedProjection, u) -> _ScanSet:
-    """P(u) as a ``latpoints._ScanSet``: the rows -x_i <= 0 and A x = u
-    (A = ``g.matrix``) with the canonical vertices and rays of their one
-    H-to-V pass; EmptyPolyhedron when u lies outside the weight cone.
+    """P(u) of a checked degree u (``_degree``) as a ``latpoints._ScanSet``:
+    the rows -x_i <= 0 and A x = u (A = ``g.matrix``) with the canonical
+    vertices and rays of their one H-to-V pass.  The fiber is empty exactly
+    when u lies outside the weight cone, which raises WeightOutsideCone: a
+    cheap test for wide projections, whose weight cone can have very many
+    facets.
 
-    Every fiber reader builds each degree it reads once per call, in the
-    weight-cone check (``_checked_fiber``, ``_checked_pair``), and passes
-    the entry along, which computes no facet: GIT cones and
-    ``fiber_sum_exact`` read the vertices, the scans the whole set, and
-    ``fiber`` builds a record from the vertices (a realized pair lifts
-    its fibers, ``_realize``).  All entries of a grading share its rows
-    -x_i <= 0 (``_orthant_rows``) and the rows of its one ``matrix``.
+    Every fiber reader builds each degree it reads once per call
+    (``fiber``, ``git_cone``, ``_checked_pair``) and passes the entry
+    along, which computes no facet: GIT cones and ``fiber_sum_exact`` read
+    the vertices, the scans the whole set, and ``fiber`` builds a record
+    from the vertices (a realized pair lifts its fibers, ``_realize``).
 
     The equality normals are A's rows, so every fiber of the grading is
     scanned in the one frame of ker A.  Where some x_i = 0 is implied on
@@ -171,9 +136,36 @@ def _fiber_entry(g: GradedProjection, u) -> _ScanSet:
     points of P(u) are the same in either frame, and the Hermite basis of
     ker A keeps lex order, so a witness is still the lex-least one.
     """
-    h = HRep(_orthant_rows(g.n), tuple(zip(g.matrix, u)))
-    verts, rays = _h_to_v(g.n, h)
+    h = HRep(tuple((tuple(-x for x in e), 0) for e in identity_matrix(g.n)),
+             tuple(zip(g.matrix, u)))
+    try:
+        verts, rays = _h_to_v(g.n, h)
+    except EmptyPolyhedron:
+        raise WeightOutsideCone(f"degree {u} lies outside the weight cone")
     return _ScanSet(g.n, h, VRep(tuple(verts), tuple(rays)))
+
+
+def _checked_pair(g: GradedProjection, u1, u2):
+    """(u1, u2, P(u1 + u2), P(u1), P(u2)) of a degree pair, the degrees as
+    ``_degree`` checks them; u1 is checked and built before u2 is read, and
+    u1 + u2 lies in the cone too.  Each distinct degree is built once:
+    u1 == u2, or a zero degree, shares an entry."""
+    u1 = _degree(g, u1)
+    built = {u1: _fiber_entry(g, u1)}
+    u2 = _degree(g, u2)
+    u12 = tuple(map(add, u1, u2))
+    for u in (u2, u12):
+        if u not in built:
+            built[u] = _fiber_entry(g, u)
+    return u1, u2, built[u12], built[u1], built[u2]
+
+
+def fiber(g: GradedProjection, u) -> Polyhedron:
+    """The fiber polyhedron P(u) = {x >= 0 : pi(x) = u} in Q^n, as
+    ``from_h`` gives it, its facets computed off the vertices of the one
+    ``_fiber_entry`` of the checked degree."""
+    v = _fiber_entry(g, _degree(g, u)).v
+    return _from_canonical_v(g.n, v.vertices, v.rays)
 
 
 def _support_rows(g: GradedProjection, sup):
@@ -197,10 +189,10 @@ def git_cone(g: GradedProjection, u) -> Cone:
     forces the supporting weights to be linearly independent; GIT cones are
     therefore intersections of simplicial cones, in particular pointed.
 
-    Only the fiber's vertex list is read (``_checked_fiber``, no facets);
+    Only the fiber's vertex list is read (``_fiber_entry``, no facets);
     ``refinement_iff_interior`` passes the one its realization lifts.
     """
-    return _vertex_support_cone(g, _checked_fiber(g, u).v.vertices)
+    return _vertex_support_cone(g, _fiber_entry(g, _degree(g, u)).v.vertices)
 
 
 def _vertex_support_cone(g: GradedProjection, vertices) -> Cone:
@@ -529,7 +521,8 @@ def _realize(q1: Polyhedron, q2: Polyhedron):
     functionals.  x >= 0 is slack on Q1' and Q2' (both in {x >= 1}), so
     P(u1) lifts Q1' iff every facet normal of Q1' is a row of F, the same
     for Q2', and P(u1 + u2) lifts the sum iff u1 + u2 are its right-hand
-    sides: checks on facet lists, no fiber pass."""
+    sides: checks on facet lists, no fiber pass.  The identity block of the
+    weights (F | I) makes the grading surjective, with no Hermite form."""
     if q1.dim != q2.dim:
         raise DimensionMismatch("polyhedra live in different dimensions")
     d = q1.dim
@@ -561,7 +554,8 @@ def _realize(q1: Polyhedron, q2: Polyhedron):
         if not ok:
             raise RealizationError(f"fiber over {u} does not project onto "
                                    "its polyhedron")
-    g = graded_projection(transpose(funcs) + identity_matrix(len(funcs)))
+    m = len(funcs)
+    g = GradedProjection(d + m, m, transpose(funcs) + identity_matrix(m))
     return (RealizedPair(g, u1, u2, tuple(funcs), shift, q1t, q2t), refining,
             [v + tuple(a - dot(f, v) for f, a in zip(funcs, u1))
              for v in ivs[0]])

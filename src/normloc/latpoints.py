@@ -37,9 +37,9 @@ like the equalities of P and Q.
 The location engine reads its sets as *scan sets* (``_ScanSet``): a
 dimension, rows and canonical generators, with no facet computed.  A
 ``Polyhedron`` record is one as it is; a fiber P(u) of a grading with
-matrix A is one of the rows x >= 0 and A x = u and the vertices of their
-one H-to-V pass (``gitfan._fiber_entry``), built once per degree a call
-reads, and a window's S = R cap W is one of R's rows, the box rows and
+matrix A is one of the rows -x_i <= 0 and A x = u and the vertices of
+their one H-to-V pass (``gitfan._fiber_entry``), built once per degree a
+call reads, and a window's S = R cap W is one of R's rows, the box rows and
 the vertices of their one H-to-V pass (``_clip``).  The contract: rows
 may be redundant, equalities are integer rows with integer right-hand
 sides, the generators are canonical (lex-sorted vertices, sorted
@@ -142,8 +142,8 @@ class _ScanSet:
 
     ``gitfan._fiber_entry`` and ``_clip`` build one from rows the caller
     already knows and the vertices of one H-to-V pass; a fiber entry
-    shares its grading's rows x >= 0 and A with every other, and a call
-    builds each degree it reads once.  Multiples c * X are not built at
+    shares its grading's rows of A with every other, and a call builds
+    each degree it reads once.  Multiples c * X are not built at
     all, but scanned off X's ``_Prepared`` system.  A scan set never
     reaches a caller: ``Polyhedron`` equality compares records, and a scan
     set's rows are not canonical.

@@ -736,11 +736,14 @@ def test_each_reader_builds_each_degree_once(monkeypatch):
         except Unbounded:
             pass
         assert sorted(passes) == sorted(degrees), (passes, degrees)
-    # the entries of one grading share its orthant rows and matrix rows
+    # the entries of one grading have the orthant rows -e_i and share its
+    # matrix rows
     g, u1, u2 = boundary_grading()
     assert g.matrix is g.matrix
     a, b = (gitfan._fiber_entry(g, u) for u in (u1, u2))
-    assert a.h.inequalities is b.h.inequalities
+    orthant = tuple((tuple(-int(i == j) for j in range(g.n)), 0)
+                    for i in range(g.n))
+    assert a.h.inequalities == b.h.inequalities == orthant
     assert all(x is y is row for (x, _), (y, _), row
                in zip(a.h.equalities, b.h.equalities, g.matrix))
 
@@ -781,6 +784,58 @@ def test_readers_raise_outside_the_weight_cone_exactly():
                           random_polytope(rng, 2, 3))
         wc = weight_cone(rp.projection)
         assert wc.contains_point(rp.u1) and wc.contains_point(rp.u2)
+
+
+def test_readers_check_degrees_in_order():
+    # every fiber reader checks and builds u1 before it reads u2: u1
+    # outside the weight cone is named even when u2 has the wrong length,
+    # u1 of the wrong length raises DimensionMismatch whatever u2 is, and
+    # an entry that is no integer is rejected as such in either degree
+    rng = random.Random(139)
+    graded = 0
+    while graded < 12:
+        g = _random_grading(rng)
+        wc = weight_cone(g)
+        pts = [tuple(rng.randint(-3, 3) for _ in range(g.m))
+               for _ in range(8)]
+        out = [u for u in pts if not wc.contains_point(u)]
+        ins = [u for u in pts if wc.contains_point(u)]
+        if not (out and ins):
+            continue
+        graded += 1
+        o, i = out[0], ins[0]
+        wrong = [i[:-1], i + (0,)]
+
+        def bad(entry):
+            j = rng.randrange(g.m)
+            return i[:j] + (entry,) + i[j + 1:]
+
+        outside = (WeightOutsideCone, f"degree {o} lies outside the weight "
+                                      "cone")
+        cases = []
+        for f in (fiber, git_cone):
+            cases.append((lambda f=f: f(g, o), outside))
+        for w in wrong:
+            length = (DimensionMismatch, f"degree has length {len(w)}, "
+                                         f"grading maps onto Z^{g.m}")
+            for f in (fiber, git_cone):
+                cases.append((lambda f=f, w=w: f(g, w), length))
+            cases += [(f, outside) for f in _pair_readers(g, o, w)]
+            cases += [(f, length) for f in _pair_readers(g, i, w)]
+            for u2 in (o, i, w, wrong[0], bad(0.5)):
+                cases += [(f, length) for f in _pair_readers(g, w, u2)]
+        for entry in (0.5, "1/2", True):
+            entry_error = (NormlocError, f"not an integer: {entry!r}")
+            b = bad(entry)
+            for f in (fiber, git_cone):
+                cases.append((lambda f=f, b=b: f(g, b), entry_error))
+            for u2 in (o, i, wrong[0]):
+                cases += [(f, entry_error) for f in _pair_readers(g, b, u2)]
+            cases += [(f, entry_error) for f in _pair_readers(g, i, b)]
+        for call, (err, msg) in cases:
+            with pytest.raises(NormlocError) as exc:
+                call()
+            assert (type(exc.value), str(exc.value)) == (err, msg), g
 
 
 def _outcome(fn, *args):
@@ -1027,6 +1082,26 @@ def test_realize_readers_run_no_fiber_pass(monkeypatch):
     assert got == want
     assert sum(refinement_iff_interior(q1, q2).refines_normal_fans
                for q1, q2 in pairs) >= 12
+
+
+def test_realize_readers_run_no_hermite_form(monkeypatch):
+    # the weights (F | I) span Z^m through their identity block, so the
+    # realization builds its grading without a Hermite form; the validated
+    # constructor, run outside the patch, accepts the same grading
+    def no_hnf(*args):
+        raise AssertionError(f"Hermite form {args!r}")
+
+    rng = random.Random(149)
+    pairs = _realize_cases(rng, 2)
+    want = [(realize_pair(q1, q2), refinement_iff_interior(q1, q2))
+            for q1, q2 in pairs]
+    for rp, _ in want:
+        assert graded_projection(rp.projection.weights) == rp.projection
+    with monkeypatch.context() as patch:
+        patch.setattr(gitfan, "hermite_normal_form", no_hnf)
+        got = [(realize_pair(q1, q2), refinement_iff_interior(q1, q2))
+               for q1, q2 in pairs]
+    assert got == want
 
 
 def test_realize_pair_rejects_a_sum_its_fibers_miss(monkeypatch):

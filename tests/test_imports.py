@@ -32,8 +32,6 @@ CACHES = {
     "exact.identity_matrix": "the DD and every frame start from it; its "
                              "memo was part of a measured gitfan speed-up",
     "gitfan.weight_cone": "perfbench's self-test reads its cache_info",
-    "gitfan._orthant_rows": "one tuple of rows -x_i <= 0 shared by every "
-                            "fiber in Q^n, hit once per fiber build",
 }
 
 
