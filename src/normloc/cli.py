@@ -18,11 +18,12 @@ from .cases import boundary_grading, triangle_pair
 from .errors import NormlocError
 from .exact import positive_int
 from .fans import normal_fan
-from .gitfan import (VERDICT_EXHAUSTED, fiber, fiber_point_sum_exact,
-                     git_fan, graded_projection_from_dict,
-                     located_multiple_search, multiple_making_sums_exact,
-                     normal_fan_refines, realize_pair)
-from .latpoints import VERDICT_NOT_LOCATED, is_normal, normally_located
+from .gitfan import (fiber, fiber_point_sum_exact, git_fan,
+                     graded_projection_from_dict, located_multiple_search,
+                     multiple_making_sums_exact, normal_fan_refines,
+                     realize_pair)
+from .latpoints import (VERDICT_EXHAUSTED, VERDICT_NOT_LOCATED, is_normal,
+                        normally_located)
 from .polyhedra import polyhedron_from_dict, polyhedron_to_dict
 
 
@@ -75,11 +76,7 @@ def _emit(payload):
 
 
 def _report_exit(report):
-    if report.verdict == VERDICT_NOT_LOCATED:
-        return 1
-    if report.verdict == VERDICT_EXHAUSTED:
-        return 1
-    return 0
+    return int(report.verdict in (VERDICT_NOT_LOCATED, VERDICT_EXHAUSTED))
 
 
 def _cmd_normal_check(args):

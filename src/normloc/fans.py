@@ -74,12 +74,13 @@ def _clean(dim, vectors):
 
 
 def cone_from_generators(dim: int, rays=(), lines=()) -> Cone:
-    """The cone lin(lines) + cone(rays).  Zero generators are dropped."""
-    rays0 = _clean(dim, rays)
-    lines0 = _clean(dim, lines)
-    eqs, ineqs = dd.generators_from_constraints(dim, lines0, rays0)
-    glines, grays = dd.generators_from_constraints(dim, eqs, ineqs)
-    return _assemble(dim, glines, grays, eqs, ineqs)
+    """The cone lin(lines) + cone(rays).  Zero generators are dropped.
+
+    The record of its polar, ``cone_from_h`` of the same vectors, holds the
+    same four lists with rays and facet normals, and lines and equality
+    normals, in swapped roles."""
+    c = cone_from_h(dim, ineqs=rays, eqs=lines)
+    return Cone(dim, c.ineq_normals, c.eq_normals, c.rays, c.lines)
 
 
 def cone_from_h(dim: int, ineqs=(), eqs=()) -> Cone:
@@ -100,10 +101,14 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
 
 
 def dual_cone(c: Cone) -> Cone:
-    """All functionals nonnegative on c (zero on its lines)."""
-    return cone_from_h(c.dim,
-                       ineqs=tuple(tuple(-x for x in r) for r in c.rays),
-                       eqs=c.lines)
+    """All functionals nonnegative on c (zero on its lines), read off c's
+    record with no DD pass: lines and equality normals swap roles, and so
+    do rays and facet normals, negated (which keeps them primitive and
+    reduced) and sorted again."""
+    def neg(vectors):
+        return tuple(sorted(tuple(-x for x in v) for v in vectors))
+    return Cone(c.dim, neg(c.ineq_normals), c.eq_normals, neg(c.rays),
+                c.lines)
 
 
 def cone_contains(outer: Cone, inner: Cone) -> bool:

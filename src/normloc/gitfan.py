@@ -24,24 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import add, sub
+from operator import add
 
 from . import dd
 from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      NotFullDimensional, NotLattice, RealizationError,
-                     SupportMismatch, TailConeMismatch, Unbounded,
-                     WeightOutsideCone)
+                     SupportMismatch, TailConeMismatch, WeightOutsideCone)
 from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
-                    identity_matrix, positive_int, transpose)
+                    identity_matrix, transpose)
 from .fans import (Cone, _tiles, cone_from_generators, cone_from_h,
                    relative_interior_contains)
-from .latpoints import (LocationReport, VERDICT_VERIFIED_UP_TO,
-                        _first_unsplit, _located_over, _prepared, _ScanSet)
+from .latpoints import (LocationReport, _located_over, _multiple_sweep,
+                        _ScanSet)
 from .polyhedra import (HRep, Polyhedron, VRep, _from_canonical_v, _h_to_v,
-                        _int_vertices, minkowski_sum, translate)
+                        minkowski_sum, translate)
 from .reps import NOT_IN_SUM, Witness
-
-VERDICT_EXHAUSTED = "exhausted"
 
 GENERATING_BY_THEOREM = "generating_by_theorem"
 NOT_GENERATING_BY_THEOREM = "not_generating_by_theorem"
@@ -327,119 +324,6 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
     return LocationReport(report.verdict, witness, checked)
 
 
-def _split_dimension(r: _ScanSet, p: _ScanSet, q: _ScanSet):
-    """The affine dimension d of a bounded R when R is vertex-split over
-    (P, Q), else None.
-
-    R is vertex-split when each of its vertices is a + b with a an
-    integral vertex of P and b one of Q: a check on the vertex lists.
-    Then R's vertices are lattice points, and d is the rank of their
-    differences."""
-    ints = [[tuple(map(int, v)) for v in x.v.vertices
-             if all(a.denominator == 1 for a in v)] for x in (p, q)]
-    sums = {tuple(map(add, a, b)) for a in ints[0] for b in ints[1]}
-    verts = _int_vertices(r.v.vertices)
-    if not sums.issuperset(verts):
-        return None
-    v0, *rest = verts
-    diffs = [tuple(map(sub, v, v0)) for v in rest]
-    return sum(map(any, hermite_normal_form(diffs)))
-
-
-def _multiple_sweep(k_max: int, s_max: int, r: _ScanSet, p: _ScanSet,
-                    q: _ScanSet):
-    """Search k <= k_max with every lattice point of m * R splitting over
-    (m * P, m * Q) for m = s * k and every s <= s_max.  R, P and Q are scan
-    sets (``latpoints._ScanSet``) at m = 1, and R contains P + Q (R is
-    P + Q for a pair, and P(u1 + u2) contains P(u1) + P(u2)).
-
-    The three sets are prepared once in R's frame, and each multiple is
-    one ``_first_unsplit`` at scales (m, m, m): only right-hand sides,
-    origins and y-boxes change with m.  No step has a window, so each is
-    located or not; an R with rays raises Unbounded before the first step
-    (every m gives R the same rays).  A step depends on (k, s) only
-    through m, so each m is checked once and its answer reused, as for
-    (1, 2) and (2, 1).
-
-    Call level m *located* when every lattice point of m * R splits over
-    the lattice points of (m * P, m * Q).  Let d be the affine dimension
-    of R, and call R *vertex-split* when each vertex of R is a + b with a
-    an integral vertex of P and b one of Q (``_split_dimension``).  For
-    vertex-split R:
-
-    (a) if levels 1..d are located, every level is;
-    (b) if level m - 1 >= d is located, so is level m.
-
-    Checking vertex sums is exact: were a vertex v of R a + b over any
-    lattice points a of P and b of Q, then v would lie in P + Q, inside R,
-    and so be a vertex of P + Q, the only maximizer over P + Q of some
-    linear c.  Then c.a + c.b is the sum of the maxima of c over P and Q,
-    so a and b maximize c there, and uniquely: another maximizer a' of P
-    would make a' + b a second one of P + Q.  So a and b are vertices.
-
-    Proof.  Let v_i = a_i + b_i be R's vertices, all lattice points, and z
-    a lattice point of m * R.  z / m lies in R = conv(v_i), inside aff R
-    of dimension d, so by Caratheodory in aff R it is a convex combination
-    of at most d + 1 affinely independent vertices: z = sum lambda_i v_i
-    with lambda_i >= 0, sum lambda_i = m, at most d + 1 terms.
-
-    (a) Put z0 = z - sum floor(lambda_i) v_i = sum {lambda_i} v_i, a
-    lattice point as the v_i are.  m' = sum {lambda_i} is an integer, as
-    m and every floor are, and each of at most d + 1 fractional parts is
-    below 1, so 0 <= m' <= min(m, d).  For m' = 0, z0 = 0 and
-    z = sum floor(lambda_i) a_i + sum floor(lambda_i) b_i, lattice points
-    of m * P and m * Q (a sum of j points of a convex set X lies in j X).
-    Otherwise z0 / m' is a convex combination of vertices, so z0 is a
-    lattice point of m' * R, and level m' <= d splits it as z0' + z0''.
-    Then z = (z0' + sum floor(lambda_i) a_i)
-    + (z0'' + sum floor(lambda_i) b_i), over m' * P + (m - m') * P = m * P
-    and the same for Q.  For d = 0, R is the one lattice point a + b,
-    every m' is 0, and every level holds with nothing scanned.
-
-    (b) Now m >= d + 1 and at most d + 1 terms sum to m, so some
-    lambda_i >= m / (d + 1) >= 1.  Then z - v_i has the coefficients
-    lambda_i - 1 >= 0 and the others, summing to m - 1, so it is a lattice
-    point of (m - 1) * R (of 0 * R = {0} for d = 0 and m = 1, which splits
-    as 0 + 0).  Level m - 1 splits it as w' + w'', and
-    z = (w' + a_i) + (w'' + b_i).
-
-    So at step k the sweep scans s = 1..min(s_max, ceil(d / k)) only:
-    were every level s * k up to that cap c located, c * k >= d and (b)
-    would give every later level.  The cap drops no failure, so verdicts,
-    witnesses and failures are those of the full loop; an R that is not
-    vertex-split (rational vertices, or vertices that split over no lattice
-    points) is scanned at every (k, s) as before.  A ``verified_up_to``
-    report says in checked["all_scales"] whether step k holds for every s:
-    true exactly when R is vertex-split and k * s_max >= d."""
-    positive_int(k_max, "k_max")
-    positive_int(s_max, "s_max")
-    if r.v.rays:
-        raise Unbounded("the multiple sweep checks bounded sets only, "
-                        "and the set to split has rays")
-    d = _split_dimension(r, p, q)
-    sets = _prepared(r, p, q)
-    witnesses = {}
-    failures = []
-    for k in range(1, k_max + 1):
-        top = s_max if d is None else min(s_max, -(-d // k))
-        for s in range(1, top + 1):
-            m = s * k
-            if m not in witnesses:
-                witnesses[m] = _first_unsplit(*sets, (m, m, m))
-            z = witnesses[m]
-            if z is not None:
-                failures.append([k, s, list(z)])
-                break
-        else:
-            return LocationReport(VERDICT_VERIFIED_UP_TO, None,
-                                  {"k": k, "k_max": k_max, "s_max": s_max,
-                                   "all_scales": d is not None
-                                   and k * s_max >= d})
-    return LocationReport(VERDICT_EXHAUSTED, None,
-                          {"k_max": k_max, "s_max": s_max,
-                           "failures": failures})
-
-
 def multiple_making_sums_exact(g: GradedProjection, u1, u2,
                                k_max: int, s_max: int) -> LocationReport:
     """Search a multiple k <= k_max making the lattice point splitting of
@@ -447,8 +331,9 @@ def multiple_making_sums_exact(g: GradedProjection, u1, u2,
 
     Verdict "verified_up_to" reports the first such k (in checked["k"]),
     and checked["all_scales"] says whether it holds for every s
-    (``_multiple_sweep``); "exhausted" means every k failed, with the
-    first failing scale and witness per k recorded in checked["failures"].
+    (``latpoints._multiple_sweep``); "exhausted" means every k failed,
+    with the first failing scale and witness per k recorded in
+    checked["failures"].
     The fiber at m * u is m * P(u), so the sweep builds the entries of
     u1 + u2, u1 and u2 only (``_checked_pair``), however many multiples it
     checks, and scales their systems.  Fibers with rays raise Unbounded.
@@ -630,7 +515,7 @@ def located_multiple_search(q1: Polyhedron, q2: Polyhedron,
     (Q1 + Q2, Q1, Q2), so the DD runs only for the sum.  For lattice Q1
     and Q2 it scans s <= ceil(d / k) only, d = dim(Q1 + Q2), and a
     positive answer's checked["all_scales"] says whether k works for
-    every s (``_multiple_sweep``).
+    every s (``latpoints._multiple_sweep``).
     """
     total, ok = _refining_sum(q1, q2)
     rep = _multiple_sweep(k_max, s_max, total, q1, q2)

@@ -9,7 +9,9 @@ of s lattice points of P, and *normal* when that holds for every s.
 Verdicts are three-valued: "located" and "not_located" are exact answers,
 "verified_up_to" means the search space was truncated (a window, or a scale
 bound) and no witness appeared inside it.  A witness is only present on
-"not_located" and is always the lexicographically least failing point.
+"not_located" and is always the lexicographically least failing point.  The
+multiple sweep (``_multiple_sweep``) answers "verified_up_to" for the
+first multiple that holds, or "exhausted" when none does.
 
 Every scan runs in the lattice coordinates of an affine hull (a *frame*).
 For a set with equality normals W, let B be ``kernel_lattice_basis(W)``,
@@ -53,18 +55,20 @@ Hermite basis of ker A keeps lex order, so the scan finds the same points
 and the same lex-least witness.  A scan set never reaches a caller, since
 ``Polyhedron`` equality compares records.
 
-The multiple sweeps and ``is_normal`` check c * X for many c, and c * X
+The multiple sweep and ``is_normal`` check c * X for many c, and c * X
 has X's rows with right-hand sides c * b and X's vertices times c.  So
 its system in a frame keeps X's coefficients, and only the origin, the
 right-hand sides and the y-box depend on c.  Each set is *prepared* once
-(``_Prepared``: its integer rows and their images on the basis, W v for
+(``_prepare``: its integer rows and their images on the basis, W v for
 one vertex v, the least and largest integer y-images of its vertices),
 and each multiple costs one origin solve and integer arithmetic
-(``_Frame.rows_at``, ``_Frame.box_at``).  The kernel floors and ceils the
-exact bound of each row, so the scaled rows scan the same points as rows
-built from c * X afresh; the least y-image of c * v over the vertices is
-c times the least one, so the y-box is the same too.  ``decompose`` and
-``_located_over`` read the case c = 1.
+(``_Prepared.system``).  The kernel floors and ceils the exact bound of
+each row, so the scaled rows scan the same points as rows built from
+c * X afresh; the least y-image of c * v over the vertices is c times the
+least one, so the y-box is the same too.  ``decompose`` and
+``_located_over`` read the case c = 1.  No other module builds or reads
+these systems: ``gitfan``'s sweeps enter through ``_multiple_sweep``, and
+its fiber check through ``_located_over``.
 """
 
 from __future__ import annotations
@@ -73,20 +77,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from . import kernels
 from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
                      NormlocError, NotPointed, Unbounded)
-from .exact import (as_int, dot, identity_matrix, integer_solution,
-                    positive_int, solution_lattice)
-from .polyhedra import (HRep, Polyhedron, VRep, _h_to_v, from_v,
-                        minkowski_sum, vertex_box)
+from .exact import (as_int, dot, hermite_normal_form, identity_matrix,
+                    integer_solution, positive_int, solution_lattice)
+from .polyhedra import (HRep, Polyhedron, VRep, _h_to_v, _int_vertices,
+                        from_v, minkowski_sum, vertex_box)
 from .reps import NO_DECOMPOSITION, NORMALITY_FAILURE, Witness
 
 VERDICT_LOCATED = "located"
 VERDICT_NOT_LOCATED = "not_located"
 VERDICT_VERIFIED_UP_TO = "verified_up_to"
+VERDICT_EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)
@@ -163,11 +168,11 @@ class _Frame:
     x = o + sum_t y_t b_t for an integer point o of the lattice, its
     origin.  Back-substitution along the pivots inverts the map: with
     x_P the pivot coordinates of x, y_t = dual_t @ (x_P - o_P) / scale for
-    integer rows ``dual``, which ``box_at`` reads to bound y over a set's
-    vertices.  A W of full column rank leaves one point per c: the frame
-    then has one zero axis pinned at 0 (no pivot, an empty dual row), so
-    every scan keeps a last axis.  No W at all gives the identity frame,
-    where y = x - o.
+    integer rows ``dual``, which ``_Prepared.system`` reads to bound y
+    over a set's vertices.  A W of full column rank leaves one point per
+    c: the frame then has one zero axis pinned at 0 (no pivot, an empty
+    dual row), so every scan keeps a last axis.  No W at all gives the
+    identity frame, where y = x - o.
     """
 
     normals: tuple
@@ -180,82 +185,6 @@ class _Frame:
     def origin(self, rhs):
         """An integer x with W x = rhs, or None when there is none."""
         return integer_solution(self.image, rhs, len(self.basis[0]))
-
-    def row_terms(self, h: HRep):
-        """The rows of H once per set, for ``rows_at`` at every scale.
-
-        Each inequality (n, b) becomes the integer row (den * n, num) of
-        b = num / den, and each equality, an integer row, an opposing pair.
-        Returns (x-rows, their images on the basis, right-hand sides, the
-        indices of the rows that vanish on the frame).
-        """
-        rows = [(tuple(b.denominator * x for x in n), b.numerator)
-                for n, b in h.inequalities]
-        for n, b in h.equalities:
-            rows += [(n, b.numerator), (tuple(-x for x in n), -b.numerator)]
-        xs = tuple(a for a, _ in rows)
-        rhs = tuple(b for _, b in rows)
-        if not self.normals:
-            return xs, xs, rhs, ()
-        coeffs = tuple(tuple([sum(map(mul, a, row)) for row in self.basis])
-                       for a in xs)
-        return xs, coeffs, rhs, tuple(i for i, a in enumerate(coeffs)
-                                      if not any(a))
-
-    def rows_at(self, terms, c, origin):
-        """The rows of c * X as integer rows a @ y <= c * b - a @ origin
-        for x = origin + y B, off X's ``row_terms``.
-
-        c * X has X's rows with right-hand sides c * b.  A row that
-        vanishes on the frame is dropped when origin meets it, and kept
-        (0 <= b < 0, so the system is empty) when not.
-        """
-        xs, coeffs, rhs, flat = terms
-        if any(origin):
-            rhs = [c * b - sum(map(mul, a, origin)) for a, b in zip(xs, rhs)]
-        elif c != 1:
-            rhs = [c * b for b in rhs]
-        drop = {i for i in flat if rhs[i] >= 0}
-        if drop:
-            coeffs = tuple(a for i, a in enumerate(coeffs) if i not in drop)
-            rhs = [b for i, b in enumerate(rhs) if i not in drop]
-        return coeffs, tuple(rhs)
-
-    def extent(self, points):
-        """The y-images of ``points`` once per set, for ``box_at`` at every
-        scale: (D, lo, hi), with D the lcm of the pivot coordinates'
-        denominators and lo, hi the per-axis min and max of the integers
-        dual @ (D * v_P); None for no points.
-        """
-        if not points:
-            return None
-        den = lcm(*(v[c].denominator for v in points for c in self.pivots))
-        ims = [[v[c].numerator * (den // v[c].denominator)
-                for c in self.pivots] for v in points]
-        if self.normals:
-            ims = [[sum(map(mul, lam, w)) for lam in self.dual] for w in ims]
-        cols = tuple(zip(*ims))
-        return den, tuple(map(min, cols)), tuple(map(max, cols))
-
-    def box_at(self, extent, c, origin):
-        """Integer y-box of c * hull(points), off the points' ``extent``
-        (lo > hi when there are none).
-
-        y_t of c * v is (c * dual_t @ (D * v_P) - dual_t @ (D * o_P)) / q
-        with q = D * scale, exact integer quotients; as c > 0 the least y_t
-        over the points is that of the least dual_t @ (D * v_P), and
-        ceil(min) is the min of the ceils.
-        """
-        if extent is None:
-            k = len(self.basis)
-            return (1,) * k, (0,) * k
-        den, tlo, thi = extent
-        q = den * self.scale
-        o = [den * origin[j] for j in self.pivots]
-        if self.normals:
-            o = [sum(map(mul, lam, o)) for lam in self.dual]
-        return (tuple(-((t - c * a) // q) for a, t in zip(tlo, o)),
-                tuple((c * b - t) // q for b, t in zip(thi, o)))
 
     def points(self, ys, origin):
         """The x = origin + y B of the scanned y's (origin 0 if no W)."""
@@ -307,16 +236,24 @@ def _frame_of(p: Polyhedron) -> _Frame:
 class _Prepared:
     """A scan set X in a frame, built once for every multiple c * X.
 
-    ``level`` is W v for a point v of X, with W the frame's normals;
-    ``terms`` and ``extent`` are the frame's ``row_terms`` of X and
-    ``extent`` of the points whose hull bounds the scan (X's vertices, or
-    split points).  Only the origin, the right-hand sides and the y-box
-    depend on c.
+    ``level`` is W v for a point v of X, with W the frame's normals.  Each
+    inequality (n, b) of X is the integer row (den * n, num) of
+    b = num / den, and each equality, an integer row, an opposing pair:
+    ``rows`` and ``rhs`` hold them in x, ``coeffs`` their images on the
+    basis, and ``flat`` the indices of the rows that vanish on the frame.
+    ``extent`` is (D, lo, hi) for the points whose hull bounds the scan
+    (X's vertices, or split points): D the lcm of their pivot coordinates'
+    denominators, and lo, hi the per-axis min and max of the integers
+    dual @ (D * v_P); None for no points.  Only the origin, the right-hand
+    sides and the y-box depend on c.
     """
 
     frame: _Frame
     level: tuple
-    terms: tuple
+    rows: tuple
+    rhs: tuple
+    coeffs: tuple
+    flat: tuple
     extent: tuple | None
 
     def origin(self, c):
@@ -326,9 +263,40 @@ class _Prepared:
 
     def system(self, c, origin):
         """c * X's lattice points as a kernel system in y, (coeffs, rhs,
-        lo, hi), for x = origin + y B."""
-        return (self.frame.rows_at(self.terms, c, origin)
-                + self.frame.box_at(self.extent, c, origin))
+        lo, hi), for x = origin + y B.
+
+        c * X has X's rows with right-hand sides c * b, each the integer
+        row a @ y <= c * b - a @ origin.  A row that vanishes on the frame
+        is dropped when origin meets it, and kept (0 <= b < 0, so the
+        system is empty) when not.  The box is that of c * hull(points)
+        (lo > hi when there are none): y_t of c * v is
+        (c * dual_t @ (D * v_P) - dual_t @ (D * o_P)) / q with
+        q = D * scale, exact integer quotients; as c > 0 the least y_t
+        over the points is that of the least dual_t @ (D * v_P), and
+        ceil(min) is the min of the ceils.
+        """
+        frame = self.frame
+        coeffs, rhs = self.coeffs, self.rhs
+        if any(origin):
+            rhs = [c * b - sum(map(mul, a, origin))
+                   for a, b in zip(self.rows, rhs)]
+        elif c != 1:
+            rhs = [c * b for b in rhs]
+        drop = {i for i in self.flat if rhs[i] >= 0}
+        if drop:
+            coeffs = tuple(a for i, a in enumerate(coeffs) if i not in drop)
+            rhs = [b for i, b in enumerate(rhs) if i not in drop]
+        if self.extent is None:
+            k = len(frame.basis)
+            return coeffs, tuple(rhs), (1,) * k, (0,) * k
+        den, tlo, thi = self.extent
+        q = den * frame.scale
+        o = [den * origin[j] for j in frame.pivots]
+        if frame.normals:
+            o = [sum(map(mul, lam, o)) for lam in frame.dual]
+        return (coeffs, tuple(rhs),
+                tuple(-((t - c * a) // q) for a, t in zip(tlo, o)),
+                tuple((c * b - t) // q for b, t in zip(thi, o)))
 
 
 def _prepare(frame: _Frame, x: _ScanSet, points=None) -> _Prepared:
@@ -342,9 +310,29 @@ def _prepare(frame: _Frame, x: _ScanSet, points=None) -> _Prepared:
     level = tuple(dot(n, w) for n in frame.normals)
     if den > 1:
         level = tuple(Fraction(t, den) for t in level)
-    return _Prepared(frame, level, frame.row_terms(x.h),
-                     frame.extent(x.v.vertices if points is None
-                                  else points))
+    rows = [(tuple(b.denominator * a for a in n), b.numerator)
+            for n, b in x.h.inequalities]
+    for n, b in x.h.equalities:
+        rows += [(n, b.numerator), (tuple(-a for a in n), -b.numerator)]
+    xs = tuple(a for a, _ in rows)
+    rhs = tuple(b for _, b in rows)
+    coeffs, flat = xs, ()
+    if frame.normals:
+        coeffs = tuple(tuple([sum(map(mul, a, row)) for row in frame.basis])
+                       for a in xs)
+        flat = tuple(i for i, a in enumerate(coeffs) if not any(a))
+    if points is None:
+        points = x.v.vertices
+    extent = None
+    if points:
+        den = lcm(*(v[c].denominator for v in points for c in frame.pivots))
+        ims = [[v[c].numerator * (den // v[c].denominator)
+                for c in frame.pivots] for v in points]
+        if frame.normals:
+            ims = [[sum(map(mul, lam, w)) for lam in frame.dual] for w in ims]
+        cols = tuple(zip(*ims))
+        extent = den, tuple(map(min, cols)), tuple(map(max, cols))
+    return _Prepared(frame, level, xs, rhs, coeffs, flat, extent)
 
 
 def _prepared(r: _ScanSet, *others):
@@ -457,14 +445,16 @@ def _split_points(p: Polyhedron, q: Polyhedron, box):
     Bounded summands give their vertices, and the box is not read: it is
     None when the set to split is bounded, and then so are its summands.
     Otherwise the points are the halves of the vertices of the joint region
-    {(z', z'') in P x Q : lo <= z' + z'' <= hi}, which the pointedness
-    guard keeps bounded; one H-to-V pass gives them (the region's facets
-    are never read).  An empty region gives empty lists, so no z in the
-    box splits.
+    {(z', z'') in P x Q : lo <= z' + z'' <= hi}; one H-to-V pass gives them
+    (the region's facets are never read).  The region is bounded when
+    tail(P) cap -tail(Q) = {0}, which the caller ensures: ``decompose``
+    runs the pointedness guard, ``normally_located``'s ``minkowski_sum``
+    raises NotPointed otherwise, and the fibers of one grading share the
+    pointed tail {x >= 0 : A x = 0}.  An empty region gives empty lists,
+    so no z in the box splits.
     """
     if not p.v.rays and not q.v.rays:
         return p.v.vertices, q.v.vertices
-    _decompose_unbounded_guard(p, q)
     lo, hi = box
     d = p.dim
     zero = (0,) * d
@@ -501,6 +491,8 @@ def decompose(z, p: Polyhedron, q: Polyhedron):
     z = tuple(as_int(x) for x in z)
     if len(z) != p.dim:
         raise DimensionMismatch("point has wrong length")
+    if p.v.rays or q.v.rays:
+        _decompose_unbounded_guard(p, q)
     pverts, qverts = _split_points(p, q, (z, z))
     frame = _frame(tuple(n for n, _ in p.h.equalities + q.h.equalities),
                    p.dim)
@@ -642,3 +634,116 @@ def is_normal(p: Polyhedron, s_max: int = _EVERY_SCALE) -> LocationReport:
     return LocationReport(verdict, None,
                           {"s_max": s_max, "scales_scanned": scanned,
                            "all_scales": exact or s_max >= top})
+
+
+def _split_dimension(r: _ScanSet, p: _ScanSet, q: _ScanSet):
+    """The affine dimension d of a bounded R when R is vertex-split over
+    (P, Q), else None.
+
+    R is vertex-split when each of its vertices is a + b with a an
+    integral vertex of P and b one of Q: a check on the vertex lists.
+    Then R's vertices are lattice points, and d is the rank of their
+    differences."""
+    ints = [[tuple(map(int, v)) for v in x.v.vertices
+             if all(a.denominator == 1 for a in v)] for x in (p, q)]
+    sums = {tuple(map(add, a, b)) for a in ints[0] for b in ints[1]}
+    verts = _int_vertices(r.v.vertices)
+    if not sums.issuperset(verts):
+        return None
+    v0, *rest = verts
+    diffs = [tuple(map(sub, v, v0)) for v in rest]
+    return sum(map(any, hermite_normal_form(diffs)))
+
+
+def _multiple_sweep(k_max: int, s_max: int, r: _ScanSet, p: _ScanSet,
+                    q: _ScanSet):
+    """Search k <= k_max with every lattice point of m * R splitting over
+    (m * P, m * Q) for m = s * k and every s <= s_max.  R, P and Q are scan
+    sets (``_ScanSet``) at m = 1, and R contains P + Q (R is P + Q for a
+    pair, and P(u1 + u2) contains P(u1) + P(u2)).
+
+    The three sets are prepared once in R's frame, and each multiple is
+    one ``_first_unsplit`` at scales (m, m, m): only right-hand sides,
+    origins and y-boxes change with m.  No step has a window, so each is
+    located or not; an R with rays raises Unbounded before the first step
+    (every m gives R the same rays).  A step depends on (k, s) only
+    through m, so each m is checked once and its answer reused, as for
+    (1, 2) and (2, 1).
+
+    Call level m *located* when every lattice point of m * R splits over
+    the lattice points of (m * P, m * Q).  Let d be the affine dimension
+    of R, and call R *vertex-split* when each vertex of R is a + b with a
+    an integral vertex of P and b one of Q (``_split_dimension``).  For
+    vertex-split R:
+
+    (a) if levels 1..d are located, every level is;
+    (b) if level m - 1 >= d is located, so is level m.
+
+    Checking vertex sums is exact: were a vertex v of R a + b over any
+    lattice points a of P and b of Q, then v would lie in P + Q, inside R,
+    and so be a vertex of P + Q, the only maximizer over P + Q of some
+    linear c.  Then c.a + c.b is the sum of the maxima of c over P and Q,
+    so a and b maximize c there, and uniquely: another maximizer a' of P
+    would make a' + b a second one of P + Q.  So a and b are vertices.
+
+    Proof.  Let v_i = a_i + b_i be R's vertices, all lattice points, and z
+    a lattice point of m * R.  z / m lies in R = conv(v_i), inside aff R
+    of dimension d, so by Caratheodory in aff R it is a convex combination
+    of at most d + 1 affinely independent vertices: z = sum lambda_i v_i
+    with lambda_i >= 0, sum lambda_i = m, at most d + 1 terms.
+
+    (a) Put z0 = z - sum floor(lambda_i) v_i = sum {lambda_i} v_i, a
+    lattice point as the v_i are.  m' = sum {lambda_i} is an integer, as
+    m and every floor are, and each of at most d + 1 fractional parts is
+    below 1, so 0 <= m' <= min(m, d).  For m' = 0, z0 = 0 and
+    z = sum floor(lambda_i) a_i + sum floor(lambda_i) b_i, lattice points
+    of m * P and m * Q (a sum of j points of a convex set X lies in j X).
+    Otherwise z0 / m' is a convex combination of vertices, so z0 is a
+    lattice point of m' * R, and level m' <= d splits it as z0' + z0''.
+    Then z = (z0' + sum floor(lambda_i) a_i)
+    + (z0'' + sum floor(lambda_i) b_i), over m' * P + (m - m') * P = m * P
+    and the same for Q.  For d = 0, R is the one lattice point a + b,
+    every m' is 0, and every level holds with nothing scanned.
+
+    (b) Now m >= d + 1 and at most d + 1 terms sum to m, so some
+    lambda_i >= m / (d + 1) >= 1.  Then z - v_i has the coefficients
+    lambda_i - 1 >= 0 and the others, summing to m - 1, so it is a lattice
+    point of (m - 1) * R (of 0 * R = {0} for d = 0 and m = 1, which splits
+    as 0 + 0).  Level m - 1 splits it as w' + w'', and
+    z = (w' + a_i) + (w'' + b_i).
+
+    So at step k the sweep scans s = 1..min(s_max, ceil(d / k)) only:
+    were every level s * k up to that cap c located, c * k >= d and (b)
+    would give every later level.  The cap drops no failure, so verdicts,
+    witnesses and failures are those of the full loop; an R that is not
+    vertex-split (rational vertices, or vertices that split over no lattice
+    points) is scanned at every (k, s) as before.  A ``verified_up_to``
+    report says in checked["all_scales"] whether step k holds for every s:
+    true exactly when R is vertex-split and k * s_max >= d."""
+    positive_int(k_max, "k_max")
+    positive_int(s_max, "s_max")
+    if r.v.rays:
+        raise Unbounded("the multiple sweep checks bounded sets only, "
+                        "and the set to split has rays")
+    d = _split_dimension(r, p, q)
+    sets = _prepared(r, p, q)
+    witnesses = {}
+    failures = []
+    for k in range(1, k_max + 1):
+        top = s_max if d is None else min(s_max, -(-d // k))
+        for s in range(1, top + 1):
+            m = s * k
+            if m not in witnesses:
+                witnesses[m] = _first_unsplit(*sets, (m, m, m))
+            z = witnesses[m]
+            if z is not None:
+                failures.append([k, s, list(z)])
+                break
+        else:
+            return LocationReport(VERDICT_VERIFIED_UP_TO, None,
+                                  {"k": k, "k_max": k_max, "s_max": s_max,
+                                   "all_scales": d is not None
+                                   and k * s_max >= d})
+    return LocationReport(VERDICT_EXHAUSTED, None,
+                          {"k_max": k_max, "s_max": s_max,
+                           "failures": failures})

@@ -68,22 +68,22 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd, lcm
 
-from normloc import kernels
+from normloc import dd, kernels
 from normloc.errors import (DimensionMismatch, NormlocError, NotLattice,
                             Unbounded, WeightOutsideCone, ZeroVector)
 from normloc.exact import (IMat, IVec, as_int, dot, identity_matrix,
                            primitive, transpose)
-from normloc.fans import (Cone, cone_contains, cone_from_generators,
-                          cone_from_h, fan_from_cones, intersect_cones,
-                          normal_fan, refines, relative_interior_contains,
-                          support)
-from normloc.gitfan import (CrossCheckReport, GradedProjection,
-                            VERDICT_EXHAUSTED, fiber, git_cone,
-                            realize_pair, weight_cone)
+from normloc.fans import (Cone, _assemble, _clean, cone_contains,
+                          cone_from_generators, cone_from_h, fan_from_cones,
+                          intersect_cones, normal_fan, refines,
+                          relative_interior_contains, support)
+from normloc.gitfan import (CrossCheckReport, GradedProjection, fiber,
+                            git_cone, realize_pair, weight_cone)
 from normloc.latpoints import (LatticePointSet, LocationReport,
-                               VERDICT_LOCATED, VERDICT_NOT_LOCATED,
-                               VERDICT_VERIFIED_UP_TO, _located_over,
-                               _ScanSet, decompose, normally_located)
+                               VERDICT_EXHAUSTED, VERDICT_LOCATED,
+                               VERDICT_NOT_LOCATED, VERDICT_VERIFIED_UP_TO,
+                               _located_over, _ScanSet, decompose,
+                               normally_located)
 from normloc.polyhedra import (HRep, Polyhedron, VRep, _h_to_v, _v_to_h,
                                from_h, from_v, minkowski_sum, scale, vrep)
 from normloc.reps import NORMALITY_FAILURE, NOT_IN_SUM, Witness
@@ -405,6 +405,23 @@ def git_cone_ref(g: GradedProjection, u) -> Cone:
     return cone_from_h(g.m,
                        ineqs=[n for c in cones for n in c.ineq_normals],
                        eqs=[n for c in cones for n in c.eq_normals])
+
+
+def cone_from_generators_ref(dim: int, rays=(), lines=()) -> Cone:
+    """lin(lines) + cone(rays) by two DD passes: the facet normals off the
+    generators, then the canonical generators off the facet normals."""
+    rays0, lines0 = _clean(dim, rays), _clean(dim, lines)
+    eqs, ineqs = dd.generators_from_constraints(dim, lines0, rays0)
+    glines, grays = dd.generators_from_constraints(dim, eqs, ineqs)
+    return _assemble(dim, glines, grays, eqs, ineqs)
+
+
+def dual_cone_ref(c: Cone) -> Cone:
+    """The dual of c rebuilt by ``cone_from_h``, two DD passes: the
+    functionals y with -r @ y <= 0 for c's rays r and zero on its lines."""
+    return cone_from_h(c.dim,
+                       ineqs=tuple(tuple(-x for x in r) for r in c.rays),
+                       eqs=c.lines)
 
 
 def is_face_ref(f: Cone, c: Cone) -> bool:

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from conftest import is_face_ref, is_fan_ref, random_polytope
+from conftest import (cone_from_generators_ref, dual_cone_ref, is_face_ref,
+                      is_fan_ref, random_polytope)
 from normloc import dd
 from normloc.errors import DimensionMismatch, NormlocError, SupportMismatch
 from normloc.exact import dot
@@ -40,6 +41,42 @@ def test_dual_cone_involution_random():
         rays = tuple(r for r in rays if any(r))
         c = cone_from_generators(dim, rays=rays)
         assert dual_cone(dual_cone(c)) == c
+
+
+def test_cones_by_polarity_match_two_pass_references():
+    # cone_from_generators swaps the roles in its polar's cone_from_h
+    # record, and dual_cone negates and swaps c's own record; the
+    # references run both DD passes
+    rng = random.Random(31)
+    lines = eqs = 0
+    for _ in range(1500):
+        dim = rng.randint(1, 4)
+
+        def vecs(k):
+            return [tuple(rng.randint(-3, 3) for _ in range(dim))
+                    for _ in range(k)]
+        rays, lins = vecs(rng.randint(0, 5)), vecs(rng.choice((0, 0, 1, 2)))
+        c = cone_from_generators(dim, rays=rays, lines=lins)
+        assert c == cone_from_generators_ref(dim, rays, lins), (rays, lins)
+        h = cone_from_h(dim, ineqs=vecs(rng.randint(0, 5)),
+                        eqs=vecs(rng.choice((0, 0, 1, 2))))
+        for x in (c, h):
+            assert dual_cone(x) == dual_cone_ref(x), x
+        lines += bool(c.lines)
+        eqs += bool(c.eq_normals)
+    assert lines >= 500 and eqs >= 500, (lines, eqs)
+
+
+def test_dual_cone_runs_no_dd_pass(monkeypatch):
+    cones = [cone_from_generators(3, rays=((1, 0, 0), (0, 1, 0))),
+             cone_from_generators(3, rays=((0, 0, 1),), lines=((1, 1, 0),)),
+             cone_from_h(2, ineqs=((-1, 0), (0, -1)))]
+    want = [dual_cone_ref(c) for c in cones]
+
+    def no_dd(*args):
+        raise AssertionError("dual_cone ran a DD pass")
+    monkeypatch.setattr(dd, "generators_from_constraints", no_dd)
+    assert [dual_cone(c) for c in cones] == want
 
 
 def test_cone_with_lines():

@@ -418,8 +418,8 @@ def test_multiple_sweep_checks_each_multiple_once(monkeypatch):
     # m = 2, so 7 steps take 6 location checks
     g, u1, u2 = boundary_grading()
     calls = []
-    real = gitfan._first_unsplit
-    monkeypatch.setattr(gitfan, "_first_unsplit",
+    real = latpoints._first_unsplit
+    monkeypatch.setattr(latpoints, "_first_unsplit",
                         lambda *args: calls.append(args) or real(*args))
     rep = multiple_making_sums_exact(g, u1, u2, k_max=6, s_max=4)
     failures = rep.checked["failures"]
@@ -538,7 +538,7 @@ def test_capped_sweeps_match_uncapped_references():
         s_max = top + 2 + rng.randint(0, 1)
         got = fn(*args, k_max, s_max).to_dict()
         assert got == ref(*args, k_max, s_max).to_dict(), (kind, args)
-        assert (gitfan._multiple_sweep(k_max, s_max, *sets)
+        assert (latpoints._multiple_sweep(k_max, s_max, *sets)
                 == multiple_sweep_ref(k_max, s_max, *sets)), (kind, args)
         if got["verdict"] == "verified_up_to":
             k = got["checked"]["k"]
@@ -562,14 +562,14 @@ def test_capped_sweeps_scan_only_what_the_cap_needs(monkeypatch):
     # step's levels up to its first failure are scanned or lie at or above
     # such an m0; any other R scans exactly the multiples of the full loop
     calls = []
-    real = gitfan._first_unsplit
+    real = latpoints._first_unsplit
 
     def counted(*args):
         z = real(*args)
         calls.append((args[-1][0], z is None))
         return z
 
-    monkeypatch.setattr(gitfan, "_first_unsplit", counted)
+    monkeypatch.setattr(latpoints, "_first_unsplit", counted)
     rng = random.Random(113)
     saved = full = 0
     for kind, args, sets in _capped_sweep_cases(rng):

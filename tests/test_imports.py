@@ -5,9 +5,11 @@ only to re-export), and the layers import downward only: ``polyhedra``
 knows nothing of cones, fans, lattice scans or gradings, ``fans`` knows
 nothing of polyhedra, lattice scans or gradings, ``latpoints`` nothing of
 cones or gradings, and the scan kernels import no other module of the
-package.  A process-lifetime cache (a module-level function under
-``lru_cache`` or ``cache``) is one of the allow-listed ones, each with the
-reason it stays.
+package.  Only ``gitfan`` imports private names of ``latpoints``: the
+location engine, the multiple sweep and the scan set type, so the scaled
+scan systems are built and read in one module.  A process-lifetime cache
+(a module-level function under ``lru_cache`` or ``cache``) is one of the
+allow-listed ones, each with the reason it stays.
 """
 
 import ast
@@ -109,6 +111,30 @@ def test_only_allow_listed_caches():
              for name in _cached_functions(ast.parse(path.read_text()))}
     assert found == set(CACHES), (sorted(found - set(CACHES)),
                                   sorted(set(CACHES) - found))
+
+
+def _private_imports(tree, source):
+    """Private names the tree imports from the sibling module ``source``."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            and node.module == source
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_scan_layer_exports_three_private_names():
+    # latpoints alone builds and reads scaled scan systems: other modules
+    # reach its private side only through the location engine, the
+    # multiple sweep and the scan set type, all used by gitfan
+    planted = ast.parse("from .latpoints import (LocationReport, _prepared,\n"
+                        "                        _ScanSet)\n"
+                        "from .fans import _tiles\n")
+    assert _private_imports(planted, "latpoints") == {"_prepared",
+                                                      "_ScanSet"}
+    found = {path.stem: names for path in MODULES
+             if (names := _private_imports(ast.parse(path.read_text()),
+                                           "latpoints"))}
+    assert found == {"gitfan": {"_located_over", "_multiple_sweep",
+                                "_ScanSet"}}, found
 
 
 def test_checks_see_the_violations_they_guard():

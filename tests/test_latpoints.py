@@ -11,9 +11,9 @@ from conftest import (box_of, decompose_unbounded_guard_ref, frame_box_ref,
 from normloc import kernels, latpoints, polyhedra
 from normloc.cases import boundary_grading
 from normloc.errors import NotLattice, NormlocError, Unbounded
-from normloc.gitfan import (_fiber_entry, _multiple_sweep, fiber,
-                            fiber_point_sum_exact, graded_projection)
-from normloc.latpoints import (decompose, enumerate_points,
+from normloc.gitfan import (_fiber_entry, fiber, fiber_point_sum_exact,
+                            graded_projection)
+from normloc.latpoints import (_multiple_sweep, decompose, enumerate_points,
                                enumerate_windowed, is_normal,
                                normally_located)
 from normloc.polyhedra import (HRep, VRep, from_h, from_v, minkowski_sum,
@@ -107,6 +107,36 @@ def test_decompose_unbounded_tails():
     r = from_v(VRep(((0, 0),), ((-1, 0),)))
     with pytest.raises(Unbounded):
         decompose((0, 1), p, r)
+
+
+def test_location_checks_run_no_pointedness_guard(monkeypatch):
+    # a windowed normally_located has its tails checked by minkowski_sum,
+    # and the fibers of one grading share the pointed tail
+    # {x >= 0 : A x = 0}, so neither runs the guard; decompose still does.
+    # The zero weight gives the boundary grading's fibers the ray e_5
+    tail = ((1, 0), (1, 2))
+    p = from_v(VRep(((0, 0), (2, 1), (1, 3)), tail))
+    q = from_v(VRep(((0, 0), (3, 1)), tail))
+    g, _, _ = boundary_grading()
+    g = graded_projection(g.weights + ((0, 0),))
+
+    def answers():
+        return (normally_located(p, q, ((0, 0), (12, 12))).to_dict(),
+                fiber_point_sum_exact(g, (4, 2), (2, 4),
+                                      ((0,) * 5, (6,) * 5)).to_dict())
+    want = answers()
+    assert want[1]["witness"]["point"] == [1, 0, 1, 1, 0]
+
+    def guard(*args):
+        raise AssertionError("pointedness guard ran")
+    monkeypatch.setattr(latpoints, "_decompose_unbounded_guard", guard)
+    assert answers() == want
+    monkeypatch.undo()
+    # tails that meet raise also where P cap (z - Q) is empty
+    ray = from_v(VRep(((0, 0),), ((1, 0),)))
+    back = from_v(VRep(((0, 0),), ((-1, 0),)))
+    with pytest.raises(Unbounded):
+        decompose((0, 5), ray, back)
 
 
 def test_unbounded_guard_matches_cone_oracle():

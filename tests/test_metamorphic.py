@@ -15,7 +15,7 @@ from normloc.fans import Cone, cone_from_generators
 from normloc.gitfan import (fiber, fiber_point_sum_exact, git_fan,
                             graded_projection, multiple_making_sums_exact,
                             refinement_iff_interior)
-from normloc.latpoints import is_normal, normally_located
+from normloc.latpoints import decompose, is_normal, normally_located
 from normloc.polyhedra import VRep, from_v, minkowski_sum, translate
 from normloc.reps import Witness
 
@@ -159,3 +159,78 @@ def test_fibers_and_fans_follow_a_unimodular_regrading(case):
         key=Cone.sort_key)
     assert fb.git_cones == tuple(images)
     assert fb.fan_verified == fa.fan_verified
+
+
+@st.composite
+def split_cases(draw):
+    """(z, P, Q, t1, t2): P and Q in dimension 1-3, bounded or with a
+    common tail, a lattice point z near a sum of their vertices, and two
+    lattice vectors."""
+    d = draw(st.integers(1, 3))
+    tail = draw(st.one_of(st.just(()), st.sampled_from(TAILS[d])))
+    p, q = draw(polyhedra(d, tail)), draw(polyhedra(d, tail))
+    a, b = (draw(st.sampled_from(x.v.vertices)) for x in (p, q))
+    z = tuple(int(x + y) + draw(st.integers(-2, 2)) for x, y in zip(a, b))
+    shift = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * d)
+    return z, p, q, draw(shift), draw(shift)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=split_cases())
+def test_decompose_moves_with_translations(case):
+    # z' + t1 and z'' + t2 split z + t1 + t2 over (P + t1, Q + t2), and
+    # lex order is translation-invariant: the least split moves, and no
+    # split stays no split
+    z, p, q, t1, t2 = case
+    a = decompose(z, p, q)
+    b = decompose(tuple(map(sum, zip(z, t1, t2))), translate(p, t1),
+                  translate(q, t2))
+    assert b == (a and (tuple(map(sum, zip(a[0], t1))),
+                        tuple(map(sum, zip(a[1], t2)))))
+
+
+@st.composite
+def lattice_maps(draw, d):
+    """A unimodular d x d matrix: a permutation of the coordinates, or up
+    to four row operations with multipliers +-1, +-2 (a multiplier on its
+    own row negates it)."""
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(d)))
+        return tuple(tuple(int(j == i) for j in range(d)) for i in perm)
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    row = st.integers(0, d - 1)
+    for i, j, c in draw(st.lists(st.tuples(row, row,
+                                           st.sampled_from((-2, -1, 1, 2))),
+                                 max_size=4)):
+        u[i] = ([-x for x in u[i]] if i == j
+                else [x + c * y for x, y in zip(u[i], u[j])])
+    return tuple(map(tuple, u))
+
+
+@st.composite
+def mapped_pairs(draw):
+    """(P, Q, U): bounded P and Q in dimension 2 or 3 and a unimodular U."""
+    d = draw(st.integers(2, 3))
+    return (draw(polyhedra(d, ())), draw(polyhedra(d, ())),
+            draw(lattice_maps(d)))
+
+
+def _mapped(u, p):
+    """The image U P of a polyhedron under a unimodular U."""
+    return from_v(VRep(tuple(_image(u, v) for v in p.v.vertices),
+                       tuple(_image(u, r) for r in p.v.rays)))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(case=mapped_pairs())
+def test_normal_location_keeps_its_verdict_under_a_unimodular_map(case):
+    # U is a bijection of Z^d that maps P + Q onto U P + U Q, so the
+    # unsplit points correspond and the verdict stays; U need not keep lex
+    # order, so only the image of the witness is checked: it has no split
+    p, q, u = case
+    a = normally_located(p, q)
+    up, uq = _mapped(u, p), _mapped(u, q)
+    b = normally_located(up, uq)
+    assert b.verdict == a.verdict
+    if a.witness:
+        assert decompose(_image(u, a.witness.point), up, uq) is None
