@@ -32,8 +32,7 @@ from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                      SupportMismatch, TailConeMismatch, WeightOutsideCone)
 from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
                     identity_matrix, transpose)
-from .fans import (Cone, _tiles, cone_from_generators, cone_from_h,
-                   relative_interior_contains)
+from .fans import Cone, _tiles, cone_from_generators, cone_from_h
 from .latpoints import (LocationReport, _located_over, _multiple_sweep,
                         _ScanSet)
 from .polyhedra import (HRep, Polyhedron, VRep, _from_canonical_v, _h_to_v,
@@ -173,6 +172,14 @@ def _support_rows(g: GradedProjection, sup):
     return tuple(eqs), tuple(ineqs)
 
 
+def _vertex_support_rows(g: GradedProjection, vertices):
+    """The ``_support_rows`` of every distinct support of the vertices (any
+    order), in lex order of the supports."""
+    return [_support_rows(g, sup)
+            for sup in sorted({tuple(i for i, x in enumerate(v) if x != 0)
+                               for v in vertices})]
+
+
 def git_cone(g: GradedProjection, u) -> Cone:
     """Intersection of all orbit cones containing u.
 
@@ -186,20 +193,44 @@ def git_cone(g: GradedProjection, u) -> Cone:
     forces the supporting weights to be linearly independent; GIT cones are
     therefore intersections of simplicial cones, in particular pointed.
 
-    Only the fiber's vertex list is read (``_fiber_entry``, no facets);
-    ``refinement_iff_interior`` passes the one its realization lifts.
+    Only the fiber's vertex list is read (``_fiber_entry``, no facets).
     """
     return _vertex_support_cone(g, _fiber_entry(g, _degree(g, u)).v.vertices)
 
 
 def _vertex_support_cone(g: GradedProjection, vertices) -> Cone:
-    """``git_cone`` off a fiber's vertices (any order): one ``cone_from_h``
-    of the rows of every distinct vertex support (``_support_rows``)."""
-    rows = [_support_rows(g, sup)
-            for sup in sorted({tuple(i for i, x in enumerate(v) if x != 0)
-                               for v in vertices})]
+    """``git_cone`` off a fiber's vertices: one ``cone_from_h`` of the
+    ``_vertex_support_rows``."""
+    rows = _vertex_support_rows(g, vertices)
     return cone_from_h(g.m, ineqs=[n for _, ineqs in rows for n in ineqs],
                        eqs=[n for eqs, _ in rows for n in eqs])
+
+
+def _git_membership(g: GradedProjection, vertices, *degrees):
+    """(u in lam, u in relint lam) for each degree u, lam the GIT cone of
+    the degree u0 whose fiber has these vertices, tested against each
+    vertex-support cone cone(w_sigma) (``_vertex_support_rows``) without
+    building lam.
+
+    lam is the intersection of the cone(w_sigma) (``git_cone``), so u lies
+    in lam exactly when it satisfies the rows of every sigma.  Each vertex
+    v of the fiber writes u0 as the sum of v_i w_i over sigma = supp(v),
+    every v_i > 0, so u0 lies in the relative interior of every
+    cone(w_sigma): the simplicial cone of the independent w_sigma, whose
+    relative interior is where its equality rows vanish and its facet rows
+    are negative.  The relative interiors therefore meet, and then the
+    relative interior of the intersection is the intersection of the
+    relative interiors (Rockafellar, *Convex Analysis*, 1970, Theorem
+    6.5): u lies in relint lam exactly when every sigma's equality rows
+    vanish at u and its facet rows are negative there."""
+    rows = _vertex_support_rows(g, vertices)
+    out = []
+    for u in degrees:
+        on_span = not any(dot(e, u) for eqs, _ in rows for e in eqs)
+        facets = [dot(n, u) for _, ineqs in rows for n in ineqs]
+        out.append((on_span and all(x <= 0 for x in facets),
+                    on_span and all(x < 0 for x in facets)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -240,16 +271,18 @@ def git_fan(g: GradedProjection) -> GitFan:
     m >= 2 the walls meet only at 0 (m = 1 has the one wall {0}).  So a
     final cell's rays are its canonical rays, and their sum u is interior.
 
-    The chamber of a cell is the GIT cone of u, read off the bases.  Being
+    The chamber of a cell is the GIT cone of u, named by the bases.  Being
     interior, u lies on no wall, and then the vertex supports of the fiber
     P(u) are exactly the bases sigma (m independent weights) with u in
     cone(w_sigma): a vertex support is independent, with fewer than m
     weights it would put u in the span of m-1 weights, a wall, and each
-    such sigma has the basic solution x_sigma > 0, a vertex.  So the
-    chamber is ``git_cone(g, u)``, the ``cone_from_h`` of the same
-    ``_support_rows`` in the same order, found with one dot-product test
-    per basis (``_bases``) and no fiber.  Cells with the same bases share
-    their chamber, which is built once, so the chambers are only sorted.
+    such sigma has the basic solution x_sigma > 0, a vertex.  So one
+    dot-product test per basis (``_bases``), and no fiber, finds the set
+    of bases that ``git_cone(g, u)`` intersects.  Cells with the same set
+    lie in one chamber, and together they cover it: GIT cones are
+    constant on the interior points off the walls, which are dense in the
+    chamber.  So the chamber is the conic hull of those cells' rays, one
+    ``cone_from_generators`` per chamber, and the chambers are only sorted.
 
     The result is cross-checked and the outcome recorded in fan_verified
     rather than trusted: ``fans._tiles`` matches the chambers' facets,
@@ -274,14 +307,14 @@ def git_fan(g: GradedProjection) -> GitFan:
             nxt.append(dd._cut(cell, tuple(-x for x in nrm)))
         cells = nxt
     chambers = {}
-    for _, rays, _, _ in cells:
-        u = tuple(sum(col) for col in zip(*(r for r, _ in rays)))
+    for _, ray_masks, _, _ in cells:
+        rays = [r for r, _ in ray_masks]
+        u = tuple(sum(col) for col in zip(*rays))
         sups = tuple(i for i, ineqs in enumerate(bases)
                      if all(dot(n, u) <= 0 for n in ineqs))
-        if sups not in chambers:
-            chambers[sups] = cone_from_h(
-                g.m, ineqs=[n for i in sups for n in bases[i]])
-    found = sorted(chambers.values(), key=Cone.sort_key)
+        chambers.setdefault(sups, set()).update(rays)
+    found = sorted((cone_from_generators(g.m, rays=rays)
+                    for rays in chambers.values()), key=Cone.sort_key)
     return GitFan(g, wc, tuple(found), _tiles(wc, found))
 
 
@@ -350,13 +383,18 @@ def is_generating_candidate(g: GradedProjection, u1, u2) -> str:
     cone through u1 + u2).  Pairs interior to that common cone are
     generating; pairs with no common cone are not; pairs touching the
     boundary are left undecided by these criteria.
+
+    The GIT cone of u1 + u2 is not built: both degrees are tested against
+    the rows of each vertex support of P(u1 + u2) (``_git_membership``).
+    u1 + u2 lies in the relative interior of every such support cone, so
+    by Rockafellar's Theorem 6.5 a degree is interior to the GIT cone
+    exactly when it is interior to each of them.
     """
     u1, u2, f12, _, _ = _checked_pair(g, u1, u2)
-    lam = _vertex_support_cone(g, f12.v.vertices)
-    if not (lam.contains_point(u1) and lam.contains_point(u2)):
+    (in1, inner1), (in2, inner2) = _git_membership(g, f12.v.vertices, u1, u2)
+    if not (in1 and in2):
         return NOT_GENERATING_BY_THEOREM
-    if (relative_interior_contains(lam, u1)
-            and relative_interior_contains(lam, u2)):
+    if inner1 and inner2:
         return GENERATING_BY_THEOREM
     return INDETERMINATE_BOUNDARY
 
@@ -490,14 +528,20 @@ def refinement_iff_interior(q1: Polyhedron, q2: Polyhedron)\
     u1 in its relative interior and contains u2 (that cone can only be the
     GIT cone of u1).  The fan side is ``normal_fan_refines`` on the realized
     copies, the vertex counts of Q1 + Q2 and Q1, read off the sum the
-    realization builds anyway; the GIT side is the GIT cone of u1, read
-    off P(u1)'s vertices, which the realization lifts from Q1'.
+    realization builds anyway.  The GIT side tests u1 and u2 against the
+    rows of each vertex support of P(u1), whose vertices the realization
+    lifts from Q1', with no GIT cone built (``_git_membership``): u2 must
+    satisfy every support's rows, and u1 must lie in every support cone's
+    relative interior, which by Rockafellar's Theorem 6.5 is the relative
+    interior of the GIT cone, since u1 lies in all of them.  That last test
+    holds whenever the lifted vertices are those of P(u1); it is computed,
+    not assumed, so that the cross-check still checks them.
     Disagreement indicates a defect and is reported, not hidden.
     """
     rp, fan_side, verts = _realize(q1, q2)
-    lam = _vertex_support_cone(rp.projection, verts)
-    git_side = (relative_interior_contains(lam, rp.u1)
-                and lam.contains_point(rp.u2))
+    (_, inner1), (in2, _) = _git_membership(rp.projection, verts,
+                                            rp.u1, rp.u2)
+    git_side = inner1 and in2
     return CrossCheckReport(fan_side, git_side, fan_side == git_side, rp)
 
 

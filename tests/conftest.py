@@ -11,7 +11,11 @@ integral solver built on it, are references for the transform-free
 versions in ``normloc.exact``.  The split-region guard and the GIT cone
 also keep their cone-based forms here: tail(P) cap -tail(Q) as a
 canonical cone, and each vertex-support cone of a fresh ``from_h`` fiber
-built whole before the intersection.
+built whole before the intersection.  ``is_generating_candidate_ref`` and
+``refinement_iff_interior_ref`` test degrees against a canonical GIT cone
+record: the references for the per-support row tests of
+``is_generating_candidate`` and ``refinement_iff_interior``, which build
+no GIT cone.
 The per-point lattice scan (``scan_undecomposed_ref``) is the reference
 for the line-at-a-time ``kernels.scan_undecomposed``, and the three-pass
 ``from_v_ref`` for the ``from_v`` that reuses its first facets.
@@ -77,8 +81,10 @@ from normloc.fans import (Cone, _assemble, _clean, cone_contains,
                           cone_from_generators, cone_from_h, fan_from_cones,
                           intersect_cones, normal_fan, refines,
                           relative_interior_contains, support)
-from normloc.gitfan import (CrossCheckReport, GradedProjection, fiber,
-                            git_cone, realize_pair, weight_cone)
+from normloc.gitfan import (GENERATING_BY_THEOREM, INDETERMINATE_BOUNDARY,
+                            NOT_GENERATING_BY_THEOREM, CrossCheckReport,
+                            GradedProjection, fiber, git_cone, realize_pair,
+                            weight_cone)
 from normloc.latpoints import (LatticePointSet, LocationReport,
                                VERDICT_EXHAUSTED, VERDICT_LOCATED,
                                VERDICT_NOT_LOCATED, VERDICT_VERIFIED_UP_TO,
@@ -406,6 +412,18 @@ def git_cone_ref(g: GradedProjection, u) -> Cone:
                        ineqs=[n for c in cones for n in c.ineq_normals],
                        eqs=[n for c in cones for n in c.eq_normals])
 
+
+def is_generating_candidate_ref(g: GradedProjection, u1, u2) -> str:
+    """is_generating_candidate on the canonical record of lam(u1 + u2)
+    (``git_cone_ref``): both degrees in it, then both in its relative
+    interior."""
+    lam = git_cone_ref(g, tuple(a + b for a, b in zip(u1, u2)))
+    if not (lam.contains_point(u1) and lam.contains_point(u2)):
+        return NOT_GENERATING_BY_THEOREM
+    if (relative_interior_contains(lam, u1)
+            and relative_interior_contains(lam, u2)):
+        return GENERATING_BY_THEOREM
+    return INDETERMINATE_BOUNDARY
 
 def cone_from_generators_ref(dim: int, rays=(), lines=()) -> Cone:
     """lin(lines) + cone(rays) by two DD passes: the facet normals off the
@@ -837,7 +855,8 @@ def multiple_making_sums_exact_ref(g: GradedProjection, u1, u2,
 
 def refinement_iff_interior_ref(q1: Polyhedron,
                                 q2: Polyhedron) -> CrossCheckReport:
-    """refinement_iff_interior with the fan side from both normal fans."""
+    """refinement_iff_interior with the fan side from both normal fans and
+    the GIT side from the record of ``git_cone`` of u1."""
     rp = realize_pair(q1, q2)
     fan_side = refines(normal_fan(rp.q1), normal_fan(rp.q2))
     lam = git_cone(rp.projection, rp.u1)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (TAILS, fiber_from_h_ref, fiber_point_sum_exact_ref,
                       fiber_sum_exact_ref, git_cone_ref, git_fan_ref,
-                      located_multiple_search_ref,
+                      is_generating_candidate_ref, located_multiple_search_ref,
                       multiple_making_sums_exact_ref, multiple_sweep_ref,
                       orbit_cones_ref, random_polytope, reeve,
                       refinement_iff_interior_ref, scale_ref,
@@ -271,33 +271,52 @@ def test_git_fan_matches_every_cell_reference():
 
 
 def test_git_fan_runs_no_fiber_pass(monkeypatch):
-    # with every cache cold and the fiber passes patched to raise, git_fan
-    # builds every fan from its walls and bases: W's two DD passes, one per
-    # m-subset of weights (``_support_rows``) and two per chamber; and it
-    # cuts only along walls, each normal up to sign one of the reference's
-    # (an extra wall splits chambers into cells that share them, so the
-    # records would not show it)
-    def no_fiber(*args):
-        raise AssertionError(f"fiber pass {args!r}")
+    # with every cache cold and the fiber passes and gitfan's cone_from_h
+    # patched to raise, git_fan builds every fan from its walls and bases:
+    # W's two DD passes, one per m-subset of weights (``_support_rows``)
+    # and two per chamber; it cuts only along walls, each normal up to sign
+    # one of the reference's (an extra wall splits chambers into cells that
+    # share them, so the records would not show it); and each chamber pass
+    # gets the rays of final cells, never basis facet rows: its vectors are
+    # exactly the rays of the final cells they contain, and every final
+    # cell's rays go to some chamber pass
+    def no_fiber(*args, **kwargs):
+        raise AssertionError(f"fiber or row pass {args!r} {kwargs!r}")
 
-    calls, cuts = [], []
+    calls, cuts, cut_from, cells, passes = [], [], set(), [], []
     plain = dd.generators_from_constraints
     monkeypatch.setattr(dd, "generators_from_constraints",
                         lambda *args: calls.append(args[0]) or plain(*args))
-    # git_fan's own cuts only: dd's passes cut through its module globals
+
+    def state(*args):
+        cells.append(dd._state(*args))
+        return cells[-1]
+
+    def cut(cell, a):
+        cuts.append(a)
+        cut_from.add(id(cell))
+        cells.append(dd._cut(cell, a))
+        return cells[-1]
+
+    # git_fan's own states and cuts only: dd's passes run through its
+    # module globals
     monkeypatch.setattr(gitfan, "dd", SimpleNamespace(**{
-        **vars(dd),
-        "_cut": lambda cell, a: cuts.append(a) or dd._cut(cell, a)}))
+        **vars(dd), "_state": state, "_cut": cut}))
     monkeypatch.setattr(gitfan, "_h_to_v", no_fiber)
     monkeypatch.setattr(gitfan, "_fiber_entry", no_fiber)
+    monkeypatch.setattr(gitfan, "cone_from_h", no_fiber)
+    plain_gen = gitfan.cone_from_generators
+    monkeypatch.setattr(gitfan, "cone_from_generators",
+                        lambda dim, rays: passes.append(set(rays))
+                        or plain_gen(dim, rays=rays))
     rng = random.Random(113)
     grads = [boundary_grading()[0], WIDE]
     grads += [_varied_grading(rng) for _ in range(60)]
     cut_fans = 0
     for g in grads:
         _cold_caches()
-        calls.clear()
-        cuts.clear()
+        for log in (calls, cuts, cut_from, cells, passes):
+            log.clear()
         gf = git_fan(g)
         assert gf.fan_verified
         assert len(calls) <= 2 + math.comb(g.n, g.m) + 2 * len(gf.git_cones)
@@ -305,6 +324,14 @@ def test_git_fan_runs_no_fiber_pass(monkeypatch):
         walls |= {tuple(-x for x in n) for n in walls}
         assert walls.issuperset(cuts), g
         cut_fans += bool(cuts)
+        # the first pass is the cold weight cone's, one more per chamber
+        assert passes[0] == set(g.weights) and len(passes) == 1 + len(
+            gf.git_cones), g
+        final = [{r for r, _ in c[1]} for c in cells if id(c) not in cut_from]
+        for vectors in passes[1:]:
+            assert vectors == set().union(
+                *(rays for rays in final if rays <= vectors)), g
+        assert all(any(rays <= v for v in passes[1:]) for rays in final), g
     assert cut_fans >= 50, cut_fans
 
 
@@ -967,6 +994,50 @@ def test_is_generating_candidate_trichotomy():
     assert is_generating_candidate(g, u1, u2) == "indeterminate_boundary"
 
 
+def _generating_triple(rng):
+    """A ``_random_grading`` (m = 1-3, often negative weights and so
+    unbounded fibers) with two degrees in its weight semigroup: u2 another
+    combination of the weights, one weight, a multiple of u1 or u1 plus a
+    weight."""
+    g = _random_grading(rng)
+
+    def combination():
+        cs = [rng.randint(0, 2) for _ in g.weights]
+        return tuple(sum(c * w[j] for c, w in zip(cs, g.weights))
+                     for j in range(g.m))
+
+    u1, draw = combination(), rng.random()
+    if draw < 0.5:
+        u2 = combination()
+    elif draw < 0.65:
+        u2 = rng.choice(g.weights)
+    elif draw < 0.8:
+        c = rng.randint(1, 3)
+        u2 = tuple(c * x for x in u1)
+    else:
+        u2 = tuple(map(sum, zip(u1, rng.choice(g.weights))))
+    return g, u1, u2
+
+
+def test_is_generating_candidate_matches_git_cone_reference():
+    # the per-support row tests classify as the canonical record of
+    # lam(u1 + u2) does, built from a fresh from_h fiber
+    rng = random.Random(79)
+    seen = dict.fromkeys(("m1", "m2", "m3", "negative", "unbounded"), 0)
+    verdicts = {}
+    for _ in range(400):
+        g, u1, u2 = _generating_triple(rng)
+        got = is_generating_candidate(g, u1, u2)
+        assert got == is_generating_candidate_ref(g, u1, u2), (g, u1, u2)
+        verdicts[got] = verdicts.get(got, 0) + 1
+        seen[f"m{g.m}"] += 1
+        seen["negative"] += any(x < 0 for w in g.weights for x in w)
+        seen["unbounded"] += bool(
+            fiber(g, tuple(map(sum, zip(u1, u2)))).v.rays)
+    assert len(verdicts) == 3 and min(verdicts.values()) >= 50, verdicts
+    assert min(seen.values()) >= 50, seen
+
+
 def test_git_cone_matches_cone_oracle():
     rng = random.Random(71)
     checked = 0
@@ -1082,6 +1153,32 @@ def test_realize_readers_run_no_fiber_pass(monkeypatch):
     assert got == want
     assert sum(refinement_iff_interior(q1, q2).refines_normal_fans
                for q1, q2 in pairs) >= 12
+
+
+def test_git_side_readers_build_no_git_cone(monkeypatch):
+    # with gitfan's cone_from_h and _vertex_support_cone patched to raise,
+    # refinement_iff_interior and is_generating_candidate (on the realized
+    # degrees and on seeded triples) answer as the references do, which
+    # test the degrees against a canonical GIT cone record built before
+    # the patch
+    def no_cone(*args, **kwargs):
+        raise AssertionError(f"GIT cone pass {args!r}")
+
+    rng = random.Random(157)
+    pairs = _realize_cases(rng, 4)
+    triples = [(rp.projection, rp.u1, rp.u2)
+               for rp in (realize_pair(q1, q2) for q1, q2 in pairs)]
+    triples += [_generating_triple(rng) for _ in range(60)]
+    want = ([repr(refinement_iff_interior_ref(q1, q2)) for q1, q2 in pairs],
+            [is_generating_candidate_ref(*t) for t in triples])
+    monkeypatch.setattr(gitfan, "cone_from_h", no_cone)
+    monkeypatch.setattr(gitfan, "_vertex_support_cone", no_cone)
+    got = ([repr(refinement_iff_interior(q1, q2)) for q1, q2 in pairs],
+           [is_generating_candidate(*t) for t in triples])
+    assert got == want
+    assert sum(refinement_iff_interior(q1, q2).refines_normal_fans
+               for q1, q2 in pairs) >= 12
+    assert len(set(want[1])) == 3, want[1]
 
 
 def test_realize_readers_run_no_hermite_form(monkeypatch):
