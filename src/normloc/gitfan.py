@@ -27,15 +27,15 @@ from itertools import combinations
 from operator import add
 
 from . import dd
-from .errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
-                     NotFullDimensional, NotLattice, RealizationError,
-                     SupportMismatch, TailConeMismatch, WeightOutsideCone)
+from .errors import (DimensionMismatch, NormlocError, NotFullDimensional,
+                     NotLattice, RealizationError, SupportMismatch,
+                     TailConeMismatch, WeightOutsideCone)
 from .exact import (as_int, canonical_sign, dot, hermite_normal_form,
                     identity_matrix, transpose)
 from .fans import Cone, _tiles, cone_from_generators, cone_from_h
 from .latpoints import (LocationReport, _located_over, _multiple_sweep,
                         _ScanSet)
-from .polyhedra import (HRep, Polyhedron, VRep, _from_canonical_v, _h_to_v,
+from .polyhedra import (HRep, Polyhedron, _from_canonical_v, _h_to_v,
                         minkowski_sum, translate)
 from .reps import NOT_IN_SUM, Witness
 
@@ -134,11 +134,10 @@ def _fiber_entry(g: GradedProjection, u) -> _ScanSet:
     """
     h = HRep(tuple((tuple(-x for x in e), 0) for e in identity_matrix(g.n)),
              tuple(zip(g.matrix, u)))
-    try:
-        verts, rays = _h_to_v(g.n, h)
-    except EmptyPolyhedron:
+    v = _h_to_v(g.n, h)
+    if not v.vertices:
         raise WeightOutsideCone(f"degree {u} lies outside the weight cone")
-    return _ScanSet(g.n, h, VRep(tuple(verts), tuple(rays)))
+    return _ScanSet(g.n, h, v)
 
 
 def _checked_pair(g: GradedProjection, u1, u2):
@@ -348,9 +347,8 @@ def fiber_point_sum_exact(g: GradedProjection, u1, u2,
     witness = report.witness
     if witness:
         caps = tuple(zip(identity_matrix(g.n), witness.point))
-        try:
-            _h_to_v(g.n, HRep(f1.h.inequalities + caps, f1.h.equalities))
-        except EmptyPolyhedron:
+        if not _h_to_v(g.n, HRep(f1.h.inequalities + caps,
+                                 f1.h.equalities)).vertices:
             witness = Witness(witness.point, NOT_IN_SUM)
     checked = dict(report.checked)
     checked["u1"], checked["u2"] = list(u1), list(u2)

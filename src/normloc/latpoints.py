@@ -80,12 +80,11 @@ from math import lcm
 from operator import add, mul, sub
 
 from . import kernels
-from .errors import (DimensionMismatch, EmptyPolyhedron, NotLattice,
-                     NormlocError, NotPointed, Unbounded)
+from .errors import DimensionMismatch, NotLattice, NormlocError, Unbounded
 from .exact import (as_int, dot, hermite_normal_form, identity_matrix,
                     integer_solution, positive_int, solution_lattice)
 from .polyhedra import (HRep, Polyhedron, VRep, _h_to_v, _int_vertices,
-                        from_v, minkowski_sum, vertex_box)
+                        minkowski_sum, vertex_box)
 from .reps import NO_DECOMPOSITION, NORMALITY_FAILURE, Witness
 
 VERDICT_LOCATED = "located"
@@ -396,11 +395,8 @@ def _clip(p: _ScanSet, lo, hi) -> _ScanSet | None:
     for j, e in enumerate(identity_matrix(p.dim)):
         rows += [(e, hi[j]), (tuple(-x for x in e), -lo[j])]
     h = HRep(p.h.inequalities + tuple(rows), p.h.equalities)
-    try:
-        verts, rays = _h_to_v(p.dim, h)
-    except EmptyPolyhedron:
-        return None
-    return _ScanSet(p.dim, h, VRep(tuple(verts), tuple(rays)))
+    v = _h_to_v(p.dim, h)
+    return _ScanSet(p.dim, h, v) if v.vertices else None
 
 
 def _enumerate(p: _ScanSet) -> LatticePointSet:
@@ -425,19 +421,6 @@ def enumerate_windowed(p: Polyhedron, lo, hi) -> LatticePointSet:
     return LatticePointSet(p.dim, ()) if s is None else _enumerate(s)
 
 
-def _decompose_unbounded_guard(p: Polyhedron, q: Polyhedron):
-    # z' ranges over P cap (z - Q); its recession cone tail(P) cap -tail(Q)
-    # does not depend on z, so one pointedness check covers every z.  With
-    # both tails pointed, that meet is nonzero exactly when
-    # tail(P) + tail(Q) contains a line: when the origin with the rays of P
-    # and Q is not a pointed polyhedron.
-    try:
-        from_v(VRep(((0,) * p.dim,), p.v.rays + q.v.rays))
-    except NotPointed:
-        raise Unbounded("decomposition search region is unbounded: "
-                        "tail(P) meets -tail(Q) outside the origin") from None
-
-
 def _split_points(p: Polyhedron, q: Polyhedron, box):
     """Point lists whose hulls hold z' and z'' of every split
     z = z' + z'' of a point z in the box (lo, hi).
@@ -446,12 +429,17 @@ def _split_points(p: Polyhedron, q: Polyhedron, box):
     None when the set to split is bounded, and then so are its summands.
     Otherwise the points are the halves of the vertices of the joint region
     {(z', z'') in P x Q : lo <= z' + z'' <= hi}; one H-to-V pass gives them
-    (the region's facets are never read).  The region is bounded when
-    tail(P) cap -tail(Q) = {0}, which the caller ensures: ``decompose``
-    runs the pointedness guard, ``normally_located``'s ``minkowski_sum``
-    raises NotPointed otherwise, and the fibers of one grading share the
-    pointed tail {x >= 0 : A x = 0}.  An empty region gives empty lists,
-    so no z in the box splits.
+    (the region's facets are never read).  An empty region gives empty
+    lists, so no z in the box splits.
+
+    The region is bounded exactly when tail(P) cap -tail(Q) = {0}, and its
+    one pass checks that, raising Unbounded otherwise: the pass's rays span
+    {(r, -r) : r in tail(P) cap -tail(Q)} whether the region is empty or
+    not.  A nonempty region's rays span its recession cone, which is that
+    set; an infeasible system homogenizes entirely into its t = 0 slice,
+    the recession cone of its rows, and P's and Q's rows cut out their
+    tails, so that is the same set.  Neither z nor the box enters it, so
+    tails that meet raise at every z.
     """
     if not p.v.rays and not q.v.rays:
         return p.v.vertices, q.v.vertices
@@ -470,18 +458,20 @@ def _split_points(p: Polyhedron, q: Polyhedron, box):
             eqs.append((e, lo[j]))
         else:
             ineqs += [(e, hi[j]), (tuple(-x for x in e), -lo[j])]
-    try:
-        verts, _ = _h_to_v(2 * d, HRep(tuple(ineqs), tuple(eqs)))
-    except EmptyPolyhedron:
-        return (), ()
-    return [v[:d] for v in verts], [v[d:] for v in verts]
+    v = _h_to_v(2 * d, HRep(tuple(ineqs), tuple(eqs)))
+    if v.rays:
+        raise Unbounded("decomposition search region is unbounded: "
+                        "tail(P) meets -tail(Q) outside the origin")
+    return [x[:d] for x in v.vertices], [x[d:] for x in v.vertices]
 
 
 def decompose(z, p: Polyhedron, q: Polyhedron):
     """Split z = z' + z'' over the lattice points of P and Q.
 
     Returns the pair (z', z'') with z' lexicographically least, or None when
-    no split exists.  Raises Unbounded when the split region can be infinite.
+    no split exists.  Raises Unbounded when tail(P) meets -tail(Q) outside
+    the origin, so that P cap (z - Q) can be infinite, whether or not it is
+    empty at this z (``_split_points`` reads that off its one DD pass).
 
     z' is scanned in the frame of aff(P) cap (z - aff(Q)), whose equalities
     are those of P and the reflected, shifted ones of Q.
@@ -491,8 +481,6 @@ def decompose(z, p: Polyhedron, q: Polyhedron):
     z = tuple(as_int(x) for x in z)
     if len(z) != p.dim:
         raise DimensionMismatch("point has wrong length")
-    if p.v.rays or q.v.rays:
-        _decompose_unbounded_guard(p, q)
     pverts, qverts = _split_points(p, q, (z, z))
     frame = _frame(tuple(n for n, _ in p.h.equalities + q.h.equalities),
                    p.dim)
@@ -559,7 +547,7 @@ def _located_over(r: _ScanSet, p: _ScanSet, q: _ScanSet,
         frame = _frame_of(r)
         sset = _prepare(frame, s)
         # no integer point in aff(R) leaves nothing to split: skip the
-        # split points, whose unbounded case runs a guard and a DD pass
+        # split points, whose unbounded case runs a DD pass
         if sset.origin(1) is not None:
             pverts, qverts = _split_points(p, q, None if bounded
                                            else vertex_box(s))

@@ -77,7 +77,16 @@ def _homogenize_h(d, h: HRep):
     return eqs, ineqs
 
 
-def _h_to_v(d, h: HRep):
+def _h_to_v(d, h: HRep) -> VRep:
+    """The lex-sorted vertices and sorted primitive rays of one H-to-V pass.
+
+    An infeasible system is an empty answer, not an error: it homogenizes
+    entirely into its t = 0 slice, the recession cone of its rows, so the
+    pass gives no vertex and that cone's extreme rays (its lines, if any,
+    are dropped).  ``from_h`` turns no vertex into EmptyPolyhedron, and the
+    scans read it as an empty set.  NotPointed is raised only when the
+    solution set is nonempty and contains a line.
+    """
     eqs, ineqs = _homogenize_h(d, h)
     lines, rays = dd.generators_from_constraints(d + 1, eqs, ineqs)
     verts = []
@@ -88,13 +97,9 @@ def _h_to_v(d, h: HRep):
             verts.append(tuple(Fraction(x, t) for x in r[:-1]))
         else:
             rec.append(primitive(r[:-1]))
-    # an infeasible system can still homogenize to a nontrivial cone (all of
-    # it in the t = 0 slice), so emptiness must be decided before pointedness
-    if not verts:
-        raise EmptyPolyhedron("constraint system is infeasible")
-    if lines:
+    if verts and lines:
         raise NotPointed("solution set contains a line; no vertex exists")
-    return sorted(verts), sorted(rec)
+    return VRep(tuple(sorted(verts)), tuple(sorted(rec)))
 
 
 def _v_to_h(d, verts, rec):
@@ -128,8 +133,9 @@ def from_h(h: HRep) -> Polyhedron:
     """Polyhedron of a halfspace description.
 
     One H-to-V pass gives the canonical vertices, and the facets are
-    recomputed from them.  Raises EmptyPolyhedron if the system is
-    infeasible and NotPointed if the solution set contains a line.
+    recomputed from them.  Raises EmptyPolyhedron when the pass finds no
+    vertex (the system is infeasible), and otherwise NotPointed when the
+    solution set contains a line.
     """
     rows = tuple(h.inequalities) + tuple(h.equalities)
     if not rows:
@@ -137,7 +143,10 @@ def from_h(h: HRep) -> Polyhedron:
     d = len(rows[0][0])
     if any(len(n) != d for n, _ in rows):
         raise DimensionMismatch("constraint normals of mixed lengths")
-    return _from_canonical_v(d, *_h_to_v(d, h))
+    v = _h_to_v(d, h)
+    if not v.vertices:
+        raise EmptyPolyhedron("constraint system is infeasible")
+    return _from_canonical_v(d, v.vertices, v.rays)
 
 
 def _from_canonical_v(d, verts, rec) -> Polyhedron:
@@ -171,8 +180,7 @@ def from_v(v: VRep) -> Polyhedron:
     if not ineqs and not eqs:
         raise NotPointed("the rays span the whole space; no vertex exists")
     h = HRep(tuple(ineqs), tuple(eqs))
-    verts, rec = _h_to_v(d, h)
-    return Polyhedron(d, h, VRep(tuple(verts), tuple(rec)))
+    return Polyhedron(d, h, _h_to_v(d, h))
 
 
 def _int_vertices(vertices):

@@ -73,8 +73,9 @@ from itertools import combinations, product
 from math import ceil, floor, gcd, lcm
 
 from normloc import dd, kernels
-from normloc.errors import (DimensionMismatch, NormlocError, NotLattice,
-                            Unbounded, WeightOutsideCone, ZeroVector)
+from normloc.errors import (DimensionMismatch, EmptyPolyhedron,
+                            NormlocError, NotLattice, Unbounded,
+                            WeightOutsideCone, ZeroVector)
 from normloc.exact import (IMat, IVec, as_int, dot, identity_matrix,
                            primitive, transpose)
 from normloc.fans import (Cone, _assemble, _clean, cone_contains,
@@ -710,7 +711,9 @@ def hrep(inequalities, equalities=()) -> HRep:
 
 
 def from_h_ref(h: HRep) -> Polyhedron:
-    """from_h with every row rescaled by ``hrep`` before the H-to-V pass."""
+    """from_h with every row rescaled by ``hrep`` before the H-to-V pass.
+    The pass answers an infeasible system with no vertex, and the
+    reference raises EmptyPolyhedron for it."""
     rows = tuple(h.inequalities) + tuple(h.equalities)
     if not rows:
         raise NormlocError("empty constraint system")
@@ -718,10 +721,11 @@ def from_h_ref(h: HRep) -> Polyhedron:
     if any(len(n) != d for n, _ in rows):
         raise DimensionMismatch("constraint normals of mixed lengths")
     h = hrep(h.inequalities, h.equalities)
-    verts, rec = _h_to_v(d, h)
-    ineqs, eqs = _v_to_h(d, verts, rec)
-    return Polyhedron(d, HRep(tuple(ineqs), tuple(eqs)),
-                      VRep(tuple(verts), tuple(rec)))
+    v = _h_to_v(d, h)
+    if not v.vertices:
+        raise EmptyPolyhedron("constraint system is infeasible")
+    ineqs, eqs = _v_to_h(d, v.vertices, v.rays)
+    return Polyhedron(d, HRep(tuple(ineqs), tuple(eqs)), v)
 
 
 def is_normal_ref(p: Polyhedron, s_max: int) -> LocationReport:

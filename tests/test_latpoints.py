@@ -8,7 +8,7 @@ from conftest import (box_of, decompose_unbounded_guard_ref, frame_box_ref,
                       oracle_points, oracle_split, oracle_sums,
                       oracle_window_points, random_polytope, reeve,
                       scaled_scan_set_ref, scan_undecomposed_ref, x_system)
-from normloc import kernels, latpoints, polyhedra
+from normloc import dd, kernels, latpoints, polyhedra
 from normloc.cases import boundary_grading
 from normloc.errors import NotLattice, NormlocError, Unbounded
 from normloc.gitfan import (_fiber_entry, fiber, fiber_point_sum_exact,
@@ -109,29 +109,63 @@ def test_decompose_unbounded_tails():
         decompose((0, 1), p, r)
 
 
-def test_location_checks_run_no_pointedness_guard(monkeypatch):
+def _dd_passes(call):
+    """call()'s outcome (its value, or the NormlocError it raised) and the
+    number of DD passes it ran."""
+    passes = []
+    plain = dd.generators_from_constraints
+
+    def counted(*args):
+        passes.append(args)
+        return plain(*args)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dd, "generators_from_constraints", counted)
+        try:
+            outcome = call()
+        except NormlocError as exc:
+            outcome = exc
+    return outcome, len(passes)
+
+
+def test_decompose_with_rays_runs_one_dd_pass():
+    # the split region's one H-to-V pass also decides whether the tails
+    # meet: a split, no split and Unbounded (region empty or not) alike
+    p = from_v(VRep(((0, 0),), ((1, 0),)))
+    q = from_v(VRep(((0, 1),), ((1, 0),)))
+    back = from_v(VRep(((0, 0),), ((-1, 0),)))
+    got, passes = _dd_passes(lambda: decompose((3, 1), p, q))
+    assert got == ((0, 0), (3, 1)) and passes == 1
+    got, passes = _dd_passes(lambda: decompose((0, 0), p, q))
+    assert got is None and passes == 1
+    for z in ((0, 5), (0, 0)):
+        got, passes = _dd_passes(lambda: decompose(z, p, back))
+        assert isinstance(got, Unbounded) and passes == 1, z
+        assert str(got) == ("decomposition search region is unbounded: "
+                            "tail(P) meets -tail(Q) outside the origin")
+
+
+def test_location_checks_run_no_pointedness_guard():
     # a windowed normally_located has its tails checked by minkowski_sum,
     # and the fibers of one grading share the pointed tail
-    # {x >= 0 : A x = 0}, so neither runs the guard; decompose still does.
-    # The zero weight gives the boundary grading's fibers the ray e_5
+    # {x >= 0 : A x = 0}, so neither runs a pointedness check beyond the
+    # split region's own pass: 4 and 6 DD passes in all.  The zero weight
+    # gives the boundary grading's fibers the ray e_5
     tail = ((1, 0), (1, 2))
     p = from_v(VRep(((0, 0), (2, 1), (1, 3)), tail))
     q = from_v(VRep(((0, 0), (3, 1)), tail))
     g, _, _ = boundary_grading()
     g = graded_projection(g.weights + ((0, 0),))
 
-    def answers():
-        return (normally_located(p, q, ((0, 0), (12, 12))).to_dict(),
-                fiber_point_sum_exact(g, (4, 2), (2, 4),
-                                      ((0,) * 5, (6,) * 5)).to_dict())
-    want = answers()
-    assert want[1]["witness"]["point"] == [1, 0, 1, 1, 0]
+    def located():
+        return normally_located(p, q, ((0, 0), (12, 12))).to_dict()
 
-    def guard(*args):
-        raise AssertionError("pointedness guard ran")
-    monkeypatch.setattr(latpoints, "_decompose_unbounded_guard", guard)
-    assert answers() == want
-    monkeypatch.undo()
+    def point_sum():
+        return fiber_point_sum_exact(g, (4, 2), (2, 4),
+                                     ((0,) * 5, (6,) * 5)).to_dict()
+    want = located(), point_sum()
+    assert want[1]["witness"]["point"] == [1, 0, 1, 1, 0]
+    assert _dd_passes(located) == (want[0], 4)
+    assert _dd_passes(point_sum) == (want[1], 6)
     # tails that meet raise also where P cap (z - Q) is empty
     ray = from_v(VRep(((0, 0),), ((1, 0),)))
     back = from_v(VRep(((0, 0),), ((-1, 0),)))

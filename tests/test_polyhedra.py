@@ -9,9 +9,10 @@ from normloc.errors import (DimensionMismatch, EmptyPolyhedron, NormlocError,
                             NotPointed, Unbounded, ZeroVector)
 from normloc.exact import dot
 from normloc.gitfan import fiber, graded_projection
-from normloc.polyhedra import (HRep, VRep, from_h, from_v, minkowski_sum,
-                               polyhedron_from_dict, polyhedron_to_dict,
-                               scale, translate, vertex_box)
+from normloc.polyhedra import (HRep, VRep, _h_to_v, from_h, from_v,
+                               minkowski_sum, polyhedron_from_dict,
+                               polyhedron_to_dict, scale, translate,
+                               vertex_box)
 
 
 def test_triangle_canonical_forms():
@@ -56,6 +57,46 @@ def test_empty_system_raises():
 def test_line_raises_not_pointed():
     with pytest.raises(NotPointed):
         from_h(HRep((((0, -1), 0),)))
+
+
+def test_h_to_v_answers_an_infeasible_system_with_no_vertex():
+    # an infeasible system homogenizes into its t = 0 slice, the rows'
+    # recession cone: no vertex, that cone's rays, and no NotPointed for a
+    # line in it; a nonempty system with a line still raises
+    slab = (((1, 0, 0), -1), ((-1, 0, 0), -1))
+    orthant = (((0, -1, 0), 0), ((0, 0, -1), 0))
+    assert _h_to_v(3, HRep(slab + orthant)) == VRep((), ((0, 0, 1),
+                                                         (0, 1, 0)))
+    assert _h_to_v(3, HRep(slab)) == VRep((), ())
+    assert _h_to_v(2, HRep((((1, 0), 0),), (((1, 0), 1),))) == VRep((), ())
+    with pytest.raises(NotPointed):
+        _h_to_v(3, HRep(orthant))
+    # from_h decides emptiness first
+    with pytest.raises(EmptyPolyhedron):
+        from_h(HRep(slab))
+    rng = random.Random(97)
+    empty = with_rays = 0
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        rows = tuple((tuple(rng.randint(-2, 2) for _ in range(d)),
+                      rng.randint(-3, 1)) for _ in range(rng.randint(2, 4)))
+        if not all(any(n) for n, _ in rows):
+            continue
+        try:
+            v = _h_to_v(d, HRep(rows))
+        except NotPointed:
+            continue
+        if v.vertices:
+            continue
+        empty += 1
+        # the rays are the extreme rays of {x : n @ x <= 0}, when pointed
+        try:
+            tail = from_h(HRep(tuple((n, 0) for n, _ in rows)))
+        except NotPointed:
+            continue
+        assert v.rays == tail.v.rays, rows
+        with_rays += bool(v.rays)
+    assert empty >= 40 and with_rays >= 10, (empty, with_rays)
 
 
 @pytest.mark.parametrize("rays", [((1, 0), (-1, 0), (0, 1), (0, -1)),
