@@ -165,7 +165,9 @@ def fiber(g: GradedProjection, u) -> Polyhedron:
 
 def _support_rows(g: GradedProjection, sup):
     """(eqs, ineqs) of the cone spanned by the weights indexed by sup, one
-    polar DD pass."""
+    polar pass: integer cofactors and no DD for a simplicial support (m
+    independent weights) in the closed form's reach, one DD pass
+    otherwise."""
     eqs, ineqs = dd.generators_from_constraints(g.m, (),
                                                 [g.weights[i] for i in sup])
     return tuple(eqs), tuple(ineqs)
@@ -248,7 +250,9 @@ class GitFan:
 def _bases(g: GradedProjection):
     """The facet rows of cone(w_sup) for every basis sup (m linearly
     independent weights), in lex order of index tuples: the ``_support_rows``
-    of the m-subsets, which have no equality exactly for a basis."""
+    of the m-subsets, which have no equality exactly for a basis.  A basis
+    is a simplicial support, so for m <= 3 its rows are integer cofactors,
+    read with no DD, and only the dependent m-subsets run one."""
     rows = (_support_rows(g, sup) for sup in combinations(range(g.n), g.m))
     return tuple(ineqs for eqs, ineqs in rows if not eqs)
 
